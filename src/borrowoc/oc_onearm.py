@@ -2,8 +2,11 @@
 
 Four layers, all exact unless stated otherwise:
 
-* per-external-mean characteristics from the rejection region
-  (:func:`oc_fixed_external`), with closed forms for fixed power priors;
+* per-external-mean characteristics from the rejection region: the
+  boundaries of :func:`borrowoc.region.boundary_arrays` turn into exact
+  normal probabilities for a whole vector of external means at once
+  (:func:`region_oc_arrays`); :func:`oc_fixed_external` is its one-row
+  case;
 * the calibrated comparator: the plain z-test run at the borrowing test's
   realized size (:func:`power_calibrated`);
 * random-external characteristics in closed form for fixed weights
@@ -20,12 +23,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .borrow import BorrowingMethod, FIXED_POWER_PRIOR, NO_BORROWING, tail_arrays
-from .region import RejectionRegion, interval_count, rejection_prob, rejection_region
+from .borrow import BorrowingMethod, tail_arrays
+# rejection_region and maximize_1d are no longer called here; the names stay
+# for bench/tracing.py, which wraps oc_onearm.rejection_region and
+# oc_onearm.maximize_1d
+from .region import Boundaries, boundary_arrays, rejection_region  # noqa: F401
 from .scenarios import ScenarioOneArm
-from .statmath import DomainError, Interval, RngStream, maximize_1d, norm_cdf, norm_quantile
+from .statmath import (DomainError, RngStream, maximize_1d,  # noqa: F401
+                       norm_cdf, norm_quantile)
 
 
 @dataclass(frozen=True)
@@ -76,17 +82,12 @@ def oc_fixed_external(scen: ScenarioOneArm, dE_mean: float,
     theta0 and, whenever the region has more than one interval (the
     non-monotone Empirical Bayes regime), additionally maximized over
     theta in [theta0 - 10 sigma/sqrt(n), theta0].  For single upper
-    intervals the boundary value is already the supremum.
+    intervals the boundary value is already the supremum.  This is the
+    one-row case of :func:`region_oc_arrays`, so it equals that function's
+    row for the same external mean exactly.
     """
-    reg = rejection_region(scen, dE_mean, method)
-    t1e = rejection_prob(reg, scen.theta0, scen.n, scen.sigma)
-    if interval_count(reg) > 1:
-        dom = Interval(scen.theta0 - 10.0 * scen.se, scen.theta0)
-        _, peak = maximize_1d(
-            lambda th: rejection_prob(reg, th, scen.n, scen.sigma), dom)
-        t1e = max(t1e, peak)
-    pb = rejection_prob(reg, scen.theta1, scen.n, scen.sigma)
-    return OCPoint(t1e, pb, power_calibrated(t1e, scen))
+    t1e, pb = region_oc_arrays(scen, [float(dE_mean)], method)
+    return OCPoint(t1e[0], pb[0], power_calibrated(float(t1e[0]), scen))
 
 
 def t1e_closed_form_fixed_pp(scen: ScenarioOneArm, dE_mean: float,
@@ -135,183 +136,62 @@ def oc_random_external_fixed_pp(scen: ScenarioOneArm, thetaE: float,
 # ---------------------------------------------------------------------------
 # vectorized per-external-mean engine
 
-
-def _fixed_oc_arrays(scen: ScenarioOneArm, de: np.ndarray, delta: float):
-    """Exact (t1e, power) per external mean for fixed weights: the region is
-    a single upper interval with a closed-form boundary."""
-    se = scen.se
-    r = delta * scen.nE * se**2 / scen.sigmaE**2
-    zc = norm_quantile(scen.c)
-    thr = scen.theta0 + se * (zc * math.sqrt(1.0 + r)
-                              - (de - scen.theta0) * delta * scen.nE * se / scen.sigmaE**2)
-    return ndtr((scen.theta0 - thr) / se), ndtr((scen.theta1 - thr) / se)
-
-
-_CHUNK_ROWS = 256
 _MAXCHECK_POINTS = 401
+_MAXCHECK_CHUNK = 4096        # rows per grid array: 13 MB per temporary
+_POLISH_STEPS = 3
 
 
-def _prob_from_boundaries(s0: float, roots: np.ndarray, signs: np.ndarray,
-                          theta: float, se: float) -> float:
-    """Rejection probability of a region given its ordered boundary
-    crossings: start state plus signed upper-tail contributions."""
-    return float(s0 + np.sum(signs * ndtr((theta - roots) / se)))
+def _null_supremum(b: Boundaries, rows: np.ndarray, scen: ScenarioOneArm) -> np.ndarray:
+    """sup of the rejection probability over theta in [theta0 - 10 se, theta0]
+    for the given rows.
 
-
-def _scan_oc_arrays(scen: ScenarioOneArm, de: np.ndarray,
-                    method: BorrowingMethod):
-    """Exact (t1e, power) per external mean by vectorized region scanning.
-
-    Shares one scan grid across all external means (dense enough to match
-    the per-mean scan contract), classifies rejection per (mean, grid)
-    cell, bisects every boundary crossing to 1e-10, and converts boundary
-    sets to exact normal probabilities.  Rows whose interval count differs
-    between the two scan densities fall back to the scalar region engine;
-    rows with multiple intervals get the null-supremum check.
+    A 401-point grid, evaluated as one array per chunk of rows, finds each
+    row's best grid point; Newton steps on the derivative
+    sum_k signs_k phi(z_k)/se, z_k = (theta - r_k)/se, polish it within its
+    two neighbouring cells.  The larger of the grid and polished values is
+    returned, so a polish that fails to converge costs nothing.
     """
-    se, seE = scen.se, scen.seE
-    lo = min(scen.theta0 - 10.0 * se, float(de.min()) - 10.0 * seE)
-    hi = max(scen.theta0 + 10.0 * se, float(de.max()) + 10.0 * seE)
-    # per-mean scans use >= 8001 points over a width of at least
-    # 20*max(se, seE); keep at least that density on the shared grid
-    step = 20.0 * max(se, seE) / 8000.0
-    m = int(math.ceil((hi - lo) / step)) + 1
-    if m % 2 == 0:
-        m += 1
-    m = max(m, 8001)
-    xs = np.linspace(lo, hi, m)
-
-    # posterior tail > c is equivalent to a z-score comparison; expressing
-    # the decision that way skips the normal CDF on every grid cell, and the
-    # in-place pipeline below touches each cell a minimal number of times
-    v_cur = scen.sigma**2 / scen.n
-    v_ext = scen.sigmaE**2 / scen.nE
-    prec_cur = scen.n / scen.sigma**2
-    prec_fac = scen.nE / scen.sigmaE**2
-    zc = norm_quantile(scen.c)
-    theta0 = scen.theta0
-
-    def reject_cells(dbar, de_arr):
-        """Elementwise borrowing-test decision (broadcasting), boolean."""
-        q = (dbar - de_arr) ** 2
-        np.subtract(q, v_cur, out=q)
-        np.maximum(q, v_ext, out=q)
-        np.divide(v_ext, q, out=q)
-        np.minimum(q, 1.0, out=q)        # q = weight estimate
-        np.multiply(q, prec_fac, out=q)  # q = external precision
-        lhs = q * (de_arr - theta0)
-        lhs += prec_cur * (dbar - theta0)
-        np.add(q, prec_cur, out=q)       # q = total precision
-        np.sqrt(q, out=q)
-        np.multiply(q, zc, out=q)
-        return lhs > q
-
-    nsim = de.shape[0]
-    t1e = np.empty(nsim)
-    power = np.empty(nsim)
-    s0_all = np.zeros(nsim, dtype=bool)
-    n_int = np.zeros(nsim, dtype=np.int64)
-    rep_parts, a_parts, b_parts, state_parts = [], [], [], []
-    fallback_rows = []
-
-    for start in range(0, nsim, _CHUNK_ROWS):
-        sl = slice(start, min(start + _CHUNK_ROWS, nsim))
-        rej = reject_cells(xs[None, :], de[sl, None])
-        ups = np.count_nonzero(~rej[:, :-1] & rej[:, 1:], axis=1)
-        counts = ups + rej[:, 0]
-        ups_c = np.count_nonzero(~rej[:, :-2:2] & rej[:, 2::2], axis=1)
-        counts_coarse = ups_c + rej[:, 0]
-        bad = np.nonzero(counts != counts_coarse)[0]
-        fallback_rows.extend(int(start + i) for i in bad)
-
-        s0_all[sl] = rej[:, 0]
-        n_int[sl] = counts
-        rows, cells = np.nonzero(rej[:, :-1] != rej[:, 1:])
-        rep_parts.append(rows + start)
-        a_parts.append(xs[cells])
-        b_parts.append(xs[cells + 1])
-        state_parts.append(rej[rows, cells])
-
-    rep = np.concatenate(rep_parts) if rep_parts else np.empty(0, dtype=np.int64)
-    blo = np.concatenate(a_parts) if a_parts else np.empty(0)
-    bhi = np.concatenate(b_parts) if b_parts else np.empty(0)
-    left_state = np.concatenate(state_parts) if state_parts else np.empty(0, dtype=bool)
-
-    # bisect all crossings at once down to the refinement tolerance
-    if rep.size:
-        width = float(np.max(bhi - blo))
-        iters = min(60, max(1, int(math.ceil(math.log2(width / 1e-10))) + 2))
-        de_b = de[rep]
-        for _ in range(iters):
-            mid = 0.5 * (blo + bhi)
-            mid_state = reject_cells(mid, de_b)
-            same = mid_state == left_state
-            blo = np.where(same, mid, blo)
-            bhi = np.where(same, bhi, mid)
-    roots = 0.5 * (blo + bhi)
-    signs = np.where(left_state, -1.0, 1.0)     # False -> True is an up-crossing
-
-    for theta, out in ((scen.theta0, t1e), (scen.theta1, power)):
-        acc = s0_all.astype(float)
-        acc += np.bincount(rep, weights=signs * ndtr((theta - roots) / se),
-                           minlength=nsim)
-        np.clip(acc, 0.0, 1.0, out=out)
-
-    # supremum check over the null for multi-interval rows: same grid +
-    # golden-section recipe as the scalar maximizer, run on all rows at once
-    multi = np.nonzero(n_int > 1)[0]
-    if multi.size:
-        sel = np.isin(rep, multi)
-        loc = np.searchsorted(multi, rep[sel])
-        r_sub, s_sub = roots[sel], signs[sel]
-        base = s0_all[multi].astype(float)
-
-        def prob_rows(theta_vec: np.ndarray) -> np.ndarray:
-            w = s_sub * ndtr((theta_vec[loc] - r_sub) / se)
-            return base + np.bincount(loc, weights=w, minlength=multi.size)
-
-        grid = np.linspace(scen.theta0 - 10.0 * se, scen.theta0, _MAXCHECK_POINTS)
-        vals = np.empty((multi.size, _MAXCHECK_POINTS))
-        for k in range(_MAXCHECK_POINTS):
-            vals[:, k] = prob_rows(np.full(multi.size, grid[k]))
-        kidx = np.argmax(vals, axis=1)
-        best = vals[np.arange(multi.size), kidx]
-        a = grid[np.maximum(kidx - 1, 0)].copy()
-        b = grid[np.minimum(kidx + 1, _MAXCHECK_POINTS - 1)].copy()
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(64):
-            x1 = b - invphi * (b - a)
-            x2 = a + invphi * (b - a)
-            keep_left = prob_rows(x1) >= prob_rows(x2)
-            b = np.where(keep_left, x2, b)
-            a = np.where(keep_left, a, x1)
-        peak = prob_rows(0.5 * (a + b))
-        t1e[multi] = np.minimum(np.maximum.reduce([t1e[multi], best, peak]), 1.0)
-
-    for j in fallback_rows:
-        reg = rejection_region(scen, float(de[j]), method)
-        val = rejection_prob(reg, scen.theta0, scen.n, scen.sigma)
-        if interval_count(reg) > 1:
-            dom = Interval(scen.theta0 - 10.0 * se, scen.theta0)
-            _, peak = maximize_1d(
-                lambda th: rejection_prob(reg, th, scen.n, scen.sigma), dom)
-            val = max(val, peak)
-        t1e[j] = val
-        power[j] = rejection_prob(reg, scen.theta1, scen.n, scen.sigma)
-
-    return t1e, power
+    se = scen.se
+    grid = np.linspace(scen.theta0 - 10.0 * se, scen.theta0, _MAXCHECK_POINTS)
+    best = np.empty(rows.size)
+    k = np.empty(rows.size, dtype=np.intp)
+    for start in range(0, rows.size, _MAXCHECK_CHUNK):
+        sl = slice(start, start + _MAXCHECK_CHUNK)
+        vals = b.prob(grid[:, None], se, rows[sl])
+        k[sl] = np.argmax(vals, axis=0)
+        best[sl] = vals[k[sl], np.arange(vals.shape[1])]
+    left = grid[np.maximum(k - 1, 0)]
+    right = grid[np.minimum(k + 1, _MAXCHECK_POINTS - 1)]
+    theta = grid[k]
+    roots, signs = b.roots[rows], b.signs[rows]
+    for _ in range(_POLISH_STEPS):
+        z = np.where(signs != 0.0, (theta[:, None] - roots) / se, 0.0)
+        dens = signs * np.exp(-0.5 * z * z)
+        slope = np.sum(dens, axis=1)
+        curv = -np.sum(z * dens, axis=1) / se
+        with np.errstate(invalid="ignore", divide="ignore"):
+            theta = np.clip(theta - slope / curv, left, right)
+    return np.fmax(best, b.prob(theta, se, rows))       # fmax skips a NaN polish
 
 
 def region_oc_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod):
     """Exact per-external-mean (t1e, power) arrays for a vector of external
-    means; dispatches to the closed form when the region provably is a
-    single interval and to the scanning engine otherwise."""
+    means.
+
+    Power is the region's probability at theta1.  The type I error rate is
+    the supremum over the null: the probability at theta0 and, for rows
+    whose region has more than one interval (the non-monotone Empirical
+    Bayes regime), the maximum over theta in [theta0 - 10 se, theta0].  For
+    a single upper interval the value at theta0 already is the supremum.
+    Rows are computed independently of each other.
+    """
     de = np.asarray(de, dtype=float)
-    if method.kind == NO_BORROWING:
-        return _fixed_oc_arrays(scen, de, 0.0)
-    if method.kind == FIXED_POWER_PRIOR:
-        return _fixed_oc_arrays(scen, de, method.delta)
-    return _scan_oc_arrays(scen, de, method)
+    b = boundary_arrays(scen, de, method)
+    t1e, power = b.prob(np.array([[scen.theta0], [scen.theta1]]), scen.se)
+    multi = np.nonzero(np.count_nonzero(b.signs > 0, axis=1) + b.start > 1)[0]
+    if multi.size:
+        t1e[multi] = np.maximum(t1e[multi], _null_supremum(b, multi, scen))
+    return t1e, power
 
 
 def _random_external_arrays(scen: ScenarioOneArm, thetaE: float,

@@ -4,9 +4,28 @@ For a fixed external mean, the borrowing test rejects on a set of current
 sample means.  Under a fixed power prior that set is a single upper
 interval, but under Empirical Bayes re-weighting the posterior tail is not
 monotone in the current mean and the region can split into disjoint
-intervals (large external samples in mild conflict).  This module extracts
-the region by a dense scan plus root refinement and evaluates rejection
-probabilities from it in closed form, with no Monte Carlo noise.
+intervals (large external samples in mild conflict).
+
+The boundaries are found algebraically, for a whole vector of external
+means at once (:func:`boundary_arrays`).  With b = n/sigma^2, a(x) the
+external precision delta nE/sigmaE^2 at current mean x, and z_c the normal
+quantile of the threshold c, the test rejects iff the margin
+
+    g(x) = a(x) (dE - theta0) + b (x - theta0) - z_c sqrt(a(x) + b)
+
+is positive.  Three cases cover every boundary:
+
+* fixed weight or no borrowing: a is constant, g is increasing and linear,
+  one root;
+* Empirical Bayes agreement, |x - dE| <= r with r^2 = sigma^2/n +
+  sigmaE^2/nE: the weight is 1, a = nE/sigmaE^2, again one linear root;
+* Empirical Bayes conflict, |x - dE| > r: a = 1/((x - dE)^2 - sigma^2/n).
+  With w = (x - dE)/se and alpha = (dE - theta0)/se, g has the sign of
+  sign(w) (w^2 + alpha w - 1) - z_c sqrt(w^2 - 1), whose roots are the
+  roots of the quartic (w^2 + alpha w - 1)^2 = z_c^2 (w^2 - 1) on the
+  branch where sign(w) (w^2 + alpha w - 1) has the sign of z_c.
+
+Probabilities then follow in closed form, with no Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -15,13 +34,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from .borrow import ArmSummary, BorrowingMethod, tail_arrays
+# tail_arrays and find_root are no longer called here; the names stay for
+# bench/tracing.py, which wraps region.tail_arrays and region.find_root
+from .borrow import (EMPIRICAL_BAYES, NO_BORROWING, BorrowingMethod,  # noqa: F401
+                     posterior_arrays, tail_arrays)
 from .scenarios import ScenarioOneArm
-from .statmath import Interval, find_root, norm_cdf
+from .statmath import Interval, find_root, norm_cdf, norm_quantile  # noqa: F401
 
-_BASE_POINTS = 4001
 _REFINE_TOL = 1e-10
+_NEWTON_STEPS = 3
+# eigenvalues of a near-double quartic root carry an imaginary part of order
+# sqrt(machine eps); a larger one belongs to a genuinely complex pair
+_IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -29,9 +55,11 @@ class RejectionRegion:
     """Union of disjoint open intervals of current sample means that reject.
 
     ``intervals`` are sorted ascending and pairwise disjoint; endpoints may
-    be infinite.  ``flagged`` marks a degenerate scan: the tail probability
-    never crossed the threshold anywhere in ``scan_bounds``, so the region
-    is trivially everything or nothing.
+    be infinite.  ``scan_bounds`` is the window theta0 +- 10 sigma/sqrt(n),
+    widened to cover external_mean +- 10 sigmaE/sqrt(nE), inside which
+    boundaries are located; a region rejecting at an edge of the window
+    extends to the corresponding infinity.  ``flagged`` marks a region with
+    no boundary in that window, so it is trivially everything or nothing.
     """
 
     intervals: tuple[Interval, ...]
@@ -53,70 +81,153 @@ def interval_count(region: RejectionRegion) -> int:
     return len(region.intervals)
 
 
-def _count_intervals(reject: np.ndarray) -> int:
-    up = int(np.count_nonzero(~reject[:-1] & reject[1:]))
-    return up + int(reject[0])
+@dataclass(frozen=True)
+class Boundaries:
+    """Rejection regions of many external means as boundary arrays.
+
+    Row j describes the region for external mean ``de[j]``: ``start[j]``
+    says whether it rejects left of every boundary, ``roots[j]`` holds its
+    boundaries in ascending order (``+inf`` pads unused slots) and
+    ``signs[j]`` is +1 where rejection starts, -1 where it stops and 0 in
+    the padding.  ``lo`` and ``hi`` are each row's window
+    (``RejectionRegion.scan_bounds``).
+    """
+
+    start: np.ndarray
+    roots: np.ndarray
+    signs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def prob(self, theta, se: float, rows=slice(None)) -> np.ndarray:
+        """P(current mean in the region) for means ~ N(theta, se^2).
+
+        ``theta`` broadcasts against the selected rows (shape ``(m,)`` or
+        ``(g, m)``).  Each row is start + sum_k signs_k Phi(theta/se - r_k/se),
+        accumulated in a fixed order; padding adds exactly zero, so a row's
+        value does not depend on the other rows.
+        """
+        start = self.start[rows]
+        acc = np.broadcast_to(start.astype(float),
+                              np.broadcast_shapes(np.shape(theta), start.shape))
+        z = np.asarray(theta) / se
+        roots, signs = self.roots[rows] / se, self.signs[rows]
+        for k in range(roots.shape[1]):
+            acc = acc + signs[:, k] * ndtr(z - roots[:, k])
+        return np.clip(acc, 0.0, 1.0)
+
+
+def _conflict_roots(de: np.ndarray, scen: ScenarioOneArm, zc: float) -> np.ndarray:
+    """Conflict-regime boundary candidates, shape (rows, 4), NaN if none.
+
+    Roots of the quartic w^4 + 2 alpha w^3 + (alpha^2 - 2 - z_c^2) w^2
+    - 2 alpha w + 1 + z_c^2 from batched 4x4 companion eigenvalues, kept in
+    the regime |w| > r/se after Newton steps on the unsquared margin
+    sign(w)(w^2 + alpha w - 1) - z_c sqrt(w^2 - 1).  Its roots stay simple
+    where a small z_c makes near-double roots of the quartic.  There the
+    computed sign of w^2 + alpha w - 1, which tells the two branches apart,
+    is rounding noise, so candidates are not filtered by branch: one that is
+    no boundary is dropped by the midpoint decisions.
+    """
+    se = scen.se
+    alpha = (de - scen.theta0) / se
+    z2 = zc * zc
+    comp = np.zeros((de.size, 4, 4))
+    comp[:, 0] = np.stack([-2.0 * alpha, 2.0 + z2 - alpha * alpha, 2.0 * alpha,
+                           np.full_like(alpha, -1.0 - z2)], axis=1)
+    comp[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    eig = np.linalg.eigvals(comp)
+    w = eig.real
+    a = alpha[:, None]
+    sw = np.sign(w)
+    ok = (np.abs(eig.imag) <= _IMAG_TOL * (1.0 + np.abs(w))) & (w * w > 1.0)
+    w = np.where(ok, w, np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            s = np.sqrt(w * w - 1.0)
+            w = w - ((sw * (w * (w + a) - 1.0) - zc * s)
+                     / (sw * (2.0 * w + a) - zc * w / s))
+        r2 = 1.0 + scen.seE**2 / se**2          # (r / se)^2
+        return np.where(w * w > r2, de[:, None] + w * se, np.nan)
+
+
+def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod,
+                    c: float | None = None) -> Boundaries:
+    """Rejection regions for a vector of external means, as boundaries.
+
+    Collects the linear and quartic roots of the margin (module docstring),
+    keeps those inside each row's window (theta0 +- 10 se joined with
+    dE +- 10 seE), and reads the decision of every segment between
+    consecutive candidates at its midpoint.  The decision there is the
+    posterior z-score test (mean - theta0)/sd > z_c, which is the
+    posterior-tail test ``tail > c`` without the normal CDF's underflow (so
+    c = 0 rejects everywhere).  A candidate whose two neighbouring segments
+    decide alike (a tangency, or no root at all) is dropped.  Every step is
+    elementwise in the rows, so a row's result does not depend on the rest
+    of the batch; only the padded width of ``roots`` does.
+    """
+    de = np.atleast_1d(np.asarray(de, dtype=float))
+    bad = de[~np.isfinite(de)]
+    if bad.size:
+        raise ValueError(f"external_mean must be finite, got {float(bad[0])!r}")
+    c = scen.c if c is None else float(c)
+    zc = norm_quantile(c)
+    se, seE, theta0 = scen.se, scen.seE, scen.theta0
+    lo = np.minimum(theta0 - 10.0 * se, de - 10.0 * seE)
+    hi = np.maximum(theta0 + 10.0 * se, de + 10.0 * seE)
+    v = se * se
+
+    # fixed weight, no borrowing and EB agreement: one linear root each
+    delta = {NO_BORROWING: 0.0, EMPIRICAL_BAYES: 1.0}.get(method.kind, method.delta)
+    a = delta * scen.nE / scen.sigmaE**2
+    cand = (theta0 + v * (zc * math.sqrt(a + 1.0 / v) - a * (de - theta0)))[:, None]
+    if method.kind == EMPIRICAL_BAYES:
+        agree = np.abs(cand - de[:, None]) <= math.sqrt(v + seE * seE)
+        cand = np.where(agree, cand, np.nan)
+        if math.isfinite(zc):
+            cand = np.concatenate([cand, _conflict_roots(de, scen, zc)], axis=1)
+
+    with np.errstate(invalid="ignore"):
+        inside = (cand > lo[:, None]) & (cand < hi[:, None])
+    roots = np.sort(np.where(inside, cand, np.inf), axis=1)
+    edges = np.concatenate([lo[:, None], np.minimum(roots, hi[:, None]),
+                            hi[:, None]], axis=1)
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    mean, sd = posterior_arrays(mids, de[:, None], scen.n, scen.sigma, scen.nE,
+                                scen.sigmaE, method)
+    reject = (mean - theta0) / sd > zc
+    # keep the candidates where the decision changes, in ascending order
+    signs = np.diff(reject.astype(np.int8), axis=1).astype(float)
+    signs[np.isinf(roots)] = 0.0        # padded slots are no boundaries
+    roots = np.where(signs != 0.0, roots, np.inf)
+    order = np.argsort(roots, axis=1, kind="stable")
+    width = int(np.count_nonzero(signs, axis=1).max(initial=0))
+    roots = np.take_along_axis(roots, order[:, :width], axis=1)
+    signs = np.take_along_axis(signs, order[:, :width], axis=1)
+    return Boundaries(reject[:, 0], roots, signs, lo, hi)
+
+
+def _region_row(b: Boundaries, j: int) -> RejectionRegion:
+    """The :class:`RejectionRegion` of row ``j`` of a boundary batch."""
+    live = b.roots[j][b.signs[j] != 0.0].tolist()
+    ends = [-math.inf] * bool(b.start[j]) + live    # alternate lo, hi, lo, ...
+    if len(ends) % 2:
+        ends.append(math.inf)
+    # coincident roots bound no interval; drop them
+    intervals = [Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
+    return RejectionRegion(tuple(intervals), Interval(b.lo[j], b.hi[j]),
+                           _REFINE_TOL, flagged=not live)
 
 
 def rejection_region(scen: ScenarioOneArm, external_mean: float,
                      method: BorrowingMethod, c: float | None = None) -> RejectionRegion:
-    """Extract the rejection region for a fixed external mean.
+    """Rejection region for one fixed external mean.
 
-    Scans theta0 +- 10 sigma/sqrt(n), widened to cover
-    external_mean +- 10 sigmaE/sqrt(nE), on a dense grid; classifies each
-    point by posterior_tail > c (strict); then refines every sign change by
-    root finding to 1e-10.  The scan runs at two densities (4001-point base
-    and its doubling) and escalates once more if the interval counts
-    disagree, so narrow rejection slivers near the Empirical Bayes dip are
-    not skipped.  Scan edges where the tail stays past the threshold extend
-    to the corresponding infinity.
-
-    When no crossing exists anywhere in the scan the trivial all-or-nothing
-    region is returned with ``flagged=True``.
+    A one-row call to :func:`boundary_arrays`: its boundaries are the exact
+    roots of the decision margin inside ``scan_bounds``, and it is
+    ``flagged`` (all or nothing) when no boundary lies there.
     """
-    external_mean = float(external_mean)
-    if not math.isfinite(external_mean):
-        raise ValueError(f"external_mean must be finite, got {external_mean!r}")
-    c = scen.c if c is None else float(c)
-    lo = min(scen.theta0 - 10.0 * scen.se, external_mean - 10.0 * scen.seE)
-    hi = max(scen.theta0 + 10.0 * scen.se, external_mean + 10.0 * scen.seE)
-
-    def tails(x: np.ndarray) -> np.ndarray:
-        return tail_arrays(x, external_mean, scen.n, scen.sigma,
-                           scen.nE, scen.sigmaE, method, scen.theta0)
-
-    # one doubling is computed up front: the halved grid is its stride-2 view
-    m = 2 * (_BASE_POINTS - 1) + 1
-    xs = np.linspace(lo, hi, m)
-    reject = tails(xs) > c
-    if _count_intervals(reject) != _count_intervals(reject[::2]):
-        m = 2 * (m - 1) + 1
-        xs = np.linspace(lo, hi, m)
-        reject = tails(xs) > c
-
-    flips = np.nonzero(reject[:-1] != reject[1:])[0]
-    if flips.size == 0:
-        intervals = (Interval(-math.inf, math.inf),) if bool(reject[0]) else ()
-        return RejectionRegion(intervals, Interval(lo, hi), _REFINE_TOL, flagged=True)
-
-    def tail_minus_c(x: float) -> float:
-        return float(tails(np.asarray([x]))[0]) - c
-
-    roots = [find_root(tail_minus_c, Interval(xs[i], xs[i + 1]), tol=_REFINE_TOL)
-             for i in flips]
-
-    intervals = []
-    open_lo = -math.inf if bool(reject[0]) else None
-    for r in roots:
-        if open_lo is None:
-            open_lo = r
-        else:
-            if r > open_lo:     # collapsed slivers are measure zero; drop
-                intervals.append(Interval(open_lo, r))
-            open_lo = None
-    if open_lo is not None:
-        intervals.append(Interval(open_lo, math.inf))
-    return RejectionRegion(tuple(intervals), Interval(lo, hi), _REFINE_TOL)
+    return _region_row(boundary_arrays(scen, float(external_mean), method, c), 0)
 
 
 def rejection_prob(region: RejectionRegion, theta: float, n: int,

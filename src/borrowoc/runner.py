@@ -28,7 +28,7 @@ import numpy as np
 
 from .borrow import BorrowingMethod, FIXED_POWER_PRIOR, tail_arrays
 from .oc_onearm import (OCPoint, _random_external_arrays, oc_fixed_external,
-                        power_calibrated)
+                        power_calibrated, region_oc_arrays)
 from .oc_twoarm import (_random_two_arm_mc_grids, oc_fixed_external_two_arm,
                         power_calibrated_two_arm, power_profile)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
@@ -271,12 +271,10 @@ def run_grid(scen, dE_means, method: BorrowingMethod) -> RunReport:
                               "alphaB_max": prof.alphaB_max,
                               "argmax_offset": prof.argmax_offset})
     else:
-        records = []
-        for i, g in enumerate(pts):
-            pt = oc_fixed_external(scen, g, method)
-            records.append(ReplicateRecord(i, g, pt.t1e_borrow,
-                                           pt.power_borrow,
-                                           pt.power_calibrated,
-                                           pt.power_diff))
+        t1e, power = region_oc_arrays(scen, pts, method)
+        records = tuple(
+            ReplicateRecord(i, pts[i], t1e[i], power[i],
+                            power_calibrated(float(t1e[i]), scen))
+            for i in range(len(pts)))
         echo = scenario_echo(scen, method, None, {"grid_axis": "dE_mean"})
     return summarize(tuple(records), None, len(pts), echo)

@@ -135,6 +135,36 @@ class TestEmpiricalBayesFixedExternal:
         assert pt.power_calibrated > pt.power_borrow
 
 
+class TestOneEngine:
+    # the scalar, batch and grid paths are one computation: each row is
+    # computed independently of the others, so they agree bit for bit
+    DE = np.linspace(-1.0, 1.8, 281)
+    METHODS = (BorrowingMethod.none(), FIXED_HALF, EB)
+
+    @pytest.mark.parametrize("scen", (SCEN, SCEN_BIG_EXT), ids=("nE20", "nE1000"))
+    def test_fixed_external_is_its_batch_row(self, scen):
+        for method in self.METHODS:
+            t1e, power = region_oc_arrays(scen, self.DE, method)
+            for k, d in enumerate(self.DE):
+                pt = oc_fixed_external(scen, float(d), method)
+                assert (pt.t1e_borrow, pt.power_borrow) == (t1e[k], power[k])
+
+    @pytest.mark.parametrize("scen", (SCEN, SCEN_BIG_EXT), ids=("nE20", "nE1000"))
+    def test_rows_do_not_depend_on_the_batch(self, scen):
+        for method in self.METHODS:
+            t1e, power = region_oc_arrays(scen, self.DE, method)
+            t1e_far, power_far = region_oc_arrays(scen, np.append(self.DE, 20.0), method)
+            assert np.array_equal(t1e_far[:-1], t1e)
+            assert np.array_equal(power_far[:-1], power)
+
+    def test_rejects_non_finite_external_mean(self):
+        for method in self.METHODS:
+            with pytest.raises(ValueError):
+                region_oc_arrays(SCEN, [0.0, math.nan], method)
+            with pytest.raises(ValueError):
+                oc_fixed_external(SCEN, math.inf, method)
+
+
 class TestRandomExternalClosedForm:
     def test_null_centred_external_goldens(self):
         pt = oc_random_external_fixed_pp(SCEN, 0.0, 0.5)
@@ -194,6 +224,12 @@ class TestRandomExternalMonteCarlo:
         se = math.sqrt(max(ex.t1e_borrow * (1 - ex.t1e_borrow), 1e-4) / nsim)
         assert abs(lit.t1e_borrow - ex.t1e_borrow) < 5 * se
         assert abs(lit.power_borrow - ex.power_borrow) < 5 * math.sqrt(0.25 / nsim)
+
+    def test_far_conflict_value(self):
+        # external draws 100 standard errors from theta0: the regression
+        # value from the dense-scan engine, whose cost grew with the distance
+        pt = oc_random_external_mc(SCEN, 20.0, EB, nsim=2000, seed=0)
+        assert pt.t1e_borrow == pytest.approx(0.025607953502, abs=1e-9)
 
     def test_rejects_empty_simulation(self):
         with pytest.raises(DomainError):

@@ -2,18 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
+from scan_oracle import scan_region
 
 from borrowoc import (
+    ArmSummary,
     BorrowingMethod,
     Interval,
     ScenarioOneArm,
+    decide_borrow,
     interval_count,
     norm_cdf,
     norm_quantile,
+    oc_fixed_external,
     rejection_prob,
     rejection_region,
 )
+from borrowoc.region import _region_row, boundary_arrays
 
 SCEN = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
                       nE=20, theta1=0.5)
@@ -82,6 +88,91 @@ class TestEmpiricalBayesRegion:
         for de in (-0.5, 0.0, 0.56, 1.5):
             region = rejection_region(SCEN, de, BorrowingMethod.empirical_bayes())
             assert interval_count(region) == 1
+
+
+class TestNarrowSliver:
+    # at this external mean the region has a detached piece 2.3e-4 wide,
+    # narrower than the 5e-4 step of an 8001-point scan of the window
+    DE = 0.056286
+    # roots of the decision margin from a 40-digit mpmath solve
+    LO, HI, UPPER = 0.25853857878077648, 0.25877112658218246, 0.43870903999012150
+
+    def test_two_intervals(self):
+        region = rejection_region(SCEN_BIG_EXT, self.DE, BorrowingMethod.empirical_bayes())
+        assert interval_count(region) == 2
+        sliver, upper = region.intervals
+        assert sliver.lo == pytest.approx(self.LO, abs=1e-9)
+        assert sliver.hi == pytest.approx(self.HI, abs=1e-9)
+        assert upper.lo == pytest.approx(self.UPPER, abs=1e-9)
+        assert upper.hi == math.inf
+
+    def test_scalar_decision_confirms_the_sliver(self):
+        external = ArmSummary(self.DE, 1000, 1.0)
+        eb = BorrowingMethod.empirical_bayes()
+
+        def decide(x):
+            return decide_borrow(ArmSummary(x, 25, 1.0), external, eb, 0.0, 0.975)
+
+        assert decide(0.5 * (self.LO + self.HI)) == 1
+        assert decide(self.LO - 1e-6) == 0
+        assert decide(self.HI + 1e-6) == 0
+
+    def test_conditional_t1e_counts_the_sliver(self):
+        # the same 40-digit solve: Phi sums over the two pieces at theta0
+        pt = oc_fixed_external(SCEN_BIG_EXT, self.DE, BorrowingMethod.empirical_bayes())
+        assert pt.t1e_borrow == pytest.approx(0.0143350631066737, abs=1e-9)
+
+
+ORACLE_SCENARIOS = {
+    "base": SCEN_BIG_EXT,
+    "c=0.3": ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
+                            nE=1000, theta1=0.5, c=0.3),
+    "sigmaE!=sigma": ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
+                                    nE=300, theta1=0.5, sigmaE=1.7),
+    "theta0!=0": ScenarioOneArm(n=40, sigma=2.0, theta0=0.7, alpha=0.05,
+                                nE=600, theta1=1.5),
+}
+ORACLE_METHODS = {"none": BorrowingMethod.none(),
+                  "fixed-pp": BorrowingMethod.fixed_power_prior(0.5),
+                  "eb-pp": BorrowingMethod.empirical_bayes()}
+# a sweep; both edges of the base scenario's two-interval band (0.05628 and
+# 0.14522) and points inside it; points inside the other scenarios'
+# two-interval bands (about -0.0133..-0.0115, 0.1295..0.1452 and
+# 0.810..0.872); far conflict on either side
+ORACLE_DE = (*np.linspace(-1.0, 1.5, 26).round(10), -0.0125,
+             0.0562, 0.0563, 0.0564, 0.08, 0.1, 0.12, 0.135, 0.14,
+             0.1451, 0.1452, 0.1453, 0.83, 0.85, -20.0, 20.0)
+
+
+@pytest.mark.parametrize("scen", ORACLE_SCENARIOS.values(), ids=ORACLE_SCENARIOS.keys())
+@pytest.mark.parametrize("method", ORACLE_METHODS.values(), ids=ORACLE_METHODS.keys())
+def test_algebraic_region_matches_dense_scan(scen, method):
+    compared = 0
+    for de in ORACLE_DE:
+        region = rejection_region(scen, de, method)
+        oracle, step = scan_region(scen, de, method)
+        widths = [iv.width for iv in oracle.intervals + region.intervals]
+        if min(widths, default=math.inf) <= 4.0 * step:
+            continue    # a piece the scan cannot resolve
+        compared += 1
+        assert interval_count(region) == interval_count(oracle), de
+        assert region.flagged == oracle.flagged, de
+        assert region.scan_bounds == oracle.scan_bounds
+        for got, want in zip(region.intervals, oracle.intervals):
+            for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
+                if math.isinf(b):
+                    assert a == b, de
+                else:
+                    assert a == pytest.approx(b, abs=1e-9), de
+    assert compared >= len(ORACLE_DE) - 4
+
+
+def test_region_is_its_batch_row():
+    de = np.array([-20.0, -0.4, 0.0, 0.056286, 0.1, 0.1452, 0.7, 20.0])
+    eb = BorrowingMethod.empirical_bayes()
+    batch = boundary_arrays(SCEN_BIG_EXT, de, eb)
+    for j, d in enumerate(de):
+        assert _region_row(batch, j) == rejection_region(SCEN_BIG_EXT, d, eb)
 
 
 class TestFlaggedDegenerateScan:
