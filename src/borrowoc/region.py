@@ -56,10 +56,10 @@ class RejectionRegion:
 
     ``intervals`` are sorted ascending and pairwise disjoint; endpoints may
     be infinite.  ``scan_bounds`` is the window theta0 +- 10 sigma/sqrt(n),
-    widened to cover external_mean +- 10 sigmaE/sqrt(nE), inside which
-    boundaries are located; a region rejecting at an edge of the window
-    extends to the corresponding infinity.  ``flagged`` marks a region with
-    no boundary in that window, so it is trivially everything or nothing.
+    widened to cover external_mean +- 10 sigmaE/sqrt(nE), where the test's
+    behaviour matters; boundaries outside it are still reported.
+    ``flagged`` marks a region with no boundary in that window, so inside it
+    the region is all or nothing.
     """
 
     intervals: tuple[Interval, ...]
@@ -90,7 +90,7 @@ class Boundaries:
     boundaries in ascending order (``+inf`` pads unused slots) and
     ``signs[j]`` is +1 where rejection starts, -1 where it stops and 0 in
     the padding.  ``lo`` and ``hi`` are each row's window
-    (``RejectionRegion.scan_bounds``).
+    (``RejectionRegion.scan_bounds``); boundaries may lie outside it.
     """
 
     start: np.ndarray
@@ -155,13 +155,14 @@ def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod,
                     c: float | None = None) -> Boundaries:
     """Rejection regions for a vector of external means, as boundaries.
 
-    Collects the linear and quartic roots of the margin (module docstring),
-    keeps those inside each row's window (theta0 +- 10 se joined with
-    dE +- 10 seE), and reads the decision of every segment between
-    consecutive candidates at its midpoint.  The decision there is the
-    posterior z-score test (mean - theta0)/sd > z_c, which is the
-    posterior-tail test ``tail > c`` without the normal CDF's underflow (so
-    c = 0 rejects everywhere).  A candidate whose two neighbouring segments
+    Collects every finite linear and quartic root of the margin (module
+    docstring), wherever it lies, and reads the decision of every segment
+    between consecutive candidates at its midpoint; the outer segments end
+    at the row's window (theta0 +- 10 se joined with dE +- 10 seE) or, for
+    a root outside it, one window width beyond that root.  The decision
+    there is the posterior z-score test (mean - theta0)/sd > z_c, which is
+    the posterior-tail test ``tail > c`` without the normal CDF's underflow
+    (so c = 0 rejects everywhere).  A candidate whose two neighbouring segments
     decide alike (a tangency, or no root at all) is dropped.  Every step is
     elementwise in the rows, so a row's result does not depend on the rest
     of the batch; only the padded width of ``roots`` does.
@@ -187,11 +188,14 @@ def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod,
         if math.isfinite(zc):
             cand = np.concatenate([cand, _conflict_roots(de, scen, zc)], axis=1)
 
-    with np.errstate(invalid="ignore"):
-        inside = (cand > lo[:, None]) & (cand < hi[:, None])
-    roots = np.sort(np.where(inside, cand, np.inf), axis=1)
-    edges = np.concatenate([lo[:, None], np.minimum(roots, hi[:, None]),
-                            hi[:, None]], axis=1)
+    roots = np.sort(np.where(np.isfinite(cand), cand, np.inf), axis=1)
+    # outer segments end at the window, or beyond the outermost root
+    first = roots[:, 0]
+    last = np.max(np.where(np.isinf(roots), -np.inf, roots), axis=1)
+    left = np.where(first <= lo, first - (hi - lo), lo)
+    right = np.where(last >= hi, last + (hi - lo), hi)
+    edges = np.concatenate([left[:, None], np.minimum(roots, right[:, None]),
+                            right[:, None]], axis=1)
     mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
     mean, sd = posterior_arrays(mids, de[:, None], scen.n, scen.sigma, scen.nE,
                                 scen.sigmaE, method)
@@ -215,8 +219,9 @@ def _region_row(b: Boundaries, j: int) -> RejectionRegion:
         ends.append(math.inf)
     # coincident roots bound no interval; drop them
     intervals = [Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
-    return RejectionRegion(tuple(intervals), Interval(b.lo[j], b.hi[j]),
-                           _REFINE_TOL, flagged=not live)
+    window = Interval(b.lo[j], b.hi[j])
+    flagged = not any(window.lo < r < window.hi for r in live)
+    return RejectionRegion(tuple(intervals), window, _REFINE_TOL, flagged=flagged)
 
 
 def rejection_region(scen: ScenarioOneArm, external_mean: float,
@@ -224,8 +229,8 @@ def rejection_region(scen: ScenarioOneArm, external_mean: float,
     """Rejection region for one fixed external mean.
 
     A one-row call to :func:`boundary_arrays`: its boundaries are the exact
-    roots of the decision margin inside ``scan_bounds``, and it is
-    ``flagged`` (all or nothing) when no boundary lies there.
+    roots of the decision margin, and it is ``flagged`` when none of them
+    lies inside ``scan_bounds``.
     """
     return _region_row(boundary_arrays(scen, float(external_mean), method, c), 0)
 

@@ -10,6 +10,7 @@ from borrowoc import (
     DomainError,
     OCPoint,
     ScenarioOneArm,
+    norm_cdf,
     norm_quantile,
     oc_fixed_external,
     oc_random_external_fixed_pp,
@@ -156,6 +157,20 @@ class TestOneEngine:
             t1e_far, power_far = region_oc_arrays(scen, np.append(self.DE, 20.0), method)
             assert np.array_equal(t1e_far[:-1], t1e)
             assert np.array_equal(power_far[:-1], power)
+
+    def test_boundary_beyond_the_window_counts(self):
+        # the fixed-weight threshold 0.3259 lies above the window edge
+        # theta0 + 10 se = 0.3162, but power at theta1 = 0.5 depends on it
+        scen = ScenarioOneArm(n=1000, sigma=1.0, theta0=0.0, alpha=0.025,
+                              nE=1000, theta1=0.5)
+        de, a, b = -0.5, 0.5 * 1000, 1000.0
+        thr = (norm_quantile(scen.c) * math.sqrt(a + b) - a * de) / b
+        assert thr > scen.theta0 + 10.0 * scen.se
+        t1e, power = region_oc_arrays(scen, [de], FIXED_HALF)
+        assert power[0] == pytest.approx(norm_cdf((scen.theta1 - thr) / scen.se),
+                                         abs=1e-12)
+        assert t1e[0] == pytest.approx(
+            t1e_closed_form_fixed_pp(scen, de, 0.5), rel=1e-9)
 
     def test_rejects_non_finite_external_mean(self):
         for method in self.METHODS:
