@@ -383,6 +383,9 @@ def _run_region(cfg: ScenarioConfig, out_dir: Path) -> None:
 
 def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
                     mc_audit: bool, tol: float) -> None:
+    if mc_audit and subcommand in ("one-arm-grid", "two-arm-profile",
+                                   "region"):
+        raise ConfigError(f"--mc-audit is not allowed for {subcommand!r}")
     if subcommand in ("algorithm1", "one-arm-fixed"):
         if subcommand == "one-arm-fixed" and cfg.design != "one-arm":
             raise ConfigError("subcommand 'one-arm-fixed' requires design "
@@ -497,9 +500,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config's replicate count")
         p.add_argument("--mc-audit", action="store_true",
                        help="replace exact engines by literal Monte Carlo "
-                            "decision sampling")
+                            "decision sampling (not allowed for one-arm-grid, "
+                            "two-arm-profile and region)")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="quadrature tolerance for profile integrals")
+                       help="quadrature tolerance of the two-arm-random "
+                            "profile integrals (no effect elsewhere)")
     return parser
 
 

@@ -206,52 +206,49 @@ def _profile_max(f, offsets) -> tuple[float, float]:
     return min(amax, 1.0), xstar
 
 
-def _finish_profile(offsets, t1e, amax, xstar, power=None, pc=None) -> OCProfile:
-    offsets = tuple(float(x) for x in offsets)
-    # a requested offset may beat the refined maximum by rounding; keep the
-    # profile internally consistent (smallest such offset wins)
-    for x, v in zip(offsets, t1e):
+def _profile(scen: ScenarioTwoArm, reject, offsets,
+             power: bool = True) -> OCProfile:
+    """Offset profile from ``reject(x, effect)``, the rejection probability
+    with the control mean at offset x and the treatment mean ``effect``
+    above it: the null rate per offset and its refined maximum (a requested
+    offset beating that maximum by rounding wins, the smallest first), plus
+    power at theta1 per offset and the calibrated comparator if ``power``.
+    """
+    offs = tuple(float(x) for x in offsets)
+    t1e = tuple(reject(x, 0.0) for x in offs)
+    amax, xstar = _profile_max(lambda x: reject(x, 0.0), offs)
+    for x, v in zip(offs, t1e):
         if v > amax:
             amax, xstar = v, x
-    if power is None:
-        return OCProfile(offsets, tuple(t1e), amax, xstar)
-    return OCProfile(offsets, tuple(t1e), amax, xstar,
-                     power_borrow=tuple(power), power_calibrated=pc)
+    if not power:
+        return OCProfile(offs, t1e, amax, xstar)
+    return OCProfile(offs, t1e, amax, xstar,
+                     power_borrow=tuple(reject(x, scen.theta1) for x in offs),
+                     power_calibrated=power_calibrated_two_arm(amax, scen))
+
+
+def _fixed_reject(scen: ScenarioTwoArm, dE_mean: float,
+                  method: BorrowingMethod):
+    """``reject(x, effect)`` for a fixed external mean dE_mean."""
+    def reject(x, effect):
+        thc = dE_mean + x * scen.sigma
+        return reject_prob_two_arm(scen, thc, thc + effect, dE_mean, method)
+    return reject
 
 
 def t1e_profile(scen: ScenarioTwoArm, dE_mean: float,
                 method: BorrowingMethod, offsets) -> OCProfile:
     """Null rejection rate at theta_c = theta_t = dE_mean + x*sigma for each
     offset x, with the maximized level and its location."""
-    def f(x):
-        thc = dE_mean + x * scen.sigma
-        return reject_prob_two_arm(scen, thc, thc, dE_mean, method)
-
-    t1e = [f(float(x)) for x in offsets]
-    amax, xstar = _profile_max(f, tuple(float(x) for x in offsets))
-    return _finish_profile(offsets, t1e, amax, xstar)
+    return _profile(scen, _fixed_reject(scen, dE_mean, method), offsets,
+                    power=False)
 
 
 def power_profile(scen: ScenarioTwoArm, dE_mean: float,
                   method: BorrowingMethod, offsets) -> OCProfile:
     """Full profile: null rejection rate and power (at effect theta1) per
     offset, plus the comparator calibrated to the maximized level."""
-    def f(x):
-        thc = dE_mean + x * scen.sigma
-        return reject_prob_two_arm(scen, thc, thc, dE_mean, method)
-
-    offs = tuple(float(x) for x in offsets)
-    t1e = [f(x) for x in offs]
-    amax, xstar = _profile_max(f, offs)
-    for x, v in zip(offs, t1e):
-        if v > amax:
-            amax, xstar = v, x
-    power = [reject_prob_two_arm(scen, dE_mean + x * scen.sigma,
-                                 dE_mean + x * scen.sigma + scen.theta1,
-                                 dE_mean, method) for x in offs]
-    pc = power_calibrated_two_arm(amax, scen)
-    return OCProfile(offs, tuple(t1e), amax, xstar,
-                     power_borrow=tuple(power), power_calibrated=pc)
+    return _profile(scen, _fixed_reject(scen, dE_mean, method), offsets)
 
 
 def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
@@ -259,14 +256,10 @@ def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
     """Point characteristics for one external mean: the maximized null
     rejection rate, the power at effect theta1 with the control mean at
     that maximizing offset, and the comparator calibrated to the maximum."""
-    def f(x):
-        thc = dE_mean + x * scen.sigma
-        return reject_prob_two_arm(scen, thc, thc, dE_mean, method)
-
-    amax, xstar = _profile_max(f, ())
-    thc = dE_mean + xstar * scen.sigma
-    pb = reject_prob_two_arm(scen, thc, thc + scen.theta1, dE_mean, method)
-    return OCPoint(amax, pb, power_calibrated_two_arm(amax, scen))
+    reject = _fixed_reject(scen, dE_mean, method)
+    prof = _profile(scen, reject, (), power=False)
+    return OCPoint(prof.alphaB_max, reject(prof.argmax_offset, scen.theta1),
+                   power_calibrated_two_arm(prof.alphaB_max, scen))
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +327,12 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
     if engine not in ("auto", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
 
-    def f(x):
+    def reject(x, effect):
         thc = thetaE + x * scen.sigma
-        return _random_reject(scen, thc, thc, thetaE, method, engine, tol)
+        return _random_reject(scen, thc, thc + effect, thetaE, method, engine,
+                              tol)
 
-    offs = tuple(float(x) for x in offsets)
-    t1e = [f(x) for x in offs]
-    amax, xstar = _profile_max(f, offs)
-    for x, v in zip(offs, t1e):
-        if v > amax:
-            amax, xstar = v, x
-    power = [_random_reject(scen, thetaE + x * scen.sigma,
-                            thetaE + x * scen.sigma + scen.theta1,
-                            thetaE, method, engine, tol) for x in offs]
-    pc = power_calibrated_two_arm(amax, scen)
-    return OCProfile(offs, tuple(t1e), amax, xstar,
-                     power_borrow=tuple(power), power_calibrated=pc)
+    return _profile(scen, reject, offsets)
 
 
 _MC_CHUNK = 4096
@@ -427,7 +410,5 @@ def oc_random_external_two_arm_mc(scen: ScenarioTwoArm, thetaE: float,
     t1e = [math.fsum(T[o]) / nsim for o in range(len(offs))]
     power = [math.fsum(P[o]) / nsim for o in range(len(offs))]
     k = int(np.argmax(t1e))
-    amax, xstar = t1e[k], offs[k]
-    pc = power_calibrated_two_arm(amax, scen)
-    return OCProfile(offs, tuple(t1e), amax, xstar,
-                     power_borrow=tuple(power), power_calibrated=pc)
+    return OCProfile(offs, t1e, t1e[k], offs[k], power_borrow=power,
+                     power_calibrated=power_calibrated_two_arm(t1e[k], scen))

@@ -12,23 +12,25 @@ Two randomized procedures and one deterministic sweep:
   deterministic grid of external means (one-arm) or standardized offsets
   (two-arm).
 
-Replicates parallelize across threads keyed by the replicate's stream id;
-aggregation always runs in ascending replicate order with compensated
-summation, so reports are bit-identical for any worker count.
+Each replicate owns the RNG stream keyed by its index; the replicates'
+operating characteristics come from one engine computation over all
+external draws, and aggregation runs in ascending replicate order with
+compensated summation.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .borrow import BorrowingMethod, FIXED_POWER_PRIOR, tail_arrays
-from .oc_onearm import (OCPoint, _random_external_arrays, oc_fixed_external,
-                        power_calibrated, region_oc_arrays)
+# oc_fixed_external is no longer called here; the name stays for
+# bench/tracing.py, which wraps runner.oc_fixed_external
+from .oc_onearm import (OCPoint, _random_external_arrays,  # noqa: F401
+                        oc_fixed_external, power_calibrated, region_oc_arrays)
 from .oc_twoarm import (_random_two_arm_mc_grids, oc_fixed_external_two_arm,
                         power_calibrated_two_arm, power_profile)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
@@ -139,13 +141,6 @@ def _check_run_args(thetaE: float, nsim: int, workers: int) -> float:
     return thetaE
 
 
-def _fan_out(fn, count: int, workers: int) -> tuple:
-    if workers == 1:
-        return tuple(fn(j) for j in range(count))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return tuple(ex.map(fn, range(count)))
-
-
 def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
                    nsim: int = DEFAULT_NSIM_FIXED, seed: int = 0, *,
                    workers: int = 1, literal: bool = False,
@@ -154,50 +149,41 @@ def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
 
     Each replicate j draws one external mean from N(thetaE, sigmaE^2/nE)
     using stream (seed, j) — the mean is sufficient, so a single draw
-    replaces nE observation draws — and computes its exact conditional
-    operating characteristics (two-arm replicates maximize the null
-    rejection rate over the control mean and evaluate power there).
+    replaces nE observation draws — and records its exact conditional
+    operating characteristics: one-arm from one :func:`region_oc_arrays`
+    call over all draws; two-arm from one maximization of the null
+    rejection rate at replicate 0's mean, shared by every record (two-arm
+    characteristics depend only on the control-minus-external offset).
 
     ``literal=True`` is the audit mode: the external mean is assembled from
     nE observation-level draws and, for one-arm runs, the conditional
     rates are re-estimated by an inner Monte Carlo of raw accept/reject
     decisions (``audit_inner_nsim`` current-data draws per hypothesis)
-    instead of the exact engine.  Fails on the first replicate error,
-    tagged with its replicate index.
+    instead of the exact engine.  ``workers`` is validated and ignored.
     """
     thetaE = _check_run_args(thetaE, nsim, workers)
     two_arm = isinstance(scen, ScenarioTwoArm)
-
-    def one(j: int) -> ReplicateRecord:
-        try:
-            gen = RngStream(seed, j).generator()
-            if literal:
-                de = float(np.mean(gen.normal(thetaE, scen.sigmaE, scen.nE)))
-            else:
-                de = float(gen.normal(thetaE, scen.seE))
-            if two_arm:
-                pt = oc_fixed_external_two_arm(scen, de, method)
-            elif literal:
-                d0 = gen.normal(scen.theta0, scen.se, audit_inner_nsim)
-                d1 = gen.normal(scen.theta1, scen.se, audit_inner_nsim)
-                args = (scen.n, scen.sigma, scen.nE, scen.sigmaE, method,
-                        scen.theta0)
-                t1 = np.count_nonzero(tail_arrays(d0, de, *args) > scen.c) \
-                    / audit_inner_nsim
-                po = np.count_nonzero(tail_arrays(d1, de, *args) > scen.c) \
-                    / audit_inner_nsim
-                pt = OCPoint(t1, po, power_calibrated(t1, scen))
-            else:
-                pt = oc_fixed_external(scen, de, method)
-            return ReplicateRecord(j, de, pt.t1e_borrow, pt.power_borrow,
-                                   pt.power_calibrated, pt.power_diff)
-        except Exception as exc:
-            note = f"replicate {j}: "
-            exc.args = (note + str(exc.args[0]) if exc.args else note,) \
-                + exc.args[1:]
-            raise
-
-    records = _fan_out(one, nsim, workers)
+    de, pts = [], []
+    for j in range(nsim):
+        gen = RngStream(seed, j).generator()
+        de.append(float(np.mean(gen.normal(thetaE, scen.sigmaE, scen.nE)))
+                  if literal else float(gen.normal(thetaE, scen.seE)))
+        if literal and not two_arm:
+            args = (de[j], scen.n, scen.sigma, scen.nE, scen.sigmaE, method,
+                    scen.theta0)
+            t1, po = (np.count_nonzero(tail_arrays(
+                gen.normal(mu, scen.se, audit_inner_nsim), *args) > scen.c)
+                / audit_inner_nsim for mu in (scen.theta0, scen.theta1))
+            pts.append(OCPoint(t1, po, power_calibrated(t1, scen)))
+    if two_arm:
+        pts = [oc_fixed_external_two_arm(scen, de[0], method)] * nsim
+    elif not literal:
+        t1e, power = region_oc_arrays(scen, de, method)
+        pts = [OCPoint(t, p, power_calibrated(float(t), scen))
+               for t, p in zip(t1e, power)]
+    records = tuple(ReplicateRecord(j, de[j], pt.t1e_borrow, pt.power_borrow,
+                                    pt.power_calibrated, pt.power_diff)
+                    for j, pt in enumerate(pts))
     return summarize(records, seed, nsim, scenario_echo(scen, method, thetaE))
 
 

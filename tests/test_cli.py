@@ -197,6 +197,23 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "'grid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, doc", [
+        ("one-arm-grid", one_arm(grid={"start": 0.0, "stop": 0.5,
+                                       "step": 0.5})),
+        ("region", one_arm(grid={"start": 0.0, "stop": 0.5, "step": 0.5})),
+        ("two-arm-profile", two_arm()),
+    ])
+    def test_mc_audit_rejected_where_it_has_no_route(self, tmp_path, capsys,
+                                                     subcommand, doc):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main([subcommand, "--config", path, "--out", str(out),
+                   "--mc-audit"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert subcommand in err and "--mc-audit" in err
+        assert not any(out.iterdir())
+
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, capsys,
                                             monkeypatch):
         def blow_up(*args, **kwargs):

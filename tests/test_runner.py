@@ -113,15 +113,47 @@ class TestRunAlgorithm1:
         with pytest.raises(DomainError):
             run_algorithm1(SCEN, 0.0, FIXED_HALF, workers=0)
 
-    def test_replicate_errors_carry_their_index(self, monkeypatch):
+    def test_engine_errors_propagate_unchanged(self, monkeypatch):
         import borrowoc.runner as runner_mod
 
         def boom(scen, de, method):
             raise ValueError("engine failure")
 
-        monkeypatch.setattr(runner_mod, "oc_fixed_external", boom)
-        with pytest.raises(ValueError, match="replicate 0: engine failure"):
+        monkeypatch.setattr(runner_mod, "region_oc_arrays", boom)
+        with pytest.raises(ValueError, match="^engine failure$"):
             run_algorithm1(SCEN, 0.0, FIXED_HALF, nsim=2, seed=0)
+
+    def test_two_arm_runs_one_maximization(self, monkeypatch):
+        # two-arm characteristics depend only on the control-minus-external
+        # offset, so one maximization serves every replicate
+        import borrowoc.runner as runner_mod
+        from borrowoc import oc_fixed_external_two_arm
+        calls = []
+
+        def counted(scen, de, method):
+            calls.append(de)
+            return oc_fixed_external_two_arm(scen, de, method)
+
+        monkeypatch.setattr(runner_mod, "oc_fixed_external_two_arm", counted)
+        rep = run_algorithm1(SCEN2, 0.0, EB, nsim=3, seed=2)
+        assert len(calls) == 1
+        pt = oc_fixed_external_two_arm(SCEN2, rep.records[0].dE_mean, EB)
+        want = (pt.t1e_borrow, pt.power_borrow, pt.power_calibrated)
+        assert len({r.dE_mean for r in rep.records}) == 3
+        for r in rep.records:
+            assert (r.t1e_borrow, r.power_borrow, r.power_calibrated) == want
+
+    def test_eb_two_interval_band_records_equal_pointwise_engine(self):
+        # nE=1000 around thetaE=0.1: regions split into two intervals, so
+        # the batched null supremum is exercised row by row
+        scen = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
+                              nE=1000, theta1=0.5)
+        rep = run_algorithm1(scen, 0.1, EB, nsim=40, seed=4)
+        for r in rep.records:
+            pt = oc_fixed_external(scen, r.dE_mean, EB)
+            assert (r.t1e_borrow, r.power_borrow, r.power_calibrated,
+                    r.power_diff) == (pt.t1e_borrow, pt.power_borrow,
+                                      pt.power_calibrated, pt.power_diff)
 
 
 class TestRunAlgorithm2:
