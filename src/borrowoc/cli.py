@@ -40,7 +40,7 @@ from .borrow import (BorrowingMethod, EMPIRICAL_BAYES, FIXED_POWER_PRIOR,
 from .oc_twoarm import (oc_random_external_two_arm,
                         oc_random_external_two_arm_mc, power_profile)
 from .region import interval_count, rejection_region
-from .runner import (DEFAULT_NSIM_FIXED, DEFAULT_NSIM_RANDOM,
+from .runner import (COLUMNS, DEFAULT_NSIM_FIXED, DEFAULT_NSIM_RANDOM,
                      DEFAULT_TWO_ARM_OFFSETS, RunReport, run_algorithm1,
                      run_algorithm2, run_grid, scenario_echo)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
@@ -50,6 +50,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_IO = 4
+
+# rows of records.csv formatted and written per chunk; bounds the memory
+# the text of a large run takes
+CSV_CHUNK_ROWS = 8192
 
 SUBCOMMANDS = ("one-arm-fixed", "one-arm-grid", "one-arm-random",
                "two-arm-profile", "two-arm-random", "algorithm1",
@@ -297,12 +301,14 @@ def _provenance_line(prov: dict) -> str:
             f"version={prov['version']}")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings of ``chunks`` to a temp file beside ``path``, then
+    rename it over ``path``; on any failure the temp file is removed."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -310,15 +316,29 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _column_fields(col) -> list:
+    """``repr`` of every entry of a column chunk; a column whose entries
+    are bit-identical is formatted once."""
+    bits = col.view(np.uint64)
+    if np.all(bits == bits[0]):
+        return [repr(col[0].item())] * len(col)
+    return list(map(repr, col.tolist()))
+
+
 def _write_records_csv(path: Path, prov: dict, report: RunReport) -> None:
-    lines = [_provenance_line(prov),
-             "replicate,dE_mean,t1e_borrow,power_borrow,power_calibrated,"
-             "power_diff"]
-    for r in report.records:
-        lines.append(f"{r.replicate},{_fmt(r.dE_mean)},{_fmt(r.t1e_borrow)},"
-                     f"{_fmt(r.power_borrow)},{_fmt(r.power_calibrated)},"
-                     f"{_fmt(r.power_diff)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """records.csv straight from the report's columns, formatted and
+    written CSV_CHUNK_ROWS rows at a time."""
+    cols = report.records
+
+    def chunks():
+        yield f"{_provenance_line(prov)}\n{','.join(COLUMNS)}\n"
+        for lo in range(0, len(cols), CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            fields = [_column_fields(getattr(cols, name)[rows])
+                      for name in COLUMNS]
+            yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+    _atomic_write(path, chunks())
 
 
 def _write_report(out_dir: Path, prov: dict, report: RunReport) -> None:
@@ -334,7 +354,7 @@ def _write_report(out_dir: Path, prov: dict, report: RunReport) -> None:
                            "power_diff_median": report.power_diff_median},
                "scenario": report.scenario}
     _atomic_write(out_dir / "summary.json",
-                  json.dumps(summary, indent=2) + "\n")
+                  [json.dumps(summary, indent=2) + "\n"])
 
 
 def _write_profile(out_dir: Path, prov: dict, profile) -> None:
@@ -345,13 +365,13 @@ def _write_profile(out_dir: Path, prov: dict, profile) -> None:
                      f"{_fmt17(profile.power_borrow[i])},"
                      f"{_fmt17(profile.power_calibrated)},"
                      f"{_fmt17(profile.power_diff[i])}")
-    _atomic_write(out_dir / "profile.csv", "\n".join(lines) + "\n")
+    _atomic_write(out_dir / "profile.csv", ["\n".join(lines) + "\n"])
     summary = {"provenance": prov,
                "profile": {"alphaB_max": profile.alphaB_max,
                            "argmax_offset": profile.argmax_offset,
                            "power_calibrated": profile.power_calibrated}}
     _atomic_write(out_dir / "summary.json",
-                  json.dumps(summary, indent=2) + "\n")
+                  [json.dumps(summary, indent=2) + "\n"])
 
 
 def _region_scenario(cfg: ScenarioConfig):
@@ -375,10 +395,10 @@ def _run_region(cfg: ScenarioConfig, out_dir: Path) -> None:
                        "flagged": reg.flagged})
         for i, iv in enumerate(reg.intervals):
             lines.append(f"{_fmt(de)},{i},{_fmt(iv.lo)},{_fmt(iv.hi)}")
-    _atomic_write(out_dir / "region.csv", "\n".join(lines) + "\n")
+    _atomic_write(out_dir / "region.csv", ["\n".join(lines) + "\n"])
     summary = {"provenance": prov, "regions": counts}
     _atomic_write(out_dir / "summary.json",
-                  json.dumps(summary, indent=2) + "\n")
+                  [json.dumps(summary, indent=2) + "\n"])
 
 
 def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,

@@ -16,12 +16,18 @@ Each replicate owns the RNG stream keyed by its index; the replicates'
 operating characteristics come from one engine computation over all
 external draws, and aggregation runs in ascending replicate order with
 compensated summation.
+
+A run's results stay in columns: the engine arrays become the six
+:data:`COLUMNS` of a :class:`ReplicateColumns`, the summaries are computed
+from those columns, and :class:`ReplicateRecord` objects are built only
+when a caller indexes or iterates ``RunReport.records``.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +35,7 @@ import numpy as np
 from .borrow import BorrowingMethod, FIXED_POWER_PRIOR, tail_arrays
 # oc_fixed_external is no longer called here; the name stays for
 # bench/tracing.py, which wraps runner.oc_fixed_external
-from .oc_onearm import (OCPoint, _random_external_arrays,  # noqa: F401
+from .oc_onearm import (_random_external_arrays,  # noqa: F401
                         oc_fixed_external, power_calibrated, region_oc_arrays)
 from .oc_twoarm import (_random_two_arm_mc_grids, oc_fixed_external_two_arm,
                         power_calibrated_two_arm, power_profile)
@@ -40,6 +46,10 @@ DEFAULT_NSIM_FIXED = 100
 DEFAULT_NSIM_RANDOM = 100_000
 DEFAULT_TWO_ARM_OFFSETS = tuple(round(-3.0 + 0.25 * k, 8) for k in range(25))
 _AUDIT_INNER_NSIM = 10_000
+
+# the per-replicate fields, in record and records.csv column order
+COLUMNS = ("replicate", "dE_mean", "t1e_borrow", "power_borrow",
+           "power_calibrated", "power_diff")
 
 
 @dataclass(frozen=True)
@@ -65,11 +75,74 @@ class ReplicateRecord:
             object.__setattr__(self, "power_diff", float(self.power_diff))
 
 
+class ReplicateColumns(Sequence):
+    """A run's replicate results, held column by column.
+
+    Each name in :data:`COLUMNS` is a read-only NumPy array with one entry
+    per replicate, in ascending replicate order.  As a sequence it yields
+    :class:`ReplicateRecord` objects, built only when indexed or iterated;
+    ``len()`` builds none.
+    """
+
+    __slots__ = COLUMNS
+
+    def __init__(self, replicate, dE_mean, t1e_borrow, power_borrow,
+                 power_calibrated, power_diff) -> None:
+        cols = (replicate, dE_mean, t1e_borrow, power_borrow,
+                power_calibrated, power_diff)
+        for name, col in zip(COLUMNS, cols):
+            arr = np.array(col, dtype=np.int64 if name == "replicate"
+                           else np.float64)
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+
+    def _arrays(self) -> tuple:
+        return tuple(getattr(self, name) for name in COLUMNS)
+
+    def __len__(self) -> int:
+        return len(self.replicate)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return ReplicateRecord(*(col[i].item() for col in self._arrays()))
+
+    def __iter__(self):
+        return map(ReplicateRecord, *(col.tolist() for col in self._arrays()))
+
+    def __eq__(self, other):
+        if isinstance(other, ReplicateColumns):
+            return all(np.array_equal(a, b) for a, b in
+                       zip(self._arrays(), other._arrays()))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ReplicateColumns(<{len(self)} replicates>)"
+
+
+def _replicate_columns(dE_mean, t1e_borrow, power_borrow,
+                       power_calibrated) -> ReplicateColumns:
+    """Columns of replicates 0..n-1; scalar arguments are shared by every
+    replicate, and ``power_diff`` is the elementwise difference
+    ``power_borrow - power_calibrated``."""
+    n = len(dE_mean)
+    t1e, pb, pc = (np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
+                   for c in (t1e_borrow, power_borrow, power_calibrated))
+    return ReplicateColumns(np.arange(n), dE_mean, t1e, pb, pc, pb - pc)
+
+
 @dataclass(frozen=True)
 class RunReport:
-    """Records plus order-deterministic summaries of a run."""
+    """Replicate columns plus order-deterministic summaries of a run.
 
-    records: tuple
+    ``records`` is a :class:`ReplicateColumns`: its column attributes hold
+    the per-replicate results as arrays, and its entries are
+    :class:`ReplicateRecord` objects built on demand.
+    """
+
+    records: ReplicateColumns
     mean_t1e: float
     mean_power_diff: float
     t1e_min: float
@@ -86,17 +159,30 @@ class RunReport:
 def summarize(records, seed, nsim: int, scenario: dict) -> RunReport:
     """Assemble a report; summaries are recomputable from the records.
 
-    Means use compensated summation in ascending replicate order, so the
-    result does not depend on how the records were produced or scheduled.
-    An empty record list is an error, never a silent NaN.
+    ``records`` is a :class:`ReplicateColumns` or any sequence of
+    :class:`ReplicateRecord`, which is sorted by replicate index.  Means
+    use compensated summation in ascending replicate order, so the result
+    does not depend on how the records were produced or scheduled.  An
+    empty record list, a record count other than ``nsim`` and a repeated
+    replicate index are errors, never a silent NaN or a mislabeled report.
     """
-    records = tuple(sorted(records, key=lambda r: r.replicate))
-    if not records:
+    if isinstance(records, ReplicateColumns):
+        cols = records
+    else:
+        records = sorted(records, key=lambda r: r.replicate)
+        cols = ReplicateColumns(*([getattr(r, name) for r in records]
+                                  for name in COLUMNS))
+    if not len(cols):
         raise DomainError("cannot summarize an empty record list")
-    t1e = [r.t1e_borrow for r in records]
-    diff = [r.power_diff for r in records]
+    if len(cols) != nsim:
+        raise DomainError(f"nsim={nsim!r} does not match the {len(cols)} "
+                          f"records")
+    if np.any(np.diff(cols.replicate) <= 0):
+        raise DomainError("replicate indices must be distinct and ascending")
+    t1e = cols.t1e_borrow.tolist()
+    diff = cols.power_diff.tolist()
     return RunReport(
-        records=records,
+        records=cols,
         mean_t1e=math.fsum(t1e) / len(t1e),
         mean_power_diff=math.fsum(diff) / len(diff),
         t1e_min=min(t1e), t1e_max=max(t1e), t1e_median=statistics.median(t1e),
@@ -163,7 +249,7 @@ def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
     """
     thetaE = _check_run_args(thetaE, nsim, workers)
     two_arm = isinstance(scen, ScenarioTwoArm)
-    de, pts = [], []
+    de, t1e, power = [], [], []
     for j in range(nsim):
         gen = RngStream(seed, j).generator()
         de.append(float(np.mean(gen.normal(thetaE, scen.sigmaE, scen.nE)))
@@ -171,20 +257,21 @@ def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
         if literal and not two_arm:
             args = (de[j], scen.n, scen.sigma, scen.nE, scen.sigmaE, method,
                     scen.theta0)
-            t1, po = (np.count_nonzero(tail_arrays(
-                gen.normal(mu, scen.se, audit_inner_nsim), *args) > scen.c)
-                / audit_inner_nsim for mu in (scen.theta0, scen.theta1))
-            pts.append(OCPoint(t1, po, power_calibrated(t1, scen)))
+            for mu, out in ((scen.theta0, t1e), (scen.theta1, power)):
+                out.append(np.count_nonzero(tail_arrays(
+                    gen.normal(mu, scen.se, audit_inner_nsim), *args)
+                    > scen.c) / audit_inner_nsim)
     if two_arm:
-        pts = [oc_fixed_external_two_arm(scen, de[0], method)] * nsim
-    elif not literal:
-        t1e, power = region_oc_arrays(scen, de, method)
-        pts = [OCPoint(t, p, power_calibrated(float(t), scen))
-               for t, p in zip(t1e, power)]
-    records = tuple(ReplicateRecord(j, de[j], pt.t1e_borrow, pt.power_borrow,
-                                    pt.power_calibrated, pt.power_diff)
-                    for j, pt in enumerate(pts))
-    return summarize(records, seed, nsim, scenario_echo(scen, method, thetaE))
+        pt = oc_fixed_external_two_arm(scen, de[0], method)
+        cols = _replicate_columns(de, pt.t1e_borrow, pt.power_borrow,
+                                  pt.power_calibrated)
+    else:
+        if not literal:
+            t1e, power = (a.tolist() for a in region_oc_arrays(scen, de,
+                                                               method))
+        cols = _replicate_columns(de, t1e, power,
+                                  [power_calibrated(t, scen) for t in t1e])
+    return summarize(cols, seed, nsim, scenario_echo(scen, method, thetaE))
 
 
 def run_algorithm2(scen, thetaE: float, method: BorrowingMethod,
@@ -214,22 +301,17 @@ def run_algorithm2(scen, thetaE: float, method: BorrowingMethod,
                                            seed, literal)
         means = [math.fsum(T[o]) / nsim for o in range(len(offs))]
         k = int(np.argmax(means))
-        pc = power_calibrated_two_arm(means[k], scen)
-        records = tuple(
-            ReplicateRecord(j, float(e[j]), float(T[k, j]), float(P[k, j]), pc)
-            for j in range(nsim))
+        cols = _replicate_columns(e, T[k], P[k],
+                                  power_calibrated_two_arm(means[k], scen))
         echo = scenario_echo(scen, method, thetaE,
                              {"argmax_offset": offs[k]})
     else:
         de, t1e_j, power_j = _random_external_arrays(scen, thetaE, method,
                                                      nsim, seed, literal)
-        pc = power_calibrated(math.fsum(t1e_j) / nsim, scen)
-        records = tuple(
-            ReplicateRecord(j, float(de[j]), float(t1e_j[j]),
-                            float(power_j[j]), pc)
-            for j in range(nsim))
+        cols = _replicate_columns(de, t1e_j, power_j, power_calibrated(
+            math.fsum(t1e_j) / nsim, scen))
         echo = scenario_echo(scen, method, thetaE)
-    return summarize(records, seed, nsim, echo)
+    return summarize(cols, seed, nsim, echo)
 
 
 def run_grid(scen, dE_means, method: BorrowingMethod) -> RunReport:
@@ -248,19 +330,15 @@ def run_grid(scen, dE_means, method: BorrowingMethod) -> RunReport:
             raise DomainError(f"grid values must be finite, got {x!r}")
     if isinstance(scen, ScenarioTwoArm):
         prof = power_profile(scen, 0.0, method, pts)
-        records = tuple(
-            ReplicateRecord(i, pts[i], prof.t1e[i], prof.power_borrow[i],
-                            prof.power_calibrated)
-            for i in range(len(pts)))
+        cols = _replicate_columns(pts, prof.t1e, prof.power_borrow,
+                                  prof.power_calibrated)
         echo = scenario_echo(scen, method, None,
                              {"grid_axis": "offset",
                               "alphaB_max": prof.alphaB_max,
                               "argmax_offset": prof.argmax_offset})
     else:
-        t1e, power = region_oc_arrays(scen, pts, method)
-        records = tuple(
-            ReplicateRecord(i, pts[i], t1e[i], power[i],
-                            power_calibrated(float(t1e[i]), scen))
-            for i in range(len(pts)))
+        t1e, power = (a.tolist() for a in region_oc_arrays(scen, pts, method))
+        cols = _replicate_columns(pts, t1e, power,
+                                  [power_calibrated(t, scen) for t in t1e])
         echo = scenario_echo(scen, method, None, {"grid_axis": "dE_mean"})
-    return summarize(tuple(records), None, len(pts), echo)
+    return summarize(cols, None, len(pts), echo)

@@ -5,6 +5,7 @@ breaking change and must be made on purpose, by editing this file.
 """
 
 import argparse
+import dataclasses
 import inspect
 
 import borrowoc
@@ -44,7 +45,17 @@ SIGNATURES = {
     "oc_fixed_external_two_arm": ("scen", "dE_mean", "method"),
     "oc_random_external_two_arm": ("scen", "thetaE", "method", "offsets",
                                    "tol", "*engine"),
+    "summarize": ("records", "seed", "nsim", "scenario"),
 }
+
+# a report's fields; ``records`` is a sequence of ReplicateRecord that also
+# carries one array attribute per record field
+RUN_REPORT_FIELDS = ("records", "mean_t1e", "mean_power_diff", "t1e_min",
+                     "t1e_max", "t1e_median", "power_diff_min",
+                     "power_diff_max", "power_diff_median", "seed", "nsim",
+                     "scenario")
+REPLICATE_COLUMNS = ("replicate", "dE_mean", "t1e_borrow", "power_borrow",
+                     "power_calibrated", "power_diff")
 
 SUBCOMMANDS = ("one-arm-fixed", "one-arm-grid", "one-arm-random",
                "two-arm-profile", "two-arm-random", "algorithm1",
@@ -67,6 +78,21 @@ def test_exported_names_are_frozen():
 def test_call_signatures_are_frozen():
     for name, params in SIGNATURES.items():
         assert _params(getattr(borrowoc, name)) == params, name
+
+
+def test_run_report_attributes_are_frozen():
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(borrowoc.RunReport) == RUN_REPORT_FIELDS
+    assert names(borrowoc.ReplicateRecord) == REPLICATE_COLUMNS
+    report = borrowoc.run_grid(
+        borrowoc.ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
+                                nE=20, theta1=0.5),
+        (0.0, 0.5), borrowoc.BorrowingMethod.none())
+    for name in REPLICATE_COLUMNS:
+        assert len(getattr(report.records, name)) == 2, name
+    assert report.records[1].dE_mean == 0.5
 
 
 def test_cli_subcommands_and_flags_are_frozen():

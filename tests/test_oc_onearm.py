@@ -180,6 +180,26 @@ class TestOneEngine:
                 oc_fixed_external(SCEN, math.inf, method)
 
 
+class TestNeymanPearson:
+    # the z-test calibrated to the borrowing test's size is uniformly most
+    # powerful at that size (Kopp-Schneider et al. 2020, Biom. J.), so no
+    # fixed-external row may show a power gain beyond rounding
+    DE = np.concatenate([np.arange(-2000, 5001) / 1000.0,
+                         np.linspace(0.05, 0.15, 1001)])
+
+    @pytest.mark.parametrize("n,nE", ((25, 20), (25, 1000), (10, 50),
+                                      (100, 30)))
+    def test_calibrated_z_test_is_never_beaten(self, n, nE):
+        scen = ScenarioOneArm(n=n, sigma=1.0, theta0=0.0, alpha=0.025,
+                              nE=nE, theta1=0.5)
+        shift = (scen.theta1 - scen.theta0) / scen.se
+        for method in (BorrowingMethod.none(), FIXED_HALF, EB):
+            t1e, power = region_oc_arrays(scen, self.DE, method)
+            # power_calibrated row by row, as one array expression
+            power_diff = power - norm_cdf(shift + norm_quantile(t1e))
+            assert power_diff.max() <= 1e-12, method.kind
+
+
 class TestRandomExternalClosedForm:
     def test_null_centred_external_goldens(self):
         pt = oc_random_external_fixed_pp(SCEN, 0.0, 0.5)

@@ -1,0 +1,137 @@
+"""records.csv written from the report's columns, checked byte for byte
+against a row-by-row rendering of the same records, and reports checked
+against summaries recomputed from their records."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from borrowoc import (BorrowingMethod, ReplicateRecord, ScenarioTwoArm,
+                      run_grid, summarize)
+from borrowoc import cli
+from borrowoc.runner import COLUMNS
+
+ONE_ARM = {"design": "one-arm", "n": 25, "nE": 20, "sigma": 1.0,
+           "theta0": 0.0, "theta1": 0.5, "alpha": 0.025}
+RUN = {"thetaE": 0.2, "seed": 11}
+TWO_ARM = {"design": "two-arm", "nc": 15, "nt": 15, "nE": 10, "sigma": 1.0,
+           "theta1": 1.0, "alpha": 0.025, "thetaE": 0.3, "seed": 11}
+FIXED_PP = {"method": "fixed-pp", "delta": 0.5}
+EB = {"method": "eb-pp"}
+GRID = {"grid": {"start": -1.0, "stop": 2.0, "step": 0.01}}
+
+# (subcommand, config, extra flags); the first case crosses a chunk seam
+CASES = {
+    "random-none-seam": ("one-arm-random",
+                         {**ONE_ARM, **RUN, "method": "none",
+                          "nsim": cli.CSV_CHUNK_ROWS + 1}, ()),
+    "random-fixedpp": ("one-arm-random", {**ONE_ARM, **RUN, **FIXED_PP,
+                                          "nsim": 3000}, ()),
+    "random-eb": ("one-arm-random", {**ONE_ARM, **RUN, **EB, "nsim": 1500},
+                  ()),
+    "random-audit": ("one-arm-random", {**ONE_ARM, **RUN, **FIXED_PP,
+                                        "nsim": 2000}, ("--mc-audit",)),
+    "fixed-eb": ("one-arm-fixed", {**ONE_ARM, **RUN, **EB, "nsim": 200}, ()),
+    "fixed-eb-audit": ("one-arm-fixed", {**ONE_ARM, **RUN, **EB, "nsim": 4},
+                       ("--mc-audit",)),
+    "grid-eb": ("one-arm-grid", {**ONE_ARM, **EB, **GRID}, ()),
+    "alg1-two-arm": ("algorithm1", {**TWO_ARM, **EB, "nsim": 3}, ()),
+    "alg2-two-arm": ("algorithm2", {**TWO_ARM, **FIXED_PP, "nsim": 500}, ()),
+}
+
+
+def rowwise_csv(prov, report) -> str:
+    """records.csv rendered one record at a time: the reference format."""
+    lines = [cli._provenance_line(prov),
+             "replicate,dE_mean,t1e_borrow,power_borrow,power_calibrated,"
+             "power_diff"]
+    for r in report.records:
+        lines.append(f"{r.replicate},{repr(float(r.dE_mean))},"
+                     f"{repr(float(r.t1e_borrow))},"
+                     f"{repr(float(r.power_borrow))},"
+                     f"{repr(float(r.power_calibrated))},"
+                     f"{repr(float(r.power_diff))}")
+    return "\n".join(lines) + "\n"
+
+
+def provenance(report) -> dict:
+    return {"scenario": report.scenario, "method": report.scenario["method"],
+            "seed": report.seed, "nsim": report.nsim,
+            "config_sha256": "0" * 64, "version": "0"}
+
+
+def check_report(report):
+    cols = report.records
+    for i, r in enumerate(report.records):
+        assert r == ReplicateRecord(*(getattr(cols, name)[i].item()
+                                      for name in COLUMNS))
+        assert cols[i] == r
+    again = summarize(tuple(report.records), report.seed, report.nsim,
+                      report.scenario)
+    for field in dataclasses.fields(report):
+        if field.name != "records":
+            assert repr(getattr(report, field.name)) \
+                == repr(getattr(again, field.name)), field.name
+    assert again.records == cols
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_records_csv_equals_rowwise_format(case, tmp_path, monkeypatch):
+    subcommand, config, flags = CASES[case]
+    written = []
+    write = cli._write_records_csv
+
+    def capture(path, prov, report):
+        written.append((prov, report))
+        write(path, prov, report)
+
+    monkeypatch.setattr(cli, "_write_records_csv", capture)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "--config", str(cfg_path), "--out", str(out),
+                     *flags]) == cli.EXIT_OK
+    (prov, report), = written
+    text = (out / "records.csv").read_bytes().decode("utf-8")
+    assert text == rowwise_csv(prov, report)
+    assert len(report.records) == report.nsim
+    check_report(report)
+
+
+def test_constant_columns_are_bit_identical_runs():
+    # formatting a column once is only right when every entry has the
+    # same bits: 0.0 and -0.0 compare equal but print differently
+    assert cli._column_fields(np.array([0.25, 0.25, 0.25])) == ["0.25"] * 3
+    assert cli._column_fields(np.array([0.0, -0.0])) == ["0.0", "-0.0"]
+    assert cli._column_fields(np.array([-0.0, -0.0])) == ["-0.0", "-0.0"]
+    assert cli._column_fields(np.array([math.nan] * 2)) == ["nan", "nan"]
+    assert cli._column_fields(np.array([7, 7])) == ["7", "7"]
+
+
+def test_two_arm_grid_records_csv(tmp_path):
+    scen = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0,
+                          alpha=0.025)
+    report = run_grid(scen, (-1.0, 0.0, 0.5, 1.0),
+                      BorrowingMethod.fixed_power_prior(0.5))
+    prov = provenance(report)
+    path = tmp_path / "records.csv"
+    cli._write_records_csv(path, prov, report)
+    assert path.read_text(encoding="utf-8") == rowwise_csv(prov, report)
+    check_report(report)
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    report = run_grid(cli.parse_config({**ONE_ARM, **EB}).scenario(),
+                      (0.0, 0.1), BorrowingMethod.empirical_bayes())
+
+    def boom(col):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_column_fields", boom)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_records_csv(tmp_path / "records.csv", provenance(report),
+                               report)
+    assert list(tmp_path.iterdir()) == []

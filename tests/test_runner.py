@@ -58,6 +58,45 @@ class TestSummarize:
         with pytest.raises(DomainError):
             summarize((), seed=0, nsim=0, scenario={})
 
+    def test_record_count_must_equal_nsim(self):
+        # the report's nsim labels its records.csv; it must count the rows
+        with pytest.raises(DomainError, match="nsim"):
+            summarize(self.RECORDS, seed=5, nsim=7, scenario={})
+
+    def test_duplicate_replicate_index_is_an_error(self):
+        records = self.RECORDS + (ReplicateRecord(1, 0.25, 0.02, 0.6, 0.6),)
+        with pytest.raises(DomainError, match="distinct"):
+            summarize(records, seed=5, nsim=4, scenario={})
+
+
+class TestReplicateColumns:
+    def test_records_are_built_on_demand(self, monkeypatch):
+        import borrowoc.runner as runner_mod
+        rep = run_algorithm2(SCEN, 0.0, FIXED_HALF, nsim=50, seed=5)
+
+        def boom(*args):
+            raise AssertionError("record built")
+
+        monkeypatch.setattr(runner_mod, "ReplicateRecord", boom)
+        assert len(rep.records) == 50
+        with pytest.raises(AssertionError, match="record built"):
+            rep.records[0]
+
+    def test_sequence_views_agree_with_columns(self):
+        rep = run_algorithm1(SCEN, 0.0, EB, nsim=6, seed=3)
+        cols = rep.records
+        assert cols.replicate.tolist() == list(range(6))
+        assert tuple(cols) == cols[:] == tuple(cols[i] for i in range(6))
+        assert cols[-1] == cols[5]
+        assert cols == tuple(cols)
+        for r in cols:
+            assert r.power_diff == r.power_borrow - r.power_calibrated
+
+    def test_columns_are_read_only(self):
+        rep = run_grid(SCEN, (-0.5, 0.0, 0.5), FIXED_HALF)
+        with pytest.raises(ValueError):
+            rep.records.t1e_borrow[0] = 0.5
+
 
 class TestRunAlgorithm1:
     def test_reproducible_and_seed_sensitive(self):
