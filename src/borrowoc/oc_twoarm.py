@@ -17,7 +17,10 @@ Engines:
 * random external data add an outer expectation over the external mean --
   closed-form again for fixed weights, an outer adaptive quadrature with a
   vectorized inner Gauss-Legendre rule for Empirical Bayes, and a seeded
-  Monte Carlo variant for audit.
+  Monte Carlo variant for audit.  The inner rule is one fused pass over its
+  three segments per batch of external means; it skips segments clipped to
+  zero width and serves the null and the alternative treatment means from
+  the same nodes, density and threshold.
 """
 
 from __future__ import annotations
@@ -136,17 +139,12 @@ def _norm_pdf(x, mu, sd):
     return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
-def _conditional_reject(scen: ScenarioTwoArm, x, dE_mean,
-                        method: BorrowingMethod, theta_t):
-    """P(reject | control mean = x, external mean = dE_mean) at treatment
-    mean theta_t: the treatment mean must exceed the posterior-derived
-    threshold tau(x)."""
-    se_t = scen.sigma / math.sqrt(scen.nt)
-    zc = norm_quantile(scen.c)
-    mc, sc = posterior_arrays(x, dE_mean, scen.nc, scen.sigma,
-                              scen.nE, scen.sigmaE, method)
-    tau = mc + zc * np.sqrt(se_t**2 + sc**2)
-    return ndtr((np.asarray(theta_t, float) - tau) / se_t)
+def _threshold(mc, sc, zc: float, se_t: float):
+    """Treatment-mean threshold tau of the test given the control
+    posterior (mean mc, sd sc): it rejects when the treatment mean exceeds
+    tau.  ``zc`` is the normal quantile of c, ``se_t`` the treatment arm's
+    standard error."""
+    return mc + zc * np.sqrt(se_t**2 + sc**2)
 
 
 def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
@@ -169,10 +167,14 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
         raise DomainError("no closed form under empirical-Bayes weighting")
 
     se_c = scen.sigma / math.sqrt(scen.nc)
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    zc = norm_quantile(scen.c)
 
     def f(x):
+        mc, sc = posterior_arrays(x, dE_mean, scen.nc, scen.sigma,
+                                  scen.nE, scen.sigmaE, method)
         return (_norm_pdf(x, theta_c, se_c)
-                * _conditional_reject(scen, x, dE_mean, method, theta_t))
+                * ndtr((theta_t - _threshold(mc, sc, zc, se_t)) / se_t))
 
     breakpoints = ()
     if method.kind == EMPIRICAL_BAYES:
@@ -267,30 +269,46 @@ def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
 
 
 def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c: float,
-                     theta_t: float, method: BorrowingMethod) -> np.ndarray:
-    """Conditional rejection probability given each external mean in ``e``,
+                     theta_ts, method: BorrowingMethod,
+                     zc: float) -> np.ndarray:
+    """Conditional rejection probabilities given each external mean in the
+    1-D array ``e``, one row per treatment mean in ``theta_ts``,
     integrating over the control mean with a segmented Gauss-Legendre rule.
 
     Segment boundaries sit at e +- r (where the fitted weight stops
     saturating), clipped to the 8.5-sigma truncation window around the
     control mean's distribution; the integrand is smooth inside each
-    segment, so the fixed rule is effectively exact.
+    segment, so the fixed rule is effectively exact.  All segments of all
+    rows are evaluated in one pass; a segment clipped to zero width
+    contributes exactly +0.0 and is skipped.  The treatment means share
+    the nodes, density and threshold.  ``zc`` is the normal quantile of c.
     """
     se_c = scen.sigma / math.sqrt(scen.nc)
+    se_t = scen.sigma / math.sqrt(scen.nt)
     lo = theta_c - 8.5 * se_c
     hi = theta_c + 8.5 * se_c
     r = math.sqrt(se_c**2 + scen.seE**2)
-    b1 = np.clip(e - r, lo, hi)
-    b2 = np.clip(e + r, lo, hi)
-    total = np.zeros(e.shape, dtype=float)
-    for a, b in ((np.full_like(e, lo), b1), (b1, b2), (b2, np.full_like(e, hi))):
-        half = 0.5 * np.maximum(b - a, 0.0)
-        mid = 0.5 * (a + b)
-        x = mid[..., None] + half[..., None] * _GL_X
-        vals = (_norm_pdf(x, theta_c, se_c)
-                * _conditional_reject(scen, x, e[..., None], method, theta_t))
-        total += half * (vals * _GL_W).sum(axis=-1)
-    return total
+    ends = np.empty((e.shape[0], 4))
+    ends[:, 0] = lo
+    ends[:, 1] = np.clip(e - r, lo, hi)
+    ends[:, 2] = np.clip(e + r, lo, hi)
+    ends[:, 3] = hi
+    half = 0.5 * np.maximum(ends[:, 1:] - ends[:, :-1], 0.0)
+    live = half > 0.0                           # (row, segment) pairs
+    h = half[live]
+    mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
+    x = mid[live][:, None] + h[:, None] * _GL_X
+    e_live = np.broadcast_to(e[:, None], live.shape)[live][:, None]
+    mc, sc = posterior_arrays(x, e_live, scen.nc, scen.sigma, scen.nE,
+                              scen.sigmaE, method)
+    pdf = _norm_pdf(x, theta_c, se_c)
+    tau = _threshold(mc, sc, zc, se_t)
+    seg = np.zeros((len(theta_ts),) + live.shape)
+    for k, theta_t in enumerate(theta_ts):
+        vals = pdf * ndtr((theta_t - tau) / se_t)
+        seg[k][live] = h * (vals * _GL_W).sum(axis=-1)
+    # segment sums onto a zero total, lower, middle, upper
+    return 0.0 + seg[..., 0] + seg[..., 1] + seg[..., 2]
 
 
 def _random_reject(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
@@ -302,11 +320,12 @@ def _random_reject(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
                                    _method_delta(method),
                                    external_var=scen.seE**2))
     seE = scen.seE
+    zc = norm_quantile(scen.c)
 
     def g(e):
         e = np.asarray(e, dtype=float)
         return (_norm_pdf(e, thetaE, seE)
-                * _inner_reject_gl(scen, e, theta_c, theta_t, method))
+                * _inner_reject_gl(scen, e, theta_c, (theta_t,), method, zc)[0])
 
     val = integrate(g, Interval(-math.inf, math.inf), abs_tol=tol,
                     gaussian_hint=(thetaE, seE))
@@ -335,20 +354,25 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
     return _profile(scen, reject, offsets)
 
 
-_MC_CHUNK = 4096
+# rows per kernel call: keeps the (rows, 3, 40) temporaries in cache
+_MC_CHUNK = 256
 
 
 def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_c: float,
-                         theta_t: float, method: BorrowingMethod) -> np.ndarray:
+                         theta_ts, method: BorrowingMethod,
+                         zc: float) -> np.ndarray:
     """Exact conditional rejection probabilities given each drawn external
-    mean (the current-arm sampling replaced by its expectation)."""
+    mean (the current-arm sampling replaced by its expectation), one row
+    per treatment mean in ``theta_ts``."""
     if method.kind != EMPIRICAL_BAYES:
-        return np.asarray(_closed_fixed(scen, theta_c, theta_t, e,
-                                        _method_delta(method)), dtype=float)
-    out = np.empty(e.shape, dtype=float)
+        return np.array([_closed_fixed(scen, theta_c, theta_t, e,
+                                       _method_delta(method))
+                         for theta_t in theta_ts], dtype=float)
+    out = np.empty((len(theta_ts), e.shape[0]), dtype=float)
     for start in range(0, e.shape[0], _MC_CHUNK):
         sl = slice(start, min(start + _MC_CHUNK, e.shape[0]))
-        out[sl] = _inner_reject_gl(scen, e[sl], theta_c, theta_t, method)
+        out[:, sl] = _inner_reject_gl(scen, e[sl], theta_c, theta_ts, method,
+                                      zc)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -384,11 +408,11 @@ def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
             for dc, dt, out in ((dc0, dt0, T), (dc1, dt1, P)):
                 mc, sc = posterior_arrays(dc, e, scen.nc, scen.sigma,
                                           scen.nE, scen.sigmaE, method)
-                tau = mc + zc * np.sqrt(se_t**2 + sc**2)
-                out[o] = (dt > tau).astype(float)
+                out[o] = (dt > _threshold(mc, sc, zc, se_t)).astype(float)
         else:
-            T[o] = _mc_conditional_rows(scen, e, thc, thc, method)
-            P[o] = _mc_conditional_rows(scen, e, thc, thc + scen.theta1, method)
+            T[o], P[o] = _mc_conditional_rows(scen, e, thc,
+                                              (thc, thc + scen.theta1),
+                                              method, zc)
     return e, T, P
 
 

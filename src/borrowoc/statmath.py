@@ -139,22 +139,29 @@ _GAUSS_TRUNC = 8.5     # tail mass beyond mu +- 8.5 sigma is < 2e-17
 _MAX_PANELS = 4096
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod panel; returns (integral, error estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    y = np.asarray(f(c + h * _XGK), dtype=float)
-    if y.shape != _XGK.shape:
+def _gk15(f, panels):
+    """Gauss-Kronrod panels [(a, b), ...] from one call of ``f`` on all
+    their nodes; returns one (integral, error estimate) per panel, each
+    from its own 15 values exactly as if evaluated alone."""
+    ab = np.array(panels, dtype=float)
+    c = 0.5 * (ab[:, 0] + ab[:, 1])
+    h = 0.5 * (ab[:, 1] - ab[:, 0])
+    x = c[:, None] + h[:, None] * _XGK
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.shape != (x.size,):
         raise DomainError("integrand must map a 1-D array to a same-shape array")
-    resk = h * float(_WGK @ y)
-    resg = h * float(_WG @ y)
-    # scaled error estimate: sharper than |K-G| on smooth panels, still
-    # conservative near unresolved structure
-    resasc = abs(h) * float(_WGK @ np.abs(y - resk / (b - a)))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err
+    out = []
+    for (a, b), hp, yp in zip(panels, h.tolist(), y.reshape(x.shape)):
+        resk = hp * float(_WGK @ yp)
+        resg = hp * float(_WG @ yp)
+        # scaled error estimate: sharper than |K-G| on smooth panels, still
+        # conservative near unresolved structure
+        resasc = abs(hp) * float(_WGK @ np.abs(yp - resk / (b - a)))
+        err = abs(resk - resg)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        out.append((resk, err))
+    return out
 
 
 def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
@@ -164,12 +171,13 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
     Parameters
     ----------
     f : callable
-        Vectorized integrand: maps a 1-D float array of abscissae to a
-        same-shape array of values.
+        Elementwise integrand: maps a 1-D float array of abscissae to a
+        same-shape array of values, each value depending on its own
+        abscissa only.  One call may cover the nodes of several panels.
     domain : Interval
         Integration range; endpoints may be infinite (see below).
     abs_tol : float
-        Absolute error target.
+        Absolute error target; must be finite and positive.
     breakpoints : sequence of float, optional
         Known kink/jump locations; panels never straddle them, so piecewise
         smooth integrands converge at the smooth-integrand rate.
@@ -184,8 +192,8 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
         If the panel budget is exhausted before the error estimate drops
         below ``abs_tol``.
     """
-    if not abs_tol > 0.0:
-        raise DomainError("abs_tol must be positive")
+    if not (math.isfinite(abs_tol) and abs_tol > 0.0):
+        raise DomainError("abs_tol must be finite and positive")
     mu, sd = (0.0, 1.0) if gaussian_hint is None else map(float, gaussian_hint)
     if not sd > 0.0:
         raise DomainError("gaussian_hint scale must be positive")
@@ -199,8 +207,8 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
     heap = []   # (-err, tiebreak, a, b, value, err)
     done = []   # panels too narrow to split further
     serial = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk15(f, a, b)
+    panels = list(zip(cuts[:-1], cuts[1:]))
+    for (a, b), (val, err) in zip(panels, _gk15(f, panels)):
         heapq.heappush(heap, (-err, serial, a, b, val, err))
         serial += 1
 
@@ -215,8 +223,7 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
         if m <= a or m >= b:    # panel at floating-point resolution
             done.append((a, b, val, err))
             continue
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
+        (v1, e1), (v2, e2) = _gk15(f, ((a, m), (m, b)))
         heapq.heappush(heap, (-e1, serial, a, m, v1, e1))
         serial += 1
         heapq.heappush(heap, (-e2, serial, m, b, v2, e2))
@@ -231,12 +238,12 @@ def find_root(f, bracket: Interval, tol: float = 1e-10) -> float:
 
     Requires a sign change across the bracket; raises
     :class:`InvalidBracketError` otherwise.  The returned point is inside a
-    sub-bracket of width <= ``tol``.
+    sub-bracket of width <= ``tol``, which must be finite and positive.
     """
     if not bracket.finite:
         raise DomainError("root bracket must be finite")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("tol must be finite and positive")
     try:
         return float(brentq(f, bracket.lo, bracket.hi, xtol=tol))
     except ValueError as exc:
@@ -251,9 +258,10 @@ def maximize_1d(f, domain: Interval, tol: float = 1e-10, *,
     """Global 1-D maximization: coarse grid scan plus golden-section polish.
 
     Scans ``grid_points`` (>= 401) equispaced points, then refines inside the
-    cell around the best grid point with a golden-section search.  Ties --
-    including plateaus such as a type I error profile saturated at 1 --
-    resolve to the smallest argmax (to within the scan resolution).
+    cell around the best grid point with a golden-section search down to a
+    bracket of width ``tol`` (finite and positive).  Ties -- including
+    plateaus such as a type I error profile saturated at 1 -- resolve to the
+    smallest argmax (to within the scan resolution).
 
     Returns ``(argmax, max)``.
     """
@@ -261,6 +269,8 @@ def maximize_1d(f, domain: Interval, tol: float = 1e-10, *,
         raise DomainError("maximization domain must be finite")
     if grid_points < 401:
         raise DomainError("grid_points must be at least 401")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("tol must be finite and positive")
     xs = np.linspace(domain.lo, domain.hi, grid_points)
     ys = np.array([f(x) for x in xs], dtype=float)
     i = int(np.argmax(ys))                      # first occurrence = smallest x

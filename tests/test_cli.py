@@ -214,6 +214,19 @@ class TestExitCodes:
         assert subcommand in err and "--mc-audit" in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("tol", ["0", "inf"])
+    def test_unusable_tolerance(self, tmp_path, capsys, tol):
+        doc = two_arm(method="eb-pp", thetaE=0.1,
+                      grid={"start": 0.0, "stop": 0.7, "step": 0.7})
+        del doc["delta"]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["two-arm-random", "--config", path, "--out", str(out),
+                   "--tol", tol])
+        assert rc == EXIT_CONFIG
+        assert "tol" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, capsys,
                                             monkeypatch):
         def blow_up(*args, **kwargs):

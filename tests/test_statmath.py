@@ -104,9 +104,11 @@ class TestIntegrate:
             integrate(lambda x: np.sin(4000.0 * x), Interval(0.0, 30.0),
                       abs_tol=1e-13)
 
-    def test_rejects_bad_tolerance(self):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        # an infinite tolerance would accept the first panels unrefined
         with pytest.raises(DomainError):
-            integrate(lambda x: x, Interval(0.0, 1.0), abs_tol=0.0)
+            integrate(lambda x: x, Interval(0.0, 1.0), abs_tol=tol)
 
 
 class TestFindRoot:
@@ -121,6 +123,11 @@ class TestFindRoot:
     def test_no_sign_change_raises(self):
         with pytest.raises(InvalidBracketError):
             find_root(lambda x: x * x + 1.0, Interval(-1.0, 1.0))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            find_root(lambda x: x - 0.5, Interval(0.0, 1.0), tol=tol)
 
 
 class TestMaximize1d:
@@ -144,6 +151,14 @@ class TestMaximize1d:
     def test_infinite_domain_rejected(self):
         with pytest.raises(DomainError):
             maximize_1d(lambda x: -x * x, Interval(0.0, math.inf))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        # a non-positive tolerance never ends the golden-section loop around
+        # an interior maximum; NaN and inf skip the loop
+        with pytest.raises(DomainError):
+            maximize_1d(lambda x: -((x - 0.3) ** 2), Interval(0.0, 1.0),
+                        tol=tol)
 
 
 class TestInterval:
