@@ -354,7 +354,7 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
     return _profile(scen, reject, offsets)
 
 
-# rows per kernel call: keeps the (rows, 3, 40) temporaries in cache
+# external means per kernel call: keeps its (pairs, 40) temporaries in cache
 _MC_CHUNK = 256
 
 
