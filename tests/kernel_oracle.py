@@ -1,10 +1,10 @@
 """Unfused quadrature kernels: bitwise oracles for the batched engines.
 
 ``integrate`` evaluates one Gauss-Kronrod panel per integrand call, and
-``inner_reject_gl`` walks the three Gauss-Legendre segments of the two-arm
-Empirical Bayes inner rule one at a time, for one treatment mean, with the
-normal quantile of the posterior threshold recomputed on every call.  The
-engines in ``borrowoc.statmath`` and ``borrowoc.oc_twoarm`` do the same
+``inner_reject_gl`` walks the three Gauss-Legendre segments (each cut into
+equal pieces when nt > nc) of the two-arm Empirical Bayes inner rule one
+at a time, for one treatment mean, with the normal quantile of the
+posterior threshold recomputed on every call.  The engines in ``borrowoc.statmath`` and ``borrowoc.oc_twoarm`` do the same
 floating-point operations in fewer NumPy calls, so they must agree with
 these loops exactly, not to a tolerance.
 """
@@ -94,9 +94,15 @@ def _conditional_reject(scen, x, dE_mean, method, theta_t):
 
 def inner_reject_gl(scen, e, theta_c: float, theta_t: float, method):
     """Conditional rejection probability given each external mean in ``e``:
-    three 40-node Gauss-Legendre segments, split at e -+ r and clipped to
-    theta_c -+ 8.5 se_c, evaluated and added one segment at a time."""
+    three Gauss-Legendre segments, split at e -+ r and clipped to
+    theta_c -+ 8.5 se_c, each cut into ceil(se_c/se_t) equal 40-node
+    pieces, evaluated and added one segment at a time."""
     se_c = scen.sigma / math.sqrt(scen.nc)
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    m = math.ceil(se_c / se_t)
+    nodes = np.concatenate([(2.0 * i + 1.0) / m - 1.0 + GL_X / m
+                            for i in range(m)])
+    weights = np.concatenate([GL_W / m] * m)
     lo = theta_c - 8.5 * se_c
     hi = theta_c + 8.5 * se_c
     r = math.sqrt(se_c**2 + scen.seE**2)
@@ -106,8 +112,8 @@ def inner_reject_gl(scen, e, theta_c: float, theta_t: float, method):
     for a, b in ((np.full_like(e, lo), b1), (b1, b2), (b2, np.full_like(e, hi))):
         half = 0.5 * np.maximum(b - a, 0.0)
         mid = 0.5 * (a + b)
-        x = mid[..., None] + half[..., None] * GL_X
+        x = mid[..., None] + half[..., None] * nodes
         vals = (_norm_pdf(x, theta_c, se_c)
                 * _conditional_reject(scen, x, e[..., None], method, theta_t))
-        total += half * (vals * GL_W).sum(axis=-1)
+        total += half * (vals * weights).sum(axis=-1)
     return total

@@ -23,8 +23,8 @@ from borrowoc import (
     reject_prob_two_arm,
 )
 from borrowoc import oc_twoarm
-from borrowoc.oc_twoarm import (_MC_CHUNK, _inner_reject_gl,
-                                _mc_conditional_rows,
+from borrowoc.oc_twoarm import (_closed_fixed, _inner_reject_gl,
+                                _method_delta, _mc_conditional_rows,
                                 _random_two_arm_mc_grids)
 
 METHODS = (BorrowingMethod.none(), BorrowingMethod.fixed_power_prior(0.5),
@@ -146,20 +146,33 @@ class TestIntegrateMatchesPanelLoop:
 
 
 class TestFusedMonteCarloRows:
+    """The Monte Carlo rows of all offsets at once.  Fixed weights give the
+    closed form exactly; Empirical Bayes rows come from an interpolated
+    curve, so they match the inner rule to a tolerance and themselves
+    exactly whatever the other offsets are."""
+
     @pytest.mark.parametrize("method", METHODS, ids=["none", "fixed", "eb"])
     def test_null_and_power_rows_match_single_mean_calls(self, method):
         offsets = (-0.5, 0.7)
-        nsim = 2 * _MC_CHUNK + 37
+        nsim = 549
         e, T, P = _random_two_arm_mc_grids(SCEN, 0.1, method, offsets, nsim,
                                            seed=11)
         zc = norm_quantile(SCEN.c)
         for o, x in enumerate(offsets):
             thc = 0.1 + x * SCEN.sigma
-            null = _mc_conditional_rows(SCEN, e, thc, (thc,), method, zc)[0]
-            alt = _mc_conditional_rows(SCEN, e, thc, (thc + SCEN.theta1,),
-                                       method, zc)[0]
-            assert np.array_equal(T[o], null)
-            assert np.array_equal(P[o], alt)
+            null, alt = _mc_conditional_rows(SCEN, e, (thc,), method, zc)
+            assert np.array_equal(T[o], null[0])
+            assert np.array_equal(P[o], alt[0])
             if method is EB:
                 ref = oracle.inner_reject_gl(SCEN, e, thc, thc, method)
-                assert np.array_equal(T[o], np.clip(ref, 0.0, 1.0))
+                assert np.abs(T[o] - np.clip(ref, 0.0, 1.0)).max() <= 1e-11
+                ref = oracle.inner_reject_gl(SCEN, e, thc, thc + SCEN.theta1,
+                                             method)
+                assert np.abs(P[o] - np.clip(ref, 0.0, 1.0)).max() <= 1e-11
+            else:
+                delta = _method_delta(method)
+                assert np.array_equal(
+                    T[o], _closed_fixed(SCEN, thc, thc, e, delta))
+                assert np.array_equal(
+                    P[o], _closed_fixed(SCEN, thc, thc + SCEN.theta1, e,
+                                        delta))
