@@ -23,8 +23,7 @@ from borrowoc import (
     reject_prob_two_arm,
 )
 from borrowoc import oc_twoarm
-from borrowoc.oc_twoarm import (_closed_fixed, _inner_reject_gl,
-                                _method_delta, _mc_conditional_rows,
+from borrowoc.oc_twoarm import (_inner_reject_gl, _mc_conditional_rows,
                                 _random_two_arm_mc_grids)
 
 METHODS = (BorrowingMethod.none(), BorrowingMethod.fixed_power_prior(0.5),
@@ -146,10 +145,10 @@ class TestIntegrateMatchesPanelLoop:
 
 
 class TestFusedMonteCarloRows:
-    """The Monte Carlo rows of all offsets at once.  Fixed weights give the
-    closed form exactly; Empirical Bayes rows come from an interpolated
-    curve, so they match the inner rule to a tolerance and themselves
-    exactly whatever the other offsets are."""
+    """The Monte Carlo rows of all offsets at once equal single-offset calls
+    exactly.  Empirical Bayes rows come from an interpolated curve, so they
+    match the inner rule to a tolerance (``tests/test_mc_curve.py`` checks
+    the fixed-weight rows against the closed form)."""
 
     @pytest.mark.parametrize("method", METHODS, ids=["none", "fixed", "eb"])
     def test_null_and_power_rows_match_single_mean_calls(self, method):
@@ -169,10 +168,3 @@ class TestFusedMonteCarloRows:
                 ref = oracle.inner_reject_gl(SCEN, e, thc, thc + SCEN.theta1,
                                              method)
                 assert np.abs(P[o] - np.clip(ref, 0.0, 1.0)).max() <= 1e-11
-            else:
-                delta = _method_delta(method)
-                assert np.array_equal(
-                    T[o], _closed_fixed(SCEN, thc, thc, e, delta))
-                assert np.array_equal(
-                    P[o], _closed_fixed(SCEN, thc, thc + SCEN.theta1, e,
-                                        delta))

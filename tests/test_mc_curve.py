@@ -154,6 +154,15 @@ class TestConditionalCurve:
         assert np.array_equal(T2[:, :400], T1[1:])
         assert np.array_equal(P2[:, :400], P1[1:])
 
+    def test_node_batches_do_not_change_rows(self, monkeypatch):
+        zc = norm_quantile(SCEN.c)
+        e = RngStream(6, 0).generator().normal(0.0, SCEN.seE, 300)
+        thcs = (-3.0, 0.0, 2.5)
+        whole = _mc_conditional_rows(SCEN, e, thcs, EB, zc)
+        monkeypatch.setattr(oc_twoarm, "_CURVE_CALL_ROWS", 50)
+        batched = _mc_conditional_rows(SCEN, e, thcs, EB, zc)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, batched))
+
     def test_far_apart_offsets_tabulate_only_the_panels_they_hit(
             self, monkeypatch):
         rows = []
