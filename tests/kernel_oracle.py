@@ -4,7 +4,8 @@
 ``inner_reject_gl`` walks the three Gauss-Legendre segments (each cut into
 equal pieces when nt > nc) of the two-arm Empirical Bayes inner rule one
 at a time, for one treatment mean, with the normal quantile of the
-posterior threshold recomputed on every call.  The engines in ``borrowoc.statmath`` and ``borrowoc.oc_twoarm`` do the same
+posterior threshold recomputed on every call.  The engines in
+``borrowoc.statmath`` and ``borrowoc.oc_twoarm`` do the same
 floating-point operations in fewer NumPy calls, so they must agree with
 these loops exactly, not to a tolerance.
 """

@@ -36,7 +36,7 @@ LARGE_TREATMENT = ((20, 40), (20, 60), (10, 100), (11, 178), (4, 189))
 
 
 def _width(scen):
-    return min(scen.sigma / math.sqrt(scen.nc), scen.sigma / math.sqrt(scen.nt))
+    return scen.sigma / math.sqrt(max(scen.nc, scen.nt))
 
 
 def _direct_rows(scen, e, thc, zc):
