@@ -1,7 +1,9 @@
 """Config parsing, dispatch, exit codes, and on-disk output contracts."""
 
+import argparse
 import json
 import math
+import re
 
 import pytest
 
@@ -392,3 +394,124 @@ class TestScenarioConfigBridge:
         rc = main(["one-arm-fixed", "--config", path,
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
+
+
+# The dispatch rules, written out independently of cli.py: the design each
+# subcommand requires (None: either), whether it needs thetaE, whether
+# --mc-audit has a route, and whether it reads the grid.
+RULES = {
+    "one-arm-fixed": ("one-arm", True, True, False),
+    "one-arm-grid": ("one-arm", False, False, True),
+    "one-arm-random": ("one-arm", True, True, False),
+    "two-arm-profile": ("two-arm", False, False, False),
+    "two-arm-random": ("two-arm", True, True, False),
+    "algorithm1": (None, True, True, False),
+    "algorithm2": (None, True, True, False),
+    "region": ("one-arm", False, False, True),
+}
+SMALL_GRID = {"start": 0.0, "stop": 0.5, "step": 0.5}
+
+
+def matrix_config(design, with_thetaE):
+    doc = one_arm() if design == "one-arm" else two_arm()
+    doc.update(seed=5, nsim=3)
+    if with_thetaE:
+        doc["thetaE"] = 0.0
+    if design == "two-arm" or not with_thetaE:
+        # one-arm grid and thetaE are mutually exclusive
+        doc["grid"] = SMALL_GRID
+    return doc
+
+
+def expected_outcome(subcommand, design, with_thetaE, mc_audit):
+    """Exit status and the words the error message must contain."""
+    need_design, need_thetaE, audit_route, need_grid = RULES[subcommand]
+    if mc_audit and not audit_route:
+        return EXIT_CONFIG, (subcommand, "--mc-audit")
+    if need_design not in (None, design):
+        return EXIT_CONFIG, (need_design,)
+    if need_thetaE and not with_thetaE:
+        return EXIT_CONFIG, ("'thetaE'",)
+    if need_grid and with_thetaE:
+        return EXIT_CONFIG, ("'grid'",)
+    return EXIT_OK, ()
+
+
+class TestDecisionMatrix:
+    @pytest.mark.parametrize("mc_audit", [False, True])
+    @pytest.mark.parametrize("with_thetaE", [True, False])
+    @pytest.mark.parametrize("design", ["one-arm", "two-arm"])
+    @pytest.mark.parametrize("subcommand", list(RULES))
+    def test_exit_code_and_named_cause(self, tmp_path, capsys, subcommand,
+                                       design, with_thetaE, mc_audit):
+        path = write_config(tmp_path, matrix_config(design, with_thetaE))
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", path, "--out", str(out)]
+        rc = main(argv + ["--mc-audit"] if mc_audit else argv)
+        code, words = expected_outcome(subcommand, design, with_thetaE,
+                                       mc_audit)
+        assert rc == code
+        err = capsys.readouterr().err
+        for word in words:
+            # a design name must stand alone, not inside a subcommand name
+            assert re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", err)
+        if code != EXIT_OK:
+            assert not any(out.iterdir())
+
+    def test_subcommand_names_agree(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == cli.SUBCOMMANDS == tuple(RULES)
+
+
+def _without(doc, key):
+    doc = dict(doc)
+    del doc[key]
+    return doc
+
+
+def _eb(doc):
+    return _without(dict(doc, method="eb-pp"), "delta")
+
+
+SINGLE_FAULTS = [
+    # required keys
+    *[(_without(ONE_ARM, k), k) for k in ("n", "nE", "sigma", "theta0",
+                                          "theta1", "alpha", "delta")],
+    *[(_without(TWO_ARM, k), k) for k in ("nc", "nt", "nE", "sigma",
+                                          "theta1", "alpha")],
+    # forbidden keys
+    (one_arm(nc=15), "nc"), (one_arm(nt=15), "nt"),
+    (two_arm(n=25), "n"), (two_arm(theta0=0.0), "theta0"),
+    (dict(_eb(ONE_ARM), delta=0.5), "delta"),
+    (one_arm(method="none"), "delta"),
+    # typed keys
+    (one_arm(design=1), "design"), (one_arm(method=0), "method"),
+    (one_arm(delta="half"), "delta"), (one_arm(delta=2.0), "delta"),
+    (one_arm(sigma=True), "sigma"), (one_arm(sigma=math.inf), "sigma"),
+    (one_arm(alpha="0.025"), "alpha"), (one_arm(theta1=None), "theta1"),
+    (one_arm(theta0=[0.0]), "theta0"), (one_arm(sigmaE="1"), "sigmaE"),
+    (one_arm(c=math.nan), "c"), (one_arm(thetaE="0"), "thetaE"),
+    (one_arm(n=2.5), "n"), (one_arm(n=0), "n"), (one_arm(nE=-1), "nE"),
+    (one_arm(nsim=0), "nsim"), (one_arm(nsim=1.0), "nsim"),
+    (two_arm(nc=0), "nc"), (two_arm(nt="15"), "nt"),
+    (one_arm(seed=1.5), "seed"), (one_arm(seed=-1), "seed"),
+    (one_arm(grid=[0, 1, 0.5]), "grid"),
+    (one_arm(grid={"start": 0, "stop": 1}), "step"),
+    (one_arm(grid={"start": "0", "stop": 1, "step": 0.5}), "start"),
+    (one_arm(grid={"start": 0, "stop": math.inf, "step": 0.5}), "stop"),
+    (one_arm(grid={"start": 0, "stop": 1, "step": 0}), "step"),
+    (one_arm(grid={"start": 0, "stop": 1, "step": 0.5, "pad": 1}), "pad"),
+    (one_arm(effect=0.5), "effect"),
+]
+
+
+@pytest.mark.parametrize("doc, key", SINGLE_FAULTS,
+                         ids=[f"{i}-{k}" for i, (_, k) in
+                              enumerate(SINGLE_FAULTS)])
+def test_single_fault_names_its_key(tmp_path, capsys, doc, key):
+    path = write_config(tmp_path, doc)
+    rc = main(["algorithm1", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
