@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +55,38 @@ EXIT_IO = 4
 # the text of a large run takes
 CSV_CHUNK_ROWS = 8192
 
-SUBCOMMANDS = ("one-arm-fixed", "one-arm-grid", "one-arm-random",
-               "two-arm-profile", "two-arm-random", "algorithm1",
-               "algorithm2", "region")
+_SUMMARY_FIELDS = ("mean_t1e", "mean_power_diff", "t1e_min", "t1e_max",
+                   "t1e_median", "power_diff_min", "power_diff_max",
+                   "power_diff_median")
+
+# subcommand -> (the design it requires, None for either; whether it needs
+# thetaE; whether --mc-audit has a route)
+_SUBCOMMAND_RULES = {
+    "one-arm-fixed": ("one-arm", True, True),
+    "one-arm-grid": ("one-arm", False, False),
+    "one-arm-random": ("one-arm", True, True),
+    "two-arm-profile": ("two-arm", False, False),
+    "two-arm-random": ("two-arm", True, True),
+    "algorithm1": (None, True, True),
+    "algorithm2": (None, True, True),
+    "region": ("one-arm", False, False),
+}
+SUBCOMMANDS = tuple(_SUBCOMMAND_RULES)
 
 _GRID_KEYS = ("start", "stop", "step")
-_ALLOWED_KEYS = ("design", "method", "delta", "n", "nE", "nc", "nt",
-                 "sigma", "sigmaE", "theta0", "theta1", "thetaE", "alpha",
-                 "c", "nsim", "seed", "grid")
+_NUMBER_KEYS = ("delta", "sigma", "alpha", "theta1", "sigmaE", "c", "thetaE",
+                "theta0")
+_COUNT_KEYS = ("nE", "nsim", "n", "nc", "nt")
+# design -> (the keys it requires, {each key it forbids: why})
+_DESIGN_KEYS = {
+    "one-arm": (("sigma", "alpha", "theta1", "nE", "n", "theta0"),
+                {"nc": "for the one-arm design",
+                 "nt": "for the one-arm design"}),
+    "two-arm": (("sigma", "alpha", "theta1", "nE", "nc", "nt"),
+                {"n": "for the two-arm design (use nc and nt)",
+                 "theta0": "for the two-arm design (the null boundary is "
+                           "theta_t = theta_c)"}),
+}
 
 
 class ConfigError(ValueError):
@@ -118,25 +142,30 @@ class ScenarioConfig:
         return tuple(start + k * step for k in range(count))
 
 
-def _want(raw: dict, key: str, kind, required: bool = False):
+_ALLOWED_KEYS = tuple(f.name for f in fields(ScenarioConfig))
+
+
+def _want(raw: dict, key: str, kind, required: bool = False,
+          what: str = "config key"):
     if key not in raw:
         if required:
-            raise ConfigError(f"missing required config key: {key!r}")
+            raise ConfigError(f"missing required {what}: {key!r}")
         return None
     v = raw[key]
     if isinstance(v, bool) or not isinstance(v, kind):
-        want = kind[0].__name__ if isinstance(kind, tuple) else kind.__name__
-        raise ConfigError(f"config key {key!r} must be a {want}, got {v!r}")
+        want = "number" if isinstance(kind, tuple) else kind.__name__
+        raise ConfigError(f"{what} {key!r} must be a {want}, got {v!r}")
     return v
 
 
-def _want_number(raw: dict, key: str, required: bool = False) -> float | None:
-    v = _want(raw, key, (int, float), required)
+def _want_number(raw: dict, key: str, required: bool = False,
+                 what: str = "config key") -> float | None:
+    v = _want(raw, key, (int, float), required, what)
     if v is None:
         return None
     v = float(v)
     if not math.isfinite(v):
-        raise ConfigError(f"config key {key!r} must be finite, got {v!r}")
+        raise ConfigError(f"{what} {key!r} must be finite, got {v!r}")
     return v
 
 
@@ -148,9 +177,17 @@ def _want_count(raw: dict, key: str, required: bool = False) -> int | None:
     return v
 
 
-def _forbid(raw: dict, key: str, why: str) -> None:
-    if key in raw:
-        raise ConfigError(f"config key {key!r} is not allowed {why}")
+def _load(document) -> dict:
+    """The config object of ``document``: JSON text or an already-parsed
+    value."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError("config must be a single flat JSON object")
+    return document
 
 
 def parse_config(document) -> ScenarioConfig:
@@ -161,22 +198,14 @@ def parse_config(document) -> ScenarioConfig:
     and therefore recorded — seed when none is given.  Unknown keys and
     cross-field inconsistencies are rejected with the offending key named.
     """
-    if isinstance(document, str):
-        try:
-            raw = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        raw = document
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a single flat JSON object")
+    raw = _load(document)
     for key in raw:
         if key not in _ALLOWED_KEYS:
             raise ConfigError(f"unknown config key: {key!r}")
 
     design = _want(raw, "design", str)
     design = "one-arm" if design is None else design
-    if design not in ("one-arm", "two-arm"):
+    if design not in _DESIGN_KEYS:
         raise ConfigError(f"config key 'design' must be 'one-arm' or "
                           f"'two-arm', got {design!r}")
     method = _want(raw, "method", str)
@@ -185,7 +214,16 @@ def parse_config(document) -> ScenarioConfig:
         raise ConfigError(f"config key 'method' must be one of 'none', "
                           f"'fixed-pp', 'eb-pp', got {method!r}")
 
-    delta = _want_number(raw, "delta")
+    required, forbidden = _DESIGN_KEYS[design]
+    for key, why in forbidden.items():
+        if key in raw:
+            raise ConfigError(f"config key {key!r} is not allowed {why}")
+    values = {key: _want_number(raw, key, key in required)
+              for key in _NUMBER_KEYS}
+    values.update((key, _want_count(raw, key, key in required))
+                  for key in _COUNT_KEYS)
+
+    delta = values["delta"]
     if method == FIXED_POWER_PRIOR and delta is None:
         raise ConfigError("config key 'delta' is required when method is "
                           "'fixed-pp'")
@@ -195,15 +233,6 @@ def parse_config(document) -> ScenarioConfig:
     if delta is not None and not 0.0 <= delta <= 1.0:
         raise ConfigError(f"config key 'delta' must lie in [0, 1], "
                           f"got {delta!r}")
-
-    sigma = _want_number(raw, "sigma", required=True)
-    alpha = _want_number(raw, "alpha", required=True)
-    theta1 = _want_number(raw, "theta1", required=True)
-    sigmaE = _want_number(raw, "sigmaE")
-    c = _want_number(raw, "c")
-    thetaE = _want_number(raw, "thetaE")
-    nE = _want_count(raw, "nE", required=True)
-    nsim = _want_count(raw, "nsim")
 
     seed = _want(raw, "seed", int)
     if seed is not None and not 0 <= seed < 2**64:
@@ -221,46 +250,20 @@ def parse_config(document) -> ScenarioConfig:
         for key in g:
             if key not in _GRID_KEYS:
                 raise ConfigError(f"unknown grid key: {key!r}")
-        vals = []
-        for key in _GRID_KEYS:
-            if key not in g:
-                raise ConfigError(f"missing grid key: {key!r}")
-            v = g[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not math.isfinite(float(v)):
-                raise ConfigError(f"grid key {key!r} must be a finite "
-                                  f"number, got {v!r}")
-            vals.append(float(v))
-        start, stop, step = vals
+        start, stop, step = (_want_number(g, key, True, "grid key")
+                             for key in _GRID_KEYS)
         if step <= 0:
             raise ConfigError(f"grid key 'step' must be positive, got {step!r}")
         if stop < start:
             raise ConfigError("grid key 'stop' must be >= 'start'")
         grid = (start, stop, step)
-
-    if design == "one-arm":
-        _forbid(raw, "nc", "for the one-arm design")
-        _forbid(raw, "nt", "for the one-arm design")
-        n = _want_count(raw, "n", required=True)
-        nc = nt = None
-        theta0 = _want_number(raw, "theta0", required=True)
-        if grid is not None and thetaE is not None:
+        if design == "one-arm" and values["thetaE"] is not None:
             raise ConfigError("config keys 'grid' and 'thetaE' are mutually "
                               "exclusive for one-arm runs (fixed-external "
                               "sweep vs random-external study)")
-    else:
-        _forbid(raw, "n", "for the two-arm design (use nc and nt)")
-        _forbid(raw, "theta0", "for the two-arm design (the null boundary "
-                "is theta_t = theta_c)")
-        nc = _want_count(raw, "nc", required=True)
-        nt = _want_count(raw, "nt", required=True)
-        n = None
-        theta0 = None
 
-    return ScenarioConfig(design=design, method=method, sigma=sigma,
-                          alpha=alpha, theta1=theta1, delta=delta, n=n,
-                          nE=nE, nc=nc, nt=nt, sigmaE=sigmaE, theta0=theta0,
-                          thetaE=thetaE, c=c, nsim=nsim, seed=seed, grid=grid)
+    return ScenarioConfig(design=design, method=method, seed=seed, grid=grid,
+                          **values)
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +344,17 @@ def _write_records_csv(path: Path, prov: dict, report: RunReport) -> None:
     _atomic_write(path, chunks())
 
 
+def _write_summary(out_dir: Path, prov: dict, **parts) -> None:
+    """summary.json: the provenance object first, then ``parts``."""
+    _atomic_write(out_dir / "summary.json",
+                  [json.dumps({"provenance": prov, **parts}, indent=2) + "\n"])
+
+
 def _write_report(out_dir: Path, prov: dict, report: RunReport) -> None:
     _write_records_csv(out_dir / "records.csv", prov, report)
-    summary = {"provenance": prov,
-               "summary": {"mean_t1e": report.mean_t1e,
-                           "mean_power_diff": report.mean_power_diff,
-                           "t1e_min": report.t1e_min,
-                           "t1e_max": report.t1e_max,
-                           "t1e_median": report.t1e_median,
-                           "power_diff_min": report.power_diff_min,
-                           "power_diff_max": report.power_diff_max,
-                           "power_diff_median": report.power_diff_median},
-               "scenario": report.scenario}
-    _atomic_write(out_dir / "summary.json",
-                  [json.dumps(summary, indent=2) + "\n"])
+    _write_summary(out_dir, prov,
+                   summary={k: getattr(report, k) for k in _SUMMARY_FIELDS},
+                   scenario=report.scenario)
 
 
 def _write_profile(out_dir: Path, prov: dict, profile) -> None:
@@ -366,116 +366,75 @@ def _write_profile(out_dir: Path, prov: dict, profile) -> None:
                      f"{_fmt17(profile.power_calibrated)},"
                      f"{_fmt17(profile.power_diff[i])}")
     _atomic_write(out_dir / "profile.csv", ["\n".join(lines) + "\n"])
-    summary = {"provenance": prov,
-               "profile": {"alphaB_max": profile.alphaB_max,
-                           "argmax_offset": profile.argmax_offset,
-                           "power_calibrated": profile.power_calibrated}}
-    _atomic_write(out_dir / "summary.json",
-                  [json.dumps(summary, indent=2) + "\n"])
+    _write_summary(out_dir, prov,
+                   profile={"alphaB_max": profile.alphaB_max,
+                            "argmax_offset": profile.argmax_offset,
+                            "power_calibrated": profile.power_calibrated})
 
 
-def _region_scenario(cfg: ScenarioConfig):
-    if cfg.design != "one-arm":
-        raise ConfigError("the region table is defined for the one-arm "
-                          "design only")
-    return cfg.scenario()
-
-
-def _run_region(cfg: ScenarioConfig, out_dir: Path) -> None:
-    scen = _region_scenario(cfg)
-    method = cfg.borrowing_method()
-    pts = cfg.grid_points()
-    echo = scenario_echo(scen, method)
-    prov = _provenance(cfg, echo, None, len(pts))
+def _write_region(out_dir: Path, prov: dict, points, regions) -> None:
     lines = [_provenance_line(prov), "dE_mean,interval_index,lo,hi"]
-    counts = []
-    for de in pts:
-        reg = rejection_region(scen, de, method)
-        counts.append({"dE_mean": de, "interval_count": interval_count(reg),
-                       "flagged": reg.flagged})
-        for i, iv in enumerate(reg.intervals):
-            lines.append(f"{_fmt(de)},{i},{_fmt(iv.lo)},{_fmt(iv.hi)}")
+    for de, reg in zip(points, regions):
+        lines.extend(f"{_fmt(de)},{i},{_fmt(iv.lo)},{_fmt(iv.hi)}"
+                     for i, iv in enumerate(reg.intervals))
     _atomic_write(out_dir / "region.csv", ["\n".join(lines) + "\n"])
-    summary = {"provenance": prov, "regions": counts}
-    _atomic_write(out_dir / "summary.json",
-                  [json.dumps(summary, indent=2) + "\n"])
+    _write_summary(out_dir, prov, regions=[
+        {"dE_mean": de, "interval_count": interval_count(reg),
+         "flagged": reg.flagged} for de, reg in zip(points, regions)])
 
 
 def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
                     mc_audit: bool, tol: float) -> None:
-    if mc_audit and subcommand in ("one-arm-grid", "two-arm-profile",
-                                   "region"):
+    if subcommand not in _SUBCOMMAND_RULES:
+        raise ConfigError(f"unknown subcommand: {subcommand!r}")
+    design, needs_thetaE, audit_route = _SUBCOMMAND_RULES[subcommand]
+    if mc_audit and not audit_route:
         raise ConfigError(f"--mc-audit is not allowed for {subcommand!r}")
+    if design not in (None, cfg.design):
+        raise ConfigError(f"subcommand {subcommand!r} requires design "
+                          f"{design!r}")
+    if needs_thetaE and cfg.thetaE is None:
+        raise ConfigError("this run requires the 'thetaE' key")
+    scen, method = cfg.scenario(), cfg.borrowing_method()
     if subcommand in ("algorithm1", "one-arm-fixed"):
-        if subcommand == "one-arm-fixed" and cfg.design != "one-arm":
-            raise ConfigError("subcommand 'one-arm-fixed' requires design "
-                              "'one-arm'")
-        if cfg.thetaE is None:
-            raise ConfigError("this run requires the 'thetaE' key")
         nsim = cfg.nsim or DEFAULT_NSIM_FIXED
-        report = run_algorithm1(cfg.scenario(), cfg.thetaE,
-                                cfg.borrowing_method(), nsim, cfg.seed,
+        report = run_algorithm1(scen, cfg.thetaE, method, nsim, cfg.seed,
                                 literal=mc_audit)
         _write_report(out_dir, _provenance(cfg, report.scenario, cfg.seed,
                                            nsim), report)
     elif subcommand in ("algorithm2", "one-arm-random"):
-        if subcommand == "one-arm-random" and cfg.design != "one-arm":
-            raise ConfigError("subcommand 'one-arm-random' requires design "
-                              "'one-arm'")
-        if cfg.thetaE is None:
-            raise ConfigError("this run requires the 'thetaE' key")
         nsim = cfg.nsim or DEFAULT_NSIM_RANDOM
         offsets = cfg.grid_points() if (cfg.design == "two-arm"
                                         and cfg.grid is not None) else None
-        report = run_algorithm2(cfg.scenario(), cfg.thetaE,
-                                cfg.borrowing_method(), nsim, cfg.seed,
+        report = run_algorithm2(scen, cfg.thetaE, method, nsim, cfg.seed,
                                 literal=mc_audit, offsets=offsets)
         _write_report(out_dir, _provenance(cfg, report.scenario, cfg.seed,
                                            nsim), report)
     elif subcommand == "one-arm-grid":
-        if cfg.design != "one-arm":
-            raise ConfigError("subcommand 'one-arm-grid' requires design "
-                              "'one-arm'")
-        report = run_grid(cfg.scenario(), cfg.grid_points(),
-                          cfg.borrowing_method())
+        report = run_grid(scen, cfg.grid_points(), method)
         _write_report(out_dir, _provenance(cfg, report.scenario, None,
                                            report.nsim), report)
-    elif subcommand == "two-arm-profile":
-        if cfg.design != "two-arm":
-            raise ConfigError("subcommand 'two-arm-profile' requires design "
-                              "'two-arm'")
+    elif subcommand == "region":
+        pts = cfg.grid_points()
+        regions = [rejection_region(scen, de, method) for de in pts]
+        _write_region(out_dir, _provenance(cfg, scenario_echo(scen, method),
+                                           None, len(pts)), pts, regions)
+    else:                                   # the two-arm profiles
         offsets = cfg.grid_points() if cfg.grid is not None \
             else DEFAULT_TWO_ARM_OFFSETS
-        profile = power_profile(cfg.scenario(), 0.0, cfg.borrowing_method(),
-                                offsets)
-        echo = scenario_echo(cfg.scenario(), cfg.borrowing_method())
-        _write_profile(out_dir, _provenance(cfg, echo, None, len(offsets)),
-                       profile)
-    elif subcommand == "two-arm-random":
-        if cfg.design != "two-arm":
-            raise ConfigError("subcommand 'two-arm-random' requires design "
-                              "'two-arm'")
-        if cfg.thetaE is None:
-            raise ConfigError("this run requires the 'thetaE' key")
-        offsets = cfg.grid_points() if cfg.grid is not None \
-            else DEFAULT_TWO_ARM_OFFSETS
-        scen = cfg.scenario()
-        method = cfg.borrowing_method()
-        if mc_audit:
-            nsim = cfg.nsim or DEFAULT_NSIM_RANDOM
+        seed, count = None, len(offsets)
+        if subcommand == "two-arm-profile":
+            profile = power_profile(scen, 0.0, method, offsets)
+        elif mc_audit:
+            seed, count = cfg.seed, cfg.nsim or DEFAULT_NSIM_RANDOM
             profile = oc_random_external_two_arm_mc(scen, cfg.thetaE, method,
-                                                    offsets, nsim, cfg.seed)
-            seed, count = cfg.seed, nsim
+                                                    offsets, count, seed)
         else:
             profile = oc_random_external_two_arm(scen, cfg.thetaE, method,
                                                  offsets, tol)
-            seed, count = None, len(offsets)
-        echo = scenario_echo(scen, method, cfg.thetaE)
+        echo = scenario_echo(scen, method,
+                             cfg.thetaE if needs_thetaE else None)
         _write_profile(out_dir, _provenance(cfg, echo, seed, count), profile)
-    elif subcommand == "region":
-        _run_region(cfg, out_dir)
-    else:
-        raise ConfigError(f"unknown subcommand: {subcommand!r}")
 
 
 def dispatch(subcommand: str, cfg: ScenarioConfig, out_dir, *,
@@ -508,6 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Operating characteristics of borrowing-based tests "
                     "against their calibrated comparators.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    no_audit = [name for name, rule in _SUBCOMMAND_RULES.items()
+                if not rule[2]]
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
@@ -519,9 +480,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nsim", type=int, default=None,
                        help="override the config's replicate count")
         p.add_argument("--mc-audit", action="store_true",
-                       help="replace exact engines by literal Monte Carlo "
-                            "decision sampling (not allowed for one-arm-grid, "
-                            "two-arm-profile and region)")
+                       help="audit the exact engine by Monte Carlo: one-arm "
+                            "runs and two-arm algorithm2 sample raw "
+                            "accept/reject decisions; two-arm-random runs "
+                            "the conditional Monte Carlo over external "
+                            "draws with the same inner rule; two-arm "
+                            "algorithm1 only draws the external mean from "
+                            "nE raw observations (not allowed for "
+                            + ", ".join(no_audit) + ")")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="quadrature tolerance of the two-arm-random "
                             "profile integrals (no effect elsewhere)")
@@ -536,18 +502,12 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a single flat JSON object")
+        raw = _load(text)
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.nsim is not None:
             raw["nsim"] = args.nsim
         cfg = parse_config(raw)
-    except json.JSONDecodeError as exc:
-        print(f"configuration error: config is not valid JSON: {exc}",
-              file=sys.stderr)
-        return EXIT_CONFIG
     except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -162,15 +162,13 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
     ``engine="auto"`` uses the linear-Gaussian closed form for fixed
     weights and adaptive quadrature over the control mean for Empirical
     Bayes; ``"quadrature"`` forces the integral (cross-checking the closed
-    form), ``"closed"`` forces the closed form (fixed weights only).
+    form).
     """
-    if engine not in ("auto", "quadrature", "closed"):
+    if engine not in ("auto", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
     if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
         return float(_closed_fixed(scen, theta_c, theta_t, dE_mean,
                                    _method_delta(method)))
-    if engine == "closed":
-        raise DomainError("no closed form under empirical-Bayes weighting")
 
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)

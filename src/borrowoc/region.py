@@ -43,7 +43,6 @@ from .borrow import (EMPIRICAL_BAYES, NO_BORROWING, BorrowingMethod,  # noqa: F4
 from .scenarios import ScenarioOneArm
 from .statmath import Interval, find_root, norm_cdf, norm_quantile  # noqa: F401
 
-_REFINE_TOL = 1e-10
 _NEWTON_STEPS = 3
 # eigenvalues of a near-double quartic root carry an imaginary part of order
 # sqrt(machine eps); a larger one belongs to a genuinely complex pair
@@ -64,7 +63,6 @@ class RejectionRegion:
 
     intervals: tuple[Interval, ...]
     scan_bounds: Interval
-    refinement_tol: float
     flagged: bool = False
 
     def __post_init__(self) -> None:
@@ -221,7 +219,7 @@ def _region_row(b: Boundaries, j: int) -> RejectionRegion:
     intervals = [Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
     window = Interval(b.lo[j], b.hi[j])
     flagged = not any(window.lo < r < window.hi for r in live)
-    return RejectionRegion(tuple(intervals), window, _REFINE_TOL, flagged=flagged)
+    return RejectionRegion(tuple(intervals), window, flagged=flagged)
 
 
 def rejection_region(scen: ScenarioOneArm, external_mean: float,

@@ -216,20 +216,18 @@ def scenario_echo(scen, method: BorrowingMethod, thetaE: float | None = None,
     return d
 
 
-def _check_run_args(thetaE: float, nsim: int, workers: int) -> float:
+def _check_run_args(thetaE: float, nsim: int) -> float:
     thetaE = float(thetaE)
     if not math.isfinite(thetaE):
         raise DomainError(f"thetaE must be finite, got {thetaE!r}")
     if nsim < 1:
         raise DomainError(f"nsim must be >= 1, got {nsim!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
     return thetaE
 
 
 def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
                    nsim: int = DEFAULT_NSIM_FIXED, seed: int = 0, *,
-                   workers: int = 1, literal: bool = False,
+                   literal: bool = False,
                    audit_inner_nsim: int = _AUDIT_INNER_NSIM) -> RunReport:
     """Fixed-external replicate study.
 
@@ -245,9 +243,9 @@ def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
     nE observation-level draws and, for one-arm runs, the conditional
     rates are re-estimated by an inner Monte Carlo of raw accept/reject
     decisions (``audit_inner_nsim`` current-data draws per hypothesis)
-    instead of the exact engine.  ``workers`` is validated and ignored.
+    instead of the exact engine.
     """
-    thetaE = _check_run_args(thetaE, nsim, workers)
+    thetaE = _check_run_args(thetaE, nsim)
     two_arm = isinstance(scen, ScenarioTwoArm)
     de, t1e, power = [], [], []
     for j in range(nsim):
@@ -291,7 +289,7 @@ def run_algorithm2(scen, thetaE: float, method: BorrowingMethod,
     replicate's conditional rates at that offset — so the report's mean
     t1e is the maximized averaged level.
     """
-    thetaE = _check_run_args(thetaE, nsim, 1)
+    thetaE = _check_run_args(thetaE, nsim)
     if isinstance(scen, ScenarioTwoArm):
         offs = DEFAULT_TWO_ARM_OFFSETS if offsets is None \
             else tuple(float(x) for x in offsets)

@@ -28,6 +28,23 @@ def _check_finite(name: str, value) -> float:
     return v
 
 
+def _check_shared(scen) -> None:
+    """Validate and normalize the fields both designs share: nE, sigma,
+    alpha, c (default 1 - alpha) and sigmaE (default sigma)."""
+    object.__setattr__(scen, "nE", _check_count("nE", scen.nE))
+    object.__setattr__(scen, "sigma", _check_positive("sigma", scen.sigma))
+    alpha = float(scen.alpha)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {scen.alpha!r}")
+    object.__setattr__(scen, "alpha", alpha)
+    c = 1.0 - alpha if scen.c is None else float(scen.c)
+    if not 0.0 <= c < 1.0:
+        raise DomainError(f"c must lie in [0, 1), got {scen.c!r}")
+    object.__setattr__(scen, "c", c)
+    sigmaE = scen.sigma if scen.sigmaE is None else _check_positive("sigmaE", scen.sigmaE)
+    object.__setattr__(scen, "sigmaE", sigmaE)
+
+
 @dataclass(frozen=True)
 class ScenarioOneArm:
     """One-arm trial testing H0: theta <= theta0 with external borrowing.
@@ -49,20 +66,9 @@ class ScenarioOneArm:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_count("n", self.n))
-        object.__setattr__(self, "nE", _check_count("nE", self.nE))
-        object.__setattr__(self, "sigma", _check_positive("sigma", self.sigma))
+        _check_shared(self)
         object.__setattr__(self, "theta0", _check_finite("theta0", self.theta0))
         object.__setattr__(self, "theta1", _check_finite("theta1", self.theta1))
-        alpha = float(self.alpha)
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
-        c = 1.0 - alpha if self.c is None else float(self.c)
-        if not 0.0 <= c < 1.0:
-            raise DomainError(f"c must lie in [0, 1), got {self.c!r}")
-        object.__setattr__(self, "c", c)
-        sigmaE = self.sigma if self.sigmaE is None else _check_positive("sigmaE", self.sigmaE)
-        object.__setattr__(self, "sigmaE", sigmaE)
         if not self.theta1 > self.theta0:
             raise DomainError(
                 f"theta1 must exceed theta0, got theta1={self.theta1} theta0={self.theta0}")
@@ -100,22 +106,11 @@ class ScenarioTwoArm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nc", _check_count("nc", self.nc))
         object.__setattr__(self, "nt", _check_count("nt", self.nt))
-        object.__setattr__(self, "nE", _check_count("nE", self.nE))
-        object.__setattr__(self, "sigma", _check_positive("sigma", self.sigma))
+        _check_shared(self)
         theta1 = _check_finite("theta1", self.theta1)
         if not theta1 > 0.0:
             raise DomainError(f"theta1 must be positive, got {self.theta1!r}")
         object.__setattr__(self, "theta1", theta1)
-        alpha = float(self.alpha)
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
-        c = 1.0 - alpha if self.c is None else float(self.c)
-        if not 0.0 <= c < 1.0:
-            raise DomainError(f"c must lie in [0, 1), got {self.c!r}")
-        object.__setattr__(self, "c", c)
-        sigmaE = self.sigma if self.sigmaE is None else _check_positive("sigmaE", self.sigmaE)
-        object.__setattr__(self, "sigmaE", sigmaE)
 
     @property
     def seE(self) -> float:

@@ -53,7 +53,7 @@ def scan_region(scen, external_mean: float, method, c: float | None = None):
     flips = np.nonzero(reject[:-1] != reject[1:])[0]
     if flips.size == 0:
         intervals = (Interval(-math.inf, math.inf),) if bool(reject[0]) else ()
-        return RejectionRegion(intervals, Interval(lo, hi), REFINE_TOL,
+        return RejectionRegion(intervals, Interval(lo, hi),
                                flagged=True), step
 
     def tail_minus_c(x: float) -> float:
@@ -72,4 +72,4 @@ def scan_region(scen, external_mean: float, method, c: float | None = None):
             open_lo = None
     if open_lo is not None:
         intervals.append(Interval(open_lo, math.inf))
-    return RejectionRegion(tuple(intervals), Interval(lo, hi), REFINE_TOL), step
+    return RejectionRegion(tuple(intervals), Interval(lo, hi)), step

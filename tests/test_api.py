@@ -35,8 +35,8 @@ ALL = [
 
 # parameter names in order; keyword-only parameters carry a leading "*"
 SIGNATURES = {
-    "run_algorithm1": ("scen", "thetaE", "method", "nsim", "seed", "*workers",
-                       "*literal", "*audit_inner_nsim"),
+    "run_algorithm1": ("scen", "thetaE", "method", "nsim", "seed", "*literal",
+                       "*audit_inner_nsim"),
     "run_algorithm2": ("scen", "thetaE", "method", "nsim", "seed", "*literal",
                        "*offsets"),
     "run_grid": ("scen", "dE_means", "method"),

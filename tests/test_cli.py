@@ -463,6 +463,7 @@ class TestDecisionMatrix:
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert tuple(sub.choices) == cli.SUBCOMMANDS == tuple(RULES)
+        assert tuple(cli._SUBCOMMAND_RULES) == cli.SUBCOMMANDS
 
 
 def _without(doc, key):

@@ -73,16 +73,17 @@ class TestClosedFormFixedWeights:
     def test_quadrature_cross_checks_closed_form(self):
         for thc, tht, de in ((0.0, 0.0, 0.0), (0.3, 1.1, -0.4), (-0.5, 0.2, 0.6)):
             closed = reject_prob_two_arm(SCEN, thc, tht, de, FIXED_HALF,
-                                         engine="closed")
+                                         engine="auto")
             quad = reject_prob_two_arm(SCEN, thc, tht, de, FIXED_HALF,
                                        engine="quadrature")
             assert quad == pytest.approx(closed, abs=1e-6)
 
     def test_engine_validation(self):
-        with pytest.raises(DomainError):
-            reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, EB, engine="closed")
-        with pytest.raises(DomainError):
-            reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, NONE, engine="series")
+        for engine in ("closed", "series"):
+            for method in (EB, FIXED_HALF, NONE):
+                with pytest.raises(DomainError, match="unknown engine"):
+                    reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, method,
+                                        engine=engine)
 
 
 class TestEmpiricalBayesQuadrature:

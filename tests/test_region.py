@@ -213,7 +213,7 @@ class TestFlaggedDegenerateScan:
 
     def test_empty_region_has_zero_mass(self):
         from borrowoc import RejectionRegion
-        region = RejectionRegion((), Interval(-5.0, 5.0), 1e-10, flagged=True)
+        region = RejectionRegion((), Interval(-5.0, 5.0), flagged=True)
         assert rejection_prob(region, 0.0, SCEN.n, SCEN.sigma) == 0.0
 
     def test_rejects_non_finite_external_mean(self):
@@ -229,13 +229,13 @@ class TestRejectionRegionValidation:
     def test_touching_endpoints_allowed(self):
         from borrowoc import RejectionRegion
         RejectionRegion((Interval(0.0, 1.0), Interval(1.0, 2.0)),
-                        Interval(-5.0, 5.0), 1e-10)
+                        Interval(-5.0, 5.0))
 
 
 def RejectionRegionFactory():
     from borrowoc import RejectionRegion
     return RejectionRegion((Interval(0.0, 2.0), Interval(1.0, 3.0)),
-                           Interval(-5.0, 5.0), 1e-10)
+                           Interval(-5.0, 5.0))
 
 
 class TestRejectionProb:
@@ -256,7 +256,7 @@ class TestRejectionProb:
         total = rejection_prob(region, 0.0, 25, 1.0)
         parts = [
             rejection_prob(
-                type(region)((iv,), region.scan_bounds, region.refinement_tol),
+                type(region)((iv,), region.scan_bounds),
                 0.0, 25, 1.0)
             for iv in region.intervals
         ]

@@ -106,11 +106,6 @@ class TestRunAlgorithm1:
         assert a == b
         assert a != c
 
-    def test_worker_count_does_not_change_report(self):
-        serial = run_algorithm1(SCEN, 0.0, EB, nsim=12, seed=7, workers=1)
-        threaded = run_algorithm1(SCEN, 0.0, EB, nsim=12, seed=7, workers=4)
-        assert serial == threaded
-
     def test_records_match_conditional_engine(self):
         rep = run_algorithm1(SCEN, 0.0, FIXED_HALF, nsim=5, seed=3)
         for r in rep.records:
@@ -149,8 +144,6 @@ class TestRunAlgorithm1:
             run_algorithm1(SCEN, math.inf, FIXED_HALF)
         with pytest.raises(DomainError):
             run_algorithm1(SCEN, 0.0, FIXED_HALF, nsim=0)
-        with pytest.raises(DomainError):
-            run_algorithm1(SCEN, 0.0, FIXED_HALF, workers=0)
 
     def test_engine_errors_propagate_unchanged(self, monkeypatch):
         import borrowoc.runner as runner_mod
