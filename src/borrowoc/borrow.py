@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmath import DomainError, Interval, maximize_1d, norm_cdf, norm_quantile
+from .statmath import (DomainError, Interval, _check_count, _check_finite,
+                       _check_positive, maximize_1d, norm_cdf, norm_quantile)
 
 NO_BORROWING = "none"
 FIXED_POWER_PRIOR = "fixed-pp"
@@ -31,16 +32,9 @@ class ArmSummary:
     sigma: float
 
     def __post_init__(self) -> None:
-        mean = float(self.mean)
-        if not math.isfinite(mean):
-            raise DomainError(f"mean must be finite, got {self.mean!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        sigma = float(self.sigma)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mean", _check_finite("mean", self.mean))
+        _check_count("n", self.n)
+        object.__setattr__(self, "sigma", _check_positive("sigma", self.sigma))
 
     @classmethod
     def from_observations(cls, values, sigma: float) -> "ArmSummary":
@@ -71,16 +65,16 @@ class BorrowingMethod:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+            raise DomainError(f"'kind' must be one of {_KINDS}, got {self.kind!r}")
         if self.kind == FIXED_POWER_PRIOR:
             if self.delta is None:
-                raise DomainError("fixed-pp requires delta")
+                raise DomainError("'delta' is required when method is 'fixed-pp'")
             delta = float(self.delta)
             if not 0.0 <= delta <= 1.0:
-                raise DomainError(f"delta must lie in [0, 1], got {self.delta!r}")
+                raise DomainError(f"'delta' must lie in [0, 1], got {self.delta!r}")
             object.__setattr__(self, "delta", delta)
         elif self.delta is not None:
-            raise DomainError(f"delta is only valid for fixed-pp, got kind={self.kind!r}")
+            raise DomainError("'delta' is only allowed when method is 'fixed-pp'")
 
     @classmethod
     def none(cls) -> "BorrowingMethod":
@@ -103,14 +97,8 @@ class NormalPosterior:
     sd: float
 
     def __post_init__(self) -> None:
-        mean = float(self.mean)
-        sd = float(self.sd)
-        if not math.isfinite(mean):
-            raise DomainError(f"posterior mean must be finite, got {self.mean!r}")
-        if not (math.isfinite(sd) and sd > 0.0):
-            raise DomainError(f"posterior sd must be positive, got {self.sd!r}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sd", sd)
+        object.__setattr__(self, "mean", _check_finite("mean", self.mean))
+        object.__setattr__(self, "sd", _check_positive("sd", self.sd))
 
 
 def fixed_pp_posterior(current: ArmSummary, external: ArmSummary,

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -35,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .borrow import (BorrowingMethod, EMPIRICAL_BAYES, FIXED_POWER_PRIOR,
-                     NO_BORROWING)
+from .borrow import _KINDS, BorrowingMethod, NO_BORROWING
 from .oc_twoarm import (oc_random_external_two_arm,
                         oc_random_external_two_arm_mc, power_profile)
 from .region import interval_count, rejection_region
@@ -44,7 +44,8 @@ from .runner import (COLUMNS, DEFAULT_NSIM_FIXED, DEFAULT_NSIM_RANDOM,
                      DEFAULT_TWO_ARM_OFFSETS, RunReport, run_algorithm1,
                      run_algorithm2, run_grid, scenario_echo)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
-from .statmath import DomainError, NumericsError
+from .statmath import (DomainError, NumericsError, RngStream, _check_count,
+                       _check_finite)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,11 +128,7 @@ class ScenarioConfig:
                               alpha=self.alpha, c=self.c, sigmaE=self.sigmaE)
 
     def borrowing_method(self) -> BorrowingMethod:
-        if self.method == FIXED_POWER_PRIOR:
-            return BorrowingMethod.fixed_power_prior(self.delta)
-        if self.method == EMPIRICAL_BAYES:
-            return BorrowingMethod.empirical_bayes()
-        return BorrowingMethod.none()
+        return BorrowingMethod(self.method, self.delta)
 
     def grid_points(self) -> tuple:
         """Expand the {start, stop, step} grid to explicit values."""
@@ -143,6 +140,7 @@ class ScenarioConfig:
 
 
 _ALLOWED_KEYS = tuple(f.name for f in fields(ScenarioConfig))
+_TYPE_NAMES = {str: "a string", int: "an integer"}     # anything else: a number
 
 
 def _want(raw: dict, key: str, kind, required: bool = False,
@@ -153,28 +151,18 @@ def _want(raw: dict, key: str, kind, required: bool = False,
         return None
     v = raw[key]
     if isinstance(v, bool) or not isinstance(v, kind):
-        want = "number" if isinstance(kind, tuple) else kind.__name__
-        raise ConfigError(f"{what} {key!r} must be a {want}, got {v!r}")
+        raise ConfigError(f"{what} {key!r} must be "
+                          f"{_TYPE_NAMES.get(kind, 'a number')}, got {v!r}")
     return v
 
 
 def _want_number(raw: dict, key: str, required: bool = False,
                  what: str = "config key") -> float | None:
     v = _want(raw, key, (int, float), required, what)
-    if v is None:
-        return None
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{what} {key!r} must be finite, got {v!r}")
-    return v
-
-
-def _want_count(raw: dict, key: str, required: bool = False) -> int | None:
-    v = _want(raw, key, int, required)
-    if v is not None and v < 1:
-        raise ConfigError(f"config key {key!r} must be a positive integer, "
-                          f"got {v!r}")
-    return v
+    try:
+        return None if v is None else _check_finite(key, v)
+    except DomainError as exc:
+        raise ConfigError(f"{what} {exc}") from None
 
 
 def _load(document) -> dict:
@@ -195,8 +183,10 @@ def parse_config(document) -> ScenarioConfig:
 
     Applies defaults: design "one-arm", method "none", sigmaE = sigma,
     c = 1 - alpha (inside the scenario), and a freshly randomized —
-    and therefore recorded — seed when none is given.  Unknown keys and
-    cross-field inconsistencies are rejected with the offending key named.
+    and therefore recorded — seed when none is given.  Checks the document
+    here (keys, JSON types, the grid) and each value by building the object
+    that owns its rule (the scenario, the borrowing method, the random
+    stream); every fault is a :class:`ConfigError` naming the key.
     """
     raw = _load(document)
     for key in raw:
@@ -210,9 +200,9 @@ def parse_config(document) -> ScenarioConfig:
                           f"'two-arm', got {design!r}")
     method = _want(raw, "method", str)
     method = NO_BORROWING if method is None else method
-    if method not in (NO_BORROWING, FIXED_POWER_PRIOR, EMPIRICAL_BAYES):
-        raise ConfigError(f"config key 'method' must be one of 'none', "
-                          f"'fixed-pp', 'eb-pp', got {method!r}")
+    if method not in _KINDS:
+        raise ConfigError(f"config key 'method' must be one of "
+                          f"{', '.join(map(repr, _KINDS))}, got {method!r}")
 
     required, forbidden = _DESIGN_KEYS[design]
     for key, why in forbidden.items():
@@ -220,26 +210,10 @@ def parse_config(document) -> ScenarioConfig:
             raise ConfigError(f"config key {key!r} is not allowed {why}")
     values = {key: _want_number(raw, key, key in required)
               for key in _NUMBER_KEYS}
-    values.update((key, _want_count(raw, key, key in required))
+    values.update((key, _want(raw, key, int, key in required))
                   for key in _COUNT_KEYS)
-
-    delta = values["delta"]
-    if method == FIXED_POWER_PRIOR and delta is None:
-        raise ConfigError("config key 'delta' is required when method is "
-                          "'fixed-pp'")
-    if method != FIXED_POWER_PRIOR and delta is not None:
-        raise ConfigError("config key 'delta' is only allowed when method "
-                          "is 'fixed-pp'")
-    if delta is not None and not 0.0 <= delta <= 1.0:
-        raise ConfigError(f"config key 'delta' must lie in [0, 1], "
-                          f"got {delta!r}")
-
     seed = _want(raw, "seed", int)
-    if seed is not None and not 0 <= seed < 2**64:
-        raise ConfigError(f"config key 'seed' must be a 64-bit unsigned "
-                          f"integer, got {seed!r}")
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % 2**64)
+    seed = secrets.randbits(64) if seed is None else seed
 
     grid = None
     if "grid" in raw:
@@ -262,8 +236,15 @@ def parse_config(document) -> ScenarioConfig:
                               "exclusive for one-arm runs (fixed-external "
                               "sweep vs random-external study)")
 
-    return ScenarioConfig(design=design, method=method, seed=seed, grid=grid,
-                          **values)
+    cfg = ScenarioConfig(design=design, method=method, seed=seed, grid=grid,
+                         **values)
+    try:                    # each value's range is checked by its own type
+        cfg.scenario(), cfg.borrowing_method(), RngStream(seed)
+        if cfg.nsim is not None:
+            _check_count("nsim", cfg.nsim)
+    except DomainError as exc:
+        raise ConfigError(f"config key {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +489,7 @@ def main(argv=None) -> int:
         if args.nsim is not None:
             raw["nsim"] = args.nsim
         cfg = parse_config(raw)
-    except (ConfigError, DomainError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return dispatch(args.subcommand, cfg, args.out,

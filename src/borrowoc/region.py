@@ -149,8 +149,7 @@ def _conflict_roots(de: np.ndarray, scen: ScenarioOneArm, zc: float) -> np.ndarr
         return np.where(w * w > r2, de[:, None] + w * se, np.nan)
 
 
-def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod,
-                    c: float | None = None) -> Boundaries:
+def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod) -> Boundaries:
     """Rejection regions for a vector of external means, as boundaries.
 
     Collects every finite linear and quartic root of the margin (module
@@ -169,8 +168,7 @@ def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod,
     bad = de[~np.isfinite(de)]
     if bad.size:
         raise ValueError(f"external_mean must be finite, got {float(bad[0])!r}")
-    c = scen.c if c is None else float(c)
-    zc = norm_quantile(c)
+    zc = norm_quantile(scen.c)
     se, seE, theta0 = scen.se, scen.seE, scen.theta0
     lo = np.minimum(theta0 - 10.0 * se, de - 10.0 * seE)
     hi = np.maximum(theta0 + 10.0 * se, de + 10.0 * seE)
@@ -223,14 +221,14 @@ def _region_row(b: Boundaries, j: int) -> RejectionRegion:
 
 
 def rejection_region(scen: ScenarioOneArm, external_mean: float,
-                     method: BorrowingMethod, c: float | None = None) -> RejectionRegion:
+                     method: BorrowingMethod) -> RejectionRegion:
     """Rejection region for one fixed external mean.
 
     A one-row call to :func:`boundary_arrays`: its boundaries are the exact
     roots of the decision margin, and it is ``flagged`` when none of them
     lies inside ``scan_bounds``.
     """
-    return _region_row(boundary_arrays(scen, float(external_mean), method, c), 0)
+    return _region_row(boundary_arrays(scen, float(external_mean), method), 0)
 
 
 def rejection_prob(region: RejectionRegion, theta: float, n: int,

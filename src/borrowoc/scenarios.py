@@ -5,27 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .statmath import DomainError
-
-
-def _check_count(name: str, value) -> int:
-    if not isinstance(value, (int,)) or isinstance(value, bool) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _check_positive(name: str, value) -> float:
-    v = float(value)
-    if not (math.isfinite(v) and v > 0.0):
-        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
-    return v
-
-
-def _check_finite(name: str, value) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
+from .statmath import DomainError, _check_count, _check_finite, _check_positive
 
 
 def _check_shared(scen) -> None:
@@ -35,11 +15,11 @@ def _check_shared(scen) -> None:
     object.__setattr__(scen, "sigma", _check_positive("sigma", scen.sigma))
     alpha = float(scen.alpha)
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {scen.alpha!r}")
+        raise DomainError(f"'alpha' must lie in (0, 1), got {scen.alpha!r}")
     object.__setattr__(scen, "alpha", alpha)
     c = 1.0 - alpha if scen.c is None else float(scen.c)
     if not 0.0 <= c < 1.0:
-        raise DomainError(f"c must lie in [0, 1), got {scen.c!r}")
+        raise DomainError(f"'c' must lie in [0, 1), got {scen.c!r}")
     object.__setattr__(scen, "c", c)
     sigmaE = scen.sigma if scen.sigmaE is None else _check_positive("sigmaE", scen.sigmaE)
     object.__setattr__(scen, "sigmaE", sigmaE)
@@ -70,8 +50,8 @@ class ScenarioOneArm:
         object.__setattr__(self, "theta0", _check_finite("theta0", self.theta0))
         object.__setattr__(self, "theta1", _check_finite("theta1", self.theta1))
         if not self.theta1 > self.theta0:
-            raise DomainError(
-                f"theta1 must exceed theta0, got theta1={self.theta1} theta0={self.theta0}")
+            raise DomainError(f"'theta1' must exceed 'theta0' ({self.theta0!r}), "
+                              f"got {self.theta1!r}")
 
     @property
     def se(self) -> float:
@@ -109,7 +89,7 @@ class ScenarioTwoArm:
         _check_shared(self)
         theta1 = _check_finite("theta1", self.theta1)
         if not theta1 > 0.0:
-            raise DomainError(f"theta1 must be positive, got {self.theta1!r}")
+            raise DomainError(f"'theta1' must be positive, got {self.theta1!r}")
         object.__setattr__(self, "theta1", theta1)
 
     @property

@@ -2,8 +2,9 @@
 
 Standard normal distribution functions, adaptive Gauss-Kronrod quadrature,
 bracketed root finding, grid-plus-golden-section 1-D maximization, and
-reproducible counter-based random streams.  Only the standard normal family
-is supported; nothing here knows about trials or borrowing.
+reproducible counter-based random streams, plus the argument checks the
+record types share.  Only the standard normal family is supported; nothing
+here knows about trials or borrowing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 
@@ -31,6 +31,26 @@ class InvalidBracketError(NumericsError, ValueError):
 
 class DomainError(NumericsError, ValueError):
     """Argument outside the mathematical domain of the function."""
+
+
+def _check_count(name: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DomainError(f"{name!r} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_positive(name: str, value) -> float:
+    v = float(value)
+    if not (math.isfinite(v) and v > 0.0):
+        raise DomainError(f"{name!r} must be a positive finite real, got {value!r}")
+    return v
+
+
+def _check_finite(name: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise DomainError(f"{name!r} must be finite, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -79,9 +99,10 @@ class RngStream:
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise DomainError(f"{name} must be an integer")
+                raise DomainError(f"{name!r} must be an integer, got {v!r}")
             if not 0 <= int(v) < 2**64:
-                raise DomainError(f"{name} must fit in 64 unsigned bits")
+                raise DomainError(f"{name!r} must fit in 64 unsigned bits, "
+                                  f"got {v!r}")
             object.__setattr__(self, name, int(v))
 
     def generator(self) -> np.random.Generator:
@@ -244,6 +265,8 @@ def find_root(f, bracket: Interval, tol: float = 1e-10) -> float:
         raise DomainError("root bracket must be finite")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError("tol must be finite and positive")
+    # imported here so that loading the package does not load scipy.optimize
+    from scipy.optimize import brentq
     try:
         return float(brentq(f, bracket.lo, bracket.hi, xtol=tol))
     except ValueError as exc:
@@ -251,33 +274,31 @@ def find_root(f, bracket: Interval, tol: float = 1e-10) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 401
 
 
-def maximize_1d(f, domain: Interval, tol: float = 1e-10, *,
-                grid_points: int = 401):
+def maximize_1d(f, domain: Interval, tol: float = 1e-10):
     """Global 1-D maximization: coarse grid scan plus golden-section polish.
 
-    Scans ``grid_points`` (>= 401) equispaced points, then refines inside the
-    cell around the best grid point with a golden-section search down to a
-    bracket of width ``tol`` (finite and positive).  Ties -- including
-    plateaus such as a type I error profile saturated at 1 -- resolve to the
-    smallest argmax (to within the scan resolution).
+    Scans 401 equispaced points, then refines inside the cell around the
+    best grid point with a golden-section search down to a bracket of width
+    ``tol`` (finite and positive).  Ties -- including plateaus such as a
+    type I error profile saturated at 1 -- resolve to the smallest argmax
+    (to within the scan resolution).
 
     Returns ``(argmax, max)``.
     """
     if not domain.finite:
         raise DomainError("maximization domain must be finite")
-    if grid_points < 401:
-        raise DomainError("grid_points must be at least 401")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError("tol must be finite and positive")
-    xs = np.linspace(domain.lo, domain.hi, grid_points)
+    xs = np.linspace(domain.lo, domain.hi, _GRID_POINTS)
     ys = np.array([f(x) for x in xs], dtype=float)
     i = int(np.argmax(ys))                      # first occurrence = smallest x
     best_x, best_y = float(xs[i]), float(ys[i])
 
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid_points - 1)])
+    b = float(xs[min(i + 1, _GRID_POINTS - 1)])
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)

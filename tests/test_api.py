@@ -46,6 +46,8 @@ SIGNATURES = {
     "oc_random_external_two_arm": ("scen", "thetaE", "method", "offsets",
                                    "tol", "*engine"),
     "summarize": ("records", "seed", "nsim", "scenario"),
+    "rejection_region": ("scen", "external_mean", "method"),
+    "maximize_1d": ("f", "domain", "tol"),
 }
 
 # a report's fields; ``records`` is a sequence of ReplicateRecord that also

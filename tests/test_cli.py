@@ -505,6 +505,10 @@ SINGLE_FAULTS = [
     (one_arm(grid={"start": 0, "stop": 1, "step": 0}), "step"),
     (one_arm(grid={"start": 0, "stop": 1, "step": 0.5, "pad": 1}), "pad"),
     (one_arm(effect=0.5), "effect"),
+    # values only the scenario's own rules refuse
+    (one_arm(sigma=0.0), "sigma"), (one_arm(sigmaE=-1.0), "sigmaE"),
+    (one_arm(alpha=1.5), "alpha"), (one_arm(c=1.0), "c"),
+    (one_arm(theta1=0.0), "theta1"), (two_arm(theta1=-1.0), "theta1"),
 ]
 
 
@@ -516,3 +520,21 @@ def test_single_fault_names_its_key(tmp_path, capsys, doc, key):
     rc = main(["algorithm1", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (one_arm(n=2.5), "config key 'n' must be an integer, got 2.5"),
+    (one_arm(seed="7"), "config key 'seed' must be an integer, got '7'"),
+    (one_arm(method=0), "config key 'method' must be a string, got 0"),
+    (one_arm(alpha="0.025"),
+     "config key 'alpha' must be a number, got '0.025'"),
+    (one_arm(n=0), "config key 'n' must be a positive integer, got 0"),
+], ids=["count-as-float", "seed-as-text", "method-as-number",
+        "number-as-text", "count-out-of-range"])
+def test_config_fault_message(doc, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == message

@@ -1,5 +1,6 @@
 """Rejection-region extraction and exact region probabilities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -206,7 +207,8 @@ def test_region_is_its_batch_row():
 class TestFlaggedDegenerateScan:
     def test_always_reject_threshold(self):
         # c = 0 rejects on any positive tail mass: no crossing anywhere
-        region = rejection_region(SCEN, 0.0, BorrowingMethod.none(), c=0.0)
+        region = rejection_region(dataclasses.replace(SCEN, c=0.0), 0.0,
+                                  BorrowingMethod.none())
         assert region.flagged
         assert region.intervals == (Interval(-math.inf, math.inf),)
         assert rejection_prob(region, 0.0, SCEN.n, SCEN.sigma) == 1.0
@@ -264,5 +266,6 @@ class TestRejectionProb:
         assert all(p > 0.0 for p in parts)
 
     def test_clipped_to_unit_interval(self):
-        region = rejection_region(SCEN, 0.0, BorrowingMethod.none(), c=0.0)
+        region = rejection_region(dataclasses.replace(SCEN, c=0.0), 0.0,
+                                  BorrowingMethod.none())
         assert rejection_prob(region, 100.0, 25, 1.0) == 1.0
