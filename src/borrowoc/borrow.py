@@ -114,9 +114,7 @@ def fixed_pp_posterior(current: ArmSummary, external: ArmSummary,
     delta=0 discards the external data (flat-prior posterior); delta=1 pools
     both samples.
     """
-    delta = float(delta)
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
+    delta = BorrowingMethod.fixed_power_prior(delta).delta
     a = delta * external.n / external.sigma**2
     b = current.n / current.sigma**2
     return NormalPosterior(mean=(a * external.mean + b * current.mean) / (a + b),

@@ -45,7 +45,7 @@ from .runner import (COLUMNS, DEFAULT_NSIM_FIXED, DEFAULT_NSIM_RANDOM,
                      run_algorithm2, run_grid, scenario_echo)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
 from .statmath import (DomainError, NumericsError, RngStream, _check_count,
-                       _check_finite)
+                       _check_finite, _check_positive)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,16 +61,16 @@ _SUMMARY_FIELDS = ("mean_t1e", "mean_power_diff", "t1e_min", "t1e_max",
                    "power_diff_median")
 
 # subcommand -> (the design it requires, None for either; whether it needs
-# thetaE; whether --mc-audit has a route)
+# thetaE; whether --mc-audit has a route; whether it needs the grid)
 _SUBCOMMAND_RULES = {
-    "one-arm-fixed": ("one-arm", True, True),
-    "one-arm-grid": ("one-arm", False, False),
-    "one-arm-random": ("one-arm", True, True),
-    "two-arm-profile": ("two-arm", False, False),
-    "two-arm-random": ("two-arm", True, True),
-    "algorithm1": (None, True, True),
-    "algorithm2": (None, True, True),
-    "region": ("one-arm", False, False),
+    "one-arm-fixed": ("one-arm", True, True, False),
+    "one-arm-grid": ("one-arm", False, False, True),
+    "one-arm-random": ("one-arm", True, True, False),
+    "two-arm-profile": ("two-arm", False, False, False),
+    "two-arm-random": ("two-arm", True, True, False),
+    "algorithm1": (None, True, True, False),
+    "algorithm2": (None, True, True, False),
+    "region": ("one-arm", False, False, True),
 }
 SUBCOMMANDS = tuple(_SUBCOMMAND_RULES)
 
@@ -368,7 +368,7 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
                     mc_audit: bool, tol: float) -> None:
     if subcommand not in _SUBCOMMAND_RULES:
         raise ConfigError(f"unknown subcommand: {subcommand!r}")
-    design, needs_thetaE, audit_route = _SUBCOMMAND_RULES[subcommand]
+    design, needs_thetaE, audit_route, needs_grid = _SUBCOMMAND_RULES[subcommand]
     if mc_audit and not audit_route:
         raise ConfigError(f"--mc-audit is not allowed for {subcommand!r}")
     if design not in (None, cfg.design):
@@ -377,6 +377,10 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
     if needs_thetaE and cfg.thetaE is None:
         raise ConfigError("this run requires the 'thetaE' key")
     scen, method = cfg.scenario(), cfg.borrowing_method()
+    grid = cfg.grid_points() if needs_grid or cfg.grid is not None else None
+    _check_positive("tol", tol)
+    # every refusal comes before the output directory exists
+    out_dir.mkdir(parents=True, exist_ok=True)
     if subcommand in ("algorithm1", "one-arm-fixed"):
         nsim = cfg.nsim or DEFAULT_NSIM_FIXED
         report = run_algorithm1(scen, cfg.thetaE, method, nsim, cfg.seed,
@@ -385,24 +389,20 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
                                            nsim), report)
     elif subcommand in ("algorithm2", "one-arm-random"):
         nsim = cfg.nsim or DEFAULT_NSIM_RANDOM
-        offsets = cfg.grid_points() if (cfg.design == "two-arm"
-                                        and cfg.grid is not None) else None
         report = run_algorithm2(scen, cfg.thetaE, method, nsim, cfg.seed,
-                                literal=mc_audit, offsets=offsets)
+                                literal=mc_audit, offsets=grid)
         _write_report(out_dir, _provenance(cfg, report.scenario, cfg.seed,
                                            nsim), report)
     elif subcommand == "one-arm-grid":
-        report = run_grid(scen, cfg.grid_points(), method)
+        report = run_grid(scen, grid, method)
         _write_report(out_dir, _provenance(cfg, report.scenario, None,
                                            report.nsim), report)
     elif subcommand == "region":
-        pts = cfg.grid_points()
-        regions = [rejection_region(scen, de, method) for de in pts]
+        regions = [rejection_region(scen, de, method) for de in grid]
         _write_region(out_dir, _provenance(cfg, scenario_echo(scen, method),
-                                           None, len(pts)), pts, regions)
+                                           None, len(grid)), grid, regions)
     else:                                   # the two-arm profiles
-        offsets = cfg.grid_points() if cfg.grid is not None \
-            else DEFAULT_TWO_ARM_OFFSETS
+        offsets = DEFAULT_TWO_ARM_OFFSETS if grid is None else grid
         seed, count = None, len(offsets)
         if subcommand == "two-arm-profile":
             profile = power_profile(scen, 0.0, method, offsets)
@@ -428,7 +428,6 @@ def dispatch(subcommand: str, cfg: ScenarioConfig, out_dir, *,
     """
     out_dir = Path(out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _dispatch_inner(subcommand, cfg, out_dir, mc_audit, tol)
     except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

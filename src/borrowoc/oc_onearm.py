@@ -5,8 +5,9 @@ Four layers, all exact unless stated otherwise:
 * per-external-mean characteristics from the rejection region: the
   boundaries of :func:`borrowoc.region.boundary_arrays` turn into exact
   normal probabilities for a whole vector of external means at once
-  (:func:`region_oc_arrays`); :func:`oc_fixed_external` is its one-row
-  case;
+  (:func:`region_oc_arrays`), the type I error rate at theta0, where the
+  null rejection rate peaks for every threshold c >= 1/2;
+  :func:`oc_fixed_external` is its one-row case;
 * the calibrated comparator: the plain z-test run at the borrowing test's
   realized size (:func:`power_calibrated`);
 * random-external characteristics in closed form for fixed weights
@@ -28,10 +29,10 @@ from .borrow import BorrowingMethod, tail_arrays
 # rejection_region and maximize_1d are no longer called here; the names stay
 # for bench/tracing.py, which wraps oc_onearm.rejection_region and
 # oc_onearm.maximize_1d
-from .region import Boundaries, boundary_arrays, rejection_region  # noqa: F401
+from .region import boundary_arrays, rejection_region  # noqa: F401
 from .scenarios import ScenarioOneArm
-from .statmath import (DomainError, RngStream, maximize_1d,  # noqa: F401
-                       norm_cdf, norm_quantile)
+from .statmath import (DomainError, RngStream, _check_count,
+                       maximize_1d, norm_cdf, norm_quantile)  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,10 @@ def oc_fixed_external(scen: ScenarioOneArm, dE_mean: float,
                       method: BorrowingMethod) -> OCPoint:
     """Exact operating characteristics for one fixed external mean.
 
-    The type I error rate is the supremum over the null: it is evaluated at
-    theta0 and, whenever the region has more than one interval (the
-    non-monotone Empirical Bayes regime), additionally maximized over
-    theta in [theta0 - 10 sigma/sqrt(n), theta0].  For single upper
-    intervals the boundary value is already the supremum.  This is the
-    one-row case of :func:`region_oc_arrays`, so it equals that function's
-    row for the same external mean exactly.
+    The type I error rate is the supremum over the null, which is the
+    rejection rate at theta0 (proof in :func:`region_oc_arrays`).  This is
+    the one-row case of :func:`region_oc_arrays`, so it equals that
+    function's row for the same external mean exactly.
     """
     t1e, pb = region_oc_arrays(scen, [float(dE_mean)], method)
     return OCPoint(t1e[0], pb[0], power_calibrated(float(t1e[0]), scen))
@@ -99,9 +97,7 @@ def t1e_closed_form_fixed_pp(scen: ScenarioOneArm, dE_mean: float,
     s_pi^2 = sigmaE^2/(delta nE), so the rate is one Phi evaluation.
     delta=0 returns the no-borrowing level exactly.
     """
-    delta = float(delta)
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
+    delta = BorrowingMethod.fixed_power_prior(delta).delta
     se = scen.se
     r = delta * scen.nE * se**2 / scen.sigmaE**2        # se^2 / s_pi^2
     shift = (dE_mean - scen.theta0) * delta * scen.nE * se / scen.sigmaE**2
@@ -119,9 +115,7 @@ def oc_random_external_fixed_pp(scen: ScenarioOneArm, thetaE: float,
     quantity is a single Phi evaluation; the calibrated power uses the
     averaged size alpha_B(thetaE).
     """
-    delta = float(delta)
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
+    delta = BorrowingMethod.fixed_power_prior(delta).delta
     se = scen.se
     r = delta * scen.nE * se**2 / scen.sigmaE**2
     sx = math.sqrt(1.0 + delta * r)
@@ -136,62 +130,40 @@ def oc_random_external_fixed_pp(scen: ScenarioOneArm, thetaE: float,
 # ---------------------------------------------------------------------------
 # vectorized per-external-mean engine
 
-_MAXCHECK_POINTS = 401
-_MAXCHECK_CHUNK = 4096        # rows per grid array: 13 MB per temporary
-_POLISH_STEPS = 3
-
-
-def _null_supremum(b: Boundaries, rows: np.ndarray, scen: ScenarioOneArm) -> np.ndarray:
-    """sup of the rejection probability over theta in [theta0 - 10 se, theta0]
-    for the given rows.
-
-    A 401-point grid, evaluated as one array per chunk of rows, finds each
-    row's best grid point; Newton steps on the derivative
-    sum_k signs_k phi(z_k)/se, z_k = (theta - r_k)/se, polish it within its
-    two neighbouring cells.  The larger of the grid and polished values is
-    returned, so a polish that fails to converge costs nothing.
-    """
-    se = scen.se
-    grid = np.linspace(scen.theta0 - 10.0 * se, scen.theta0, _MAXCHECK_POINTS)
-    best = np.empty(rows.size)
-    k = np.empty(rows.size, dtype=np.intp)
-    for start in range(0, rows.size, _MAXCHECK_CHUNK):
-        sl = slice(start, start + _MAXCHECK_CHUNK)
-        vals = b.prob(grid[:, None], se, rows[sl])
-        k[sl] = np.argmax(vals, axis=0)
-        best[sl] = vals[k[sl], np.arange(vals.shape[1])]
-    left = grid[np.maximum(k - 1, 0)]
-    right = grid[np.minimum(k + 1, _MAXCHECK_POINTS - 1)]
-    theta = grid[k]
-    roots, signs = b.roots[rows], b.signs[rows]
-    for _ in range(_POLISH_STEPS):
-        z = np.where(signs != 0.0, (theta[:, None] - roots) / se, 0.0)
-        dens = signs * np.exp(-0.5 * z * z)
-        slope = np.sum(dens, axis=1)
-        curv = -np.sum(z * dens, axis=1) / se
-        with np.errstate(invalid="ignore", divide="ignore"):
-            theta = np.clip(theta - slope / curv, left, right)
-    return np.fmax(best, b.prob(theta, se, rows))       # fmax skips a NaN polish
-
-
 def region_oc_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod):
     """Exact per-external-mean (t1e, power) arrays for a vector of external
-    means.
+    means: the region's rejection rates at theta0 and theta1, each row
+    computed independently of the others.
 
-    Power is the region's probability at theta1.  The type I error rate is
-    the supremum over the null: the probability at theta0 and, for rows
-    whose region has more than one interval (the non-monotone Empirical
-    Bayes regime), the maximum over theta in [theta0 - 10 se, theta0].  For
-    a single upper interval the value at theta0 already is the supremum.
-    Rows are computed independently of each other.
+    The type I error rate is the supremum of the rejection rate P(theta)
+    over the null theta <= theta0, and for c >= 1/2 (z_c >= 0) that is
+    P(theta0).  In se units, with t = (dE - theta0)/se, w = (x - dE)/se and
+    A(w) the ratio of posterior to current precision, the test rejects the
+    current mean x iff t > h(w) = z_c/sqrt(A) - w/A.  A is constant for no
+    or fixed-weight borrowing, so h is linear and decreasing and the region
+    is one upper interval.  Under Empirical Bayes A is even in w, constant
+    in agreement |w| <= r/se and w^2/(w^2 - 1) in conflict; with
+    q = sqrt(w^2 - 1):
+
+    1. h is strictly decreasing on (-inf, r/se]: linear in agreement, and
+       (q/|w|)(z_c + q), increasing in |w|, in left conflict.
+    2. On (r/se, inf), h = (q/w)(z_c - q) rises while q^3 + 2q < z_c and
+       falls after (h' = (z_c - q^3 - 2q)/(q w^2)).  So a region is
+       (l, inf) or (l, u) u (l2, inf), and no piece starts at -inf.
+    3. In the two-piece case w_u lies on the rising part, where q < z_c,
+       so t = h(w_u) > 0: dE > theta0.  And h(-w_u) = h(w_u) + 2 w_u/A > t
+       = h(w_l) with h decreasing there, so w_l > -w_u: the lower piece's
+       midpoint lies above dE.
+    4. dP/dtheta = sum_k [phi((l_k - theta)/se) - phi((u_k - theta)/se)]/se
+       over the pieces (l_k, u_k), and every term is positive below the
+       lowest piece's midpoint (+inf for one piece).  That midpoint lies
+       above theta0, so P increases on theta <= theta0.
+
+    For c < 1/2 step 1 fails and the supremum can exceed P(theta0); the
+    scenarios refuse such thresholds.
     """
-    de = np.asarray(de, dtype=float)
-    b = boundary_arrays(scen, de, method)
-    t1e, power = b.prob(np.array([[scen.theta0], [scen.theta1]]), scen.se)
-    multi = np.nonzero(np.count_nonzero(b.signs > 0, axis=1) + b.start > 1)[0]
-    if multi.size:
-        t1e[multi] = np.maximum(t1e[multi], _null_supremum(b, multi, scen))
-    return t1e, power
+    b = boundary_arrays(scen, np.asarray(de, dtype=float), method)
+    return tuple(b.prob(np.array([[scen.theta0], [scen.theta1]]), scen.se))
 
 
 def _random_external_arrays(scen: ScenarioOneArm, thetaE: float,
@@ -203,8 +175,7 @@ def _random_external_arrays(scen: ScenarioOneArm, thetaE: float,
     (seed, 0): external means; then, in literal mode only, current means
     under theta0 and under theta1.
     """
-    if nsim < 1:
-        raise DomainError(f"nsim must be >= 1, got {nsim!r}")
+    nsim = _check_count("nsim", nsim)
     gen = RngStream(seed, 0).generator()
     de = gen.normal(float(thetaE), scen.seE, nsim)
     if literal:

@@ -42,7 +42,8 @@ from .borrow import (BorrowingMethod, EMPIRICAL_BAYES, FIXED_POWER_PRIOR,
 from .oc_onearm import OCPoint
 from .scenarios import ScenarioTwoArm
 from .statmath import (DomainError, Interval, NonConvergenceError, RngStream,
-                       integrate, maximize_1d, norm_cdf, norm_quantile)
+                       _check_count, integrate, maximize_1d, norm_cdf,
+                       norm_quantile)
 
 _INNER_GL_NODES = 40
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
@@ -460,8 +461,7 @@ def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
     stream (seed, o+1): control and treatment means under the null, then
     under the alternative, and records raw 0/1 decisions.
     """
-    if nsim < 1:
-        raise DomainError(f"nsim must be >= 1, got {nsim!r}")
+    nsim = _check_count("nsim", nsim)
     offs = tuple(float(x) for x in offsets)
     e = RngStream(seed, 0).generator().normal(float(thetaE), scen.seE, nsim)
     thcs = [float(thetaE) + x * scen.sigma for x in offs]

@@ -158,11 +158,11 @@ def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod) -> Bounda
     at the row's window (theta0 +- 10 se joined with dE +- 10 seE) or, for
     a root outside it, one window width beyond that root.  The decision
     there is the posterior z-score test (mean - theta0)/sd > z_c, which is
-    the posterior-tail test ``tail > c`` without the normal CDF's underflow
-    (so c = 0 rejects everywhere).  A candidate whose two neighbouring segments
-    decide alike (a tangency, or no root at all) is dropped.  Every step is
-    elementwise in the rows, so a row's result does not depend on the rest
-    of the batch; only the padded width of ``roots`` does.
+    the posterior-tail test ``tail > c`` without the normal CDF's underflow.
+    A candidate whose two neighbouring segments decide alike (a tangency,
+    or no root at all) is dropped.  Every step is elementwise in the rows,
+    so a row's result does not depend on the rest of the batch; only the
+    padded width of ``roots`` does.
     """
     de = np.atleast_1d(np.asarray(de, dtype=float))
     bad = de[~np.isfinite(de)]
@@ -181,8 +181,7 @@ def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod) -> Bounda
     if method.kind == EMPIRICAL_BAYES:
         agree = np.abs(cand - de[:, None]) <= math.sqrt(v + seE * seE)
         cand = np.where(agree, cand, np.nan)
-        if math.isfinite(zc):
-            cand = np.concatenate([cand, _conflict_roots(de, scen, zc)], axis=1)
+        cand = np.concatenate([cand, _conflict_roots(de, scen, zc)], axis=1)
 
     roots = np.sort(np.where(np.isfinite(cand), cand, np.inf), axis=1)
     # outer segments end at the window, or beyond the outermost root

@@ -40,7 +40,7 @@ from .oc_onearm import (_random_external_arrays,  # noqa: F401
 from .oc_twoarm import (_random_two_arm_mc_grids, oc_fixed_external_two_arm,
                         power_calibrated_two_arm, power_profile)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
-from .statmath import DomainError, RngStream
+from .statmath import DomainError, RngStream, _check_count, _check_finite
 
 DEFAULT_NSIM_FIXED = 100
 DEFAULT_NSIM_RANDOM = 100_000
@@ -217,11 +217,8 @@ def scenario_echo(scen, method: BorrowingMethod, thetaE: float | None = None,
 
 
 def _check_run_args(thetaE: float, nsim: int) -> float:
-    thetaE = float(thetaE)
-    if not math.isfinite(thetaE):
-        raise DomainError(f"thetaE must be finite, got {thetaE!r}")
-    if nsim < 1:
-        raise DomainError(f"nsim must be >= 1, got {nsim!r}")
+    thetaE = _check_finite("thetaE", thetaE)
+    _check_count("nsim", nsim)
     return thetaE
 
 

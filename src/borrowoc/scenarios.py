@@ -10,16 +10,20 @@ from .statmath import DomainError, _check_count, _check_finite, _check_positive
 
 def _check_shared(scen) -> None:
     """Validate and normalize the fields both designs share: nE, sigma,
-    alpha, c (default 1 - alpha) and sigmaE (default sigma)."""
+    alpha, c (default 1 - alpha, at least 1/2) and sigmaE (default sigma)."""
     object.__setattr__(scen, "nE", _check_count("nE", scen.nE))
     object.__setattr__(scen, "sigma", _check_positive("sigma", scen.sigma))
     alpha = float(scen.alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"'alpha' must lie in (0, 1), got {scen.alpha!r}")
     object.__setattr__(scen, "alpha", alpha)
+    # c >= 1/2 makes the one-arm level exact (oc_onearm.region_oc_arrays)
     c = 1.0 - alpha if scen.c is None else float(scen.c)
-    if not 0.0 <= c < 1.0:
-        raise DomainError(f"'c' must lie in [0, 1), got {scen.c!r}")
+    if not 0.5 <= c < 1.0:
+        if scen.c is None:
+            raise DomainError(f"'alpha' must not exceed 0.5 when 'c' is "
+                              f"omitted (c = 1 - alpha), got {scen.alpha!r}")
+        raise DomainError(f"'c' must lie in [0.5, 1), got {scen.c!r}")
     object.__setattr__(scen, "c", c)
     sigmaE = scen.sigma if scen.sigmaE is None else _check_positive("sigmaE", scen.sigmaE)
     object.__setattr__(scen, "sigmaE", sigmaE)
@@ -29,10 +33,10 @@ def _check_shared(scen) -> None:
 class ScenarioOneArm:
     """One-arm trial testing H0: theta <= theta0 with external borrowing.
 
-    ``c`` is the posterior-probability rejection threshold (default
-    ``1 - alpha``, the calibration-free setting in which borrowing shifts the
-    operating characteristics); ``sigmaE`` defaults to ``sigma``; ``theta1``
-    is the fixed alternative at which power is evaluated.
+    ``c`` is the posterior-probability rejection threshold, in [1/2, 1)
+    (default ``1 - alpha``, the calibration-free setting in which borrowing
+    shifts the operating characteristics); ``sigmaE`` defaults to ``sigma``;
+    ``theta1`` is the fixed alternative at which power is evaluated.
     """
 
     n: int

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ class DomainError(NumericsError, ValueError):
 
 
 def _check_count(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
         raise DomainError(f"{name!r} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -213,8 +215,7 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
         If the panel budget is exhausted before the error estimate drops
         below ``abs_tol``.
     """
-    if not (math.isfinite(abs_tol) and abs_tol > 0.0):
-        raise DomainError("abs_tol must be finite and positive")
+    _check_positive("abs_tol", abs_tol)
     mu, sd = (0.0, 1.0) if gaussian_hint is None else map(float, gaussian_hint)
     if not sd > 0.0:
         raise DomainError("gaussian_hint scale must be positive")
@@ -263,8 +264,7 @@ def find_root(f, bracket: Interval, tol: float = 1e-10) -> float:
     """
     if not bracket.finite:
         raise DomainError("root bracket must be finite")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tol must be finite and positive")
+    _check_positive("tol", tol)
     # imported here so that loading the package does not load scipy.optimize
     from scipy.optimize import brentq
     try:
@@ -290,8 +290,7 @@ def maximize_1d(f, domain: Interval, tol: float = 1e-10):
     """
     if not domain.finite:
         raise DomainError("maximization domain must be finite")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tol must be finite and positive")
+    _check_positive("tol", tol)
     xs = np.linspace(domain.lo, domain.hi, _GRID_POINTS)
     ys = np.array([f(x) for x in xs], dtype=float)
     i = int(np.argmax(ys))                      # first occurrence = smallest x

@@ -214,7 +214,7 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert subcommand in err and "--mc-audit" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["0", "inf"])
     def test_unusable_tolerance(self, tmp_path, capsys, tol):
@@ -227,7 +227,7 @@ class TestExitCodes:
                    "--tol", tol])
         assert rc == EXIT_CONFIG
         assert "tol" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_numeric_failure_maps_to_exit_3(self, tmp_path, capsys,
                                             monkeypatch):
@@ -456,7 +456,7 @@ class TestDecisionMatrix:
             # a design name must stand alone, not inside a subcommand name
             assert re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", err)
         if code != EXIT_OK:
-            assert not any(out.iterdir())
+            assert not out.exists()
 
     def test_subcommand_names_agree(self):
         parser = cli._build_parser()
@@ -509,6 +509,8 @@ SINGLE_FAULTS = [
     (one_arm(sigma=0.0), "sigma"), (one_arm(sigmaE=-1.0), "sigmaE"),
     (one_arm(alpha=1.5), "alpha"), (one_arm(c=1.0), "c"),
     (one_arm(theta1=0.0), "theta1"), (two_arm(theta1=-1.0), "theta1"),
+    # thresholds below 1/2, given as c or as c = 1 - alpha
+    (one_arm(c=0.3), "c"), (one_arm(alpha=0.7), "alpha"),
 ]
 
 

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from borrowoc import (
     BorrowingMethod,
     DomainError,
     OCPoint,
     ScenarioOneArm,
+    ScenarioTwoArm,
     norm_cdf,
     norm_quantile,
     oc_fixed_external,
@@ -19,6 +21,7 @@ from borrowoc import (
     t1e_closed_form_fixed_pp,
 )
 from borrowoc.oc_onearm import region_oc_arrays
+from borrowoc.region import boundary_arrays
 
 SCEN = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
                       nE=20, theta1=0.5)
@@ -198,6 +201,44 @@ class TestNeymanPearson:
             # power_calibrated row by row, as one array expression
             power_diff = power - norm_cdf(shift + norm_quantile(t1e))
             assert power_diff.max() <= 1e-12, method.kind
+
+
+class TestLevelIsTheNullBoundary:
+    # region_oc_arrays reports P(theta0) as the level; its docstring proves
+    # that this is the supremum over the null for every c >= 1/2
+    @given(n=st.integers(2, 400), nE=st.integers(2, 6000),
+           sigma=st.floats(0.2, 3.0), sigmaE=st.floats(0.2, 3.0),
+           theta0=st.floats(-2.0, 2.0), t=st.floats(-3.0, 6.0),
+           c=st.floats(0.5, 0.999))
+    @example(n=25, nE=1000, sigma=1.0, sigmaE=1.0, theta0=0.0, t=0.5,
+             c=0.975)
+    def test_lemma(self, n, nE, sigma, sigmaE, theta0, t, c):
+        scen = ScenarioOneArm(n=n, sigma=sigma, theta0=theta0, alpha=0.025,
+                              nE=nE, theta1=theta0 + 1.0, c=c, sigmaE=sigmaE)
+        se = scen.se
+        # external means dE = theta0 + t se: the drawn t and a sweep that
+        # holds every two-piece region (0 < t < z_c <= 3.09) and those a
+        # threshold below 1/2 would add at t < 0
+        de = theta0 + se * np.append(np.linspace(-3.0, 3.1, 245), t)
+        b = boundary_arrays(scen, de, EB)
+        pieces = np.count_nonzero(b.signs > 0, axis=1)
+        assert not b.start.any() and pieces.max() <= 2
+        multi = pieces == 2
+        lowest_mid = b.roots[multi, :2].mean(axis=1)
+        assert np.all(lowest_mid >= de[multi]) and np.all(de[multi] >= theta0)
+        t1e, _ = region_oc_arrays(scen, de, EB)
+        grid = np.linspace(theta0 - 10.0 * se, theta0, 401)
+        assert np.all(b.prob(grid[:, None], se) <= t1e + 1e-15)
+
+    def test_thresholds_below_one_half_are_refused(self):
+        one = dict(n=25, sigma=1.0, theta0=0.0, nE=20, theta1=0.5)
+        two = dict(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0)
+        for cls, kw in ((ScenarioOneArm, one), (ScenarioTwoArm, two)):
+            with pytest.raises(DomainError, match="'c'"):
+                cls(**kw, alpha=0.025, c=0.3)
+            with pytest.raises(DomainError, match="'alpha'"):
+                cls(**kw, alpha=0.7)        # c = 1 - alpha = 0.3
+            assert cls(**kw, alpha=0.5).c == 0.5
 
 
 class TestRandomExternalClosedForm:

@@ -11,6 +11,7 @@ from borrowoc import (
     ArmSummary,
     BorrowingMethod,
     Interval,
+    RejectionRegion,
     ScenarioOneArm,
     decide_borrow,
     interval_count,
@@ -126,8 +127,9 @@ class TestNarrowSliver:
 
 ORACLE_SCENARIOS = {
     "base": SCEN_BIG_EXT,
-    "c=0.3": ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
-                            nE=1000, theta1=0.5, c=0.3),
+    # z_c = 0: the near-double quartic roots of region._conflict_roots
+    "c=0.5": ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
+                            nE=1000, theta1=0.5, c=0.5),
     "sigmaE!=sigma": ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
                                     nE=300, theta1=0.5, sigmaE=1.7),
     "theta0!=0": ScenarioOneArm(n=40, sigma=2.0, theta0=0.7, alpha=0.05,
@@ -139,9 +141,9 @@ ORACLE_METHODS = {"none": BorrowingMethod.none(),
 # a sweep; both edges of the base scenario's two-interval band (0.05628 and
 # 0.14522) and points inside it, among them the narrow piece of
 # TestNarrowSliver; points inside the other scenarios' two-interval bands
-# (about -0.0133..-0.0115, 0.1295..0.1452 and 0.810..0.872); far conflict
-# on either side
-ORACLE_DE = (*np.linspace(-1.0, 1.5, 26).round(10), -0.0125,
+# (about 0.1295..0.1452 and 0.810..0.872; at c = 0.5 there is none); far
+# conflict on either side
+ORACLE_DE = (*np.linspace(-1.0, 1.5, 26).round(10),
              0.0562, 0.056286, 0.0563, 0.0564, 0.08, 0.1, 0.12, 0.135, 0.14,
              0.1451, 0.1452, 0.1453, 0.83, 0.85, -20.0, 20.0)
 
@@ -183,6 +185,10 @@ def test_algebraic_region_matches_dense_scan(scen, method):
         assert region.scan_bounds == oracle.scan_bounds
         if min((iv.width for iv in oracle.intervals), default=math.inf) <= 4.0 * step:
             continue    # a piece the scan cannot resolve
+        edges = (region.scan_bounds.lo, region.scan_bounds.hi)
+        if any(abs(x - e) <= 1e-9 for iv in region.intervals
+               for x in (iv.lo, iv.hi) for e in edges):
+            continue    # a boundary on the window's edge: a rounding tie
         compared += 1
         seen = _seen_by_scan(region, scen, de, method, step)
         assert len(seen) == interval_count(oracle), de
@@ -204,17 +210,24 @@ def test_region_is_its_batch_row():
         assert _region_row(batch, j) == rejection_region(SCEN_BIG_EXT, d, eb)
 
 
+ALWAYS = RejectionRegion((Interval(-math.inf, math.inf),),
+                         Interval(-5.0, 5.0), flagged=True)
+
+
 class TestFlaggedDegenerateScan:
     def test_always_reject_threshold(self):
-        # c = 0 rejects on any positive tail mass: no crossing anywhere
-        region = rejection_region(dataclasses.replace(SCEN, c=0.0), 0.0,
-                                  BorrowingMethod.none())
+        assert rejection_prob(ALWAYS, 0.0, SCEN.n, SCEN.sigma) == 1.0
+
+    def test_boundary_below_the_window_is_flagged(self):
+        # full borrowing of a favourable external mean puts the only
+        # boundary near -9.5, below the window edge theta0 - 10 se = -2
+        region = rejection_region(dataclasses.replace(SCEN, nE=1000), 0.3,
+                                  BorrowingMethod.fixed_power_prior(1.0))
         assert region.flagged
-        assert region.intervals == (Interval(-math.inf, math.inf),)
-        assert rejection_prob(region, 0.0, SCEN.n, SCEN.sigma) == 1.0
+        (iv,) = region.intervals
+        assert iv.lo < region.scan_bounds.lo == -2.0 and iv.hi == math.inf
 
     def test_empty_region_has_zero_mass(self):
-        from borrowoc import RejectionRegion
         region = RejectionRegion((), Interval(-5.0, 5.0), flagged=True)
         assert rejection_prob(region, 0.0, SCEN.n, SCEN.sigma) == 0.0
 
@@ -266,6 +279,4 @@ class TestRejectionProb:
         assert all(p > 0.0 for p in parts)
 
     def test_clipped_to_unit_interval(self):
-        region = rejection_region(dataclasses.replace(SCEN, c=0.0), 0.0,
-                                  BorrowingMethod.none())
-        assert rejection_prob(region, 100.0, 25, 1.0) == 1.0
+        assert rejection_prob(ALWAYS, 100.0, 25, 1.0) == 1.0
