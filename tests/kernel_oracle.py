@@ -4,7 +4,9 @@
 ``inner_reject_gl`` walks the three Gauss-Legendre segments (each cut into
 equal pieces when nt > nc) of the two-arm Empirical Bayes inner rule one
 at a time, for one treatment mean, with the normal quantile of the
-posterior threshold recomputed on every call.  The engines in
+posterior threshold recomputed on every call.  ``profile`` builds a two-arm
+profile from them one offset at a time, with a scalar grid scan and
+golden-section polish for its maximum.  The engines in
 ``borrowoc.statmath`` and ``borrowoc.oc_twoarm`` do the same
 floating-point operations in fewer NumPy calls, so they must agree with
 these loops exactly, not to a tolerance.
@@ -18,8 +20,8 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from borrowoc import DomainError, NonConvergenceError, norm_quantile
-from borrowoc.borrow import posterior_arrays
+from borrowoc import DomainError, Interval, NonConvergenceError, norm_quantile
+from borrowoc.borrow import EMPIRICAL_BAYES, posterior_arrays
 from borrowoc.statmath import _GAUSS_TRUNC, _MAX_PANELS, _WG, _WGK, _XGK
 
 GL_X, GL_W = np.polynomial.legendre.leggauss(40)
@@ -118,3 +120,96 @@ def inner_reject_gl(scen, e, theta_c: float, theta_t: float, method):
                 * _conditional_reject(scen, x, e[..., None], method, theta_t))
         total += half * (vals * weights).sum(axis=-1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# serial two-arm profiles: one scalar integral per offset, one offset at a
+# time, maximized by a scalar grid scan plus golden-section polish
+
+
+def reject_prob_two_arm(scen, theta_c: float, theta_t: float, dE_mean: float,
+                        method, tol: float = 1e-9) -> float:
+    """Fixed-external rejection probability: one adaptive integral over the
+    control mean, split at dE_mean -+ r under Empirical Bayes."""
+    se_c = scen.sigma / math.sqrt(scen.nc)
+
+    def f(x):
+        return (_norm_pdf(x, theta_c, se_c)
+                * _conditional_reject(scen, x, dE_mean, method, theta_t))
+
+    breakpoints = ()
+    if method.kind == EMPIRICAL_BAYES:
+        r = math.sqrt(se_c**2 + scen.seE**2)
+        breakpoints = (dE_mean - r, dE_mean + r)
+    val = integrate(f, Interval(-math.inf, math.inf), tol,
+                    breakpoints=breakpoints, gaussian_hint=(theta_c, se_c))
+    return min(max(val, 0.0), 1.0)
+
+
+def random_reject(scen, theta_c: float, theta_t: float, thetaE: float,
+                  method, tol: float = 1e-9) -> float:
+    """Rejection probability with the external mean N(thetaE, seE^2): an
+    adaptive integral over the external mean of the segment-loop inner
+    rule."""
+    seE = scen.seE
+
+    def g(e):
+        return (_norm_pdf(e, thetaE, seE)
+                * inner_reject_gl(scen, e, theta_c, theta_t, method))
+
+    val = integrate(g, Interval(-math.inf, math.inf), tol,
+                    gaussian_hint=(thetaE, seE))
+    return min(max(val, 0.0), 1.0)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def maximize_1d(f, lo: float, hi: float, tol: float = 1e-10):
+    """401-point scan, then golden section in the best grid cell, one
+    scalar ``f(x)`` call per point."""
+    xs = np.linspace(lo, hi, 401)
+    ys = np.array([f(x) for x in xs], dtype=float)
+    i = int(np.argmax(ys))
+    best_x, best_y = float(xs[i]), float(ys[i])
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 400)])
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+    xm = 0.5 * (a + b)
+    ym = float(f(xm))
+    if ym > best_y or (ym == best_y and xm < best_x):
+        best_x, best_y = xm, ym
+    return best_x, best_y
+
+
+def profile(scen, reject, offsets):
+    """``(t1e, alphaB_max, argmax_offset, power)`` of a two-arm profile from
+    a scalar ``reject(x, effect)``: the requested offsets one at a time, the
+    upper end doubled while the null rate still climbs below 1 - 1e-9, the
+    scalar scan-and-polish maximum, and a requested offset beating it."""
+    offs = [float(x) for x in offsets]
+    t1e = [reject(x, 0.0) for x in offs]
+    lo = min([-6.0, *offs])
+    hi = max([6.0, *offs])
+    while True:
+        end = reject(hi, 0.0)
+        if end > 1.0 - 1e-9 or reject(hi - 1e-3, 0.0) >= end:
+            break
+        if hi >= 1536.0:
+            raise NonConvergenceError("profile still climbing")
+        hi *= 2.0
+    xstar, amax = maximize_1d(lambda x: reject(x, 0.0), lo, hi)
+    amax = min(amax, 1.0)
+    for x, v in zip(offs, t1e):
+        if v > amax:
+            amax, xstar = v, x
+    return t1e, amax, xstar, [reject(x, scen.theta1) for x in offs]
