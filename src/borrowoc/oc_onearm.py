@@ -31,7 +31,7 @@ from .borrow import BorrowingMethod, tail_arrays
 # oc_onearm.maximize_1d
 from .region import boundary_arrays, rejection_region  # noqa: F401
 from .scenarios import ScenarioOneArm
-from .statmath import (DomainError, RngStream, _check_count,
+from .statmath import (DomainError, RngStream, _check_count, _check_finite,
                        maximize_1d, norm_cdf, norm_quantile)  # noqa: F401
 
 
@@ -97,6 +97,7 @@ def t1e_closed_form_fixed_pp(scen: ScenarioOneArm, dE_mean: float,
     s_pi^2 = sigmaE^2/(delta nE), so the rate is one Phi evaluation.
     delta=0 returns the no-borrowing level exactly.
     """
+    dE_mean = _check_finite("dE_mean", dE_mean)
     delta = BorrowingMethod.fixed_power_prior(delta).delta
     se = scen.se
     r = delta * scen.nE * se**2 / scen.sigmaE**2        # se^2 / s_pi^2
@@ -115,6 +116,7 @@ def oc_random_external_fixed_pp(scen: ScenarioOneArm, thetaE: float,
     quantity is a single Phi evaluation; the calibrated power uses the
     averaged size alpha_B(thetaE).
     """
+    thetaE = _check_finite("thetaE", thetaE)
     delta = BorrowingMethod.fixed_power_prior(delta).delta
     se = scen.se
     r = delta * scen.nE * se**2 / scen.sigmaE**2
@@ -176,8 +178,9 @@ def _random_external_arrays(scen: ScenarioOneArm, thetaE: float,
     under theta0 and under theta1.
     """
     nsim = _check_count("nsim", nsim)
+    thetaE = _check_finite("thetaE", thetaE)
     gen = RngStream(seed, 0).generator()
-    de = gen.normal(float(thetaE), scen.seE, nsim)
+    de = gen.normal(thetaE, scen.seE, nsim)
     if literal:
         d0 = gen.normal(scen.theta0, scen.se, nsim)
         d1 = gen.normal(scen.theta1, scen.se, nsim)

@@ -14,9 +14,16 @@ Engines:
   the test statistic is linear in the jointly Gaussian sample means;
 * Empirical Bayes weights require one adaptive quadrature over the control
   mean, split at the two points where the fitted weight stops saturating;
+  the integrals of many offsets run as one lockstep batch
+  (``statmath._integrate_batch``), each with the same value as alone, so
+  a profile evaluates its requested offsets and the 401-point scan of its
+  maximizer as one batch each, with at most ``_BATCH_NODES`` nodes per
+  integrand call;
 * random external data add an outer expectation over the external mean --
   closed-form again for fixed weights, an outer adaptive quadrature with a
-  vectorized inner Gauss-Legendre rule for Empirical Bayes, and a seeded
+  vectorized inner Gauss-Legendre rule for Empirical Bayes (batched over
+  offsets in the same way, the inner-rule nodes of at most 256 external
+  means per call), and a seeded
   Monte Carlo variant for audit.  The inner rule is one fused pass over its
   three segments per batch of external means; it skips segments clipped to
   zero width and serves the null and the alternative treatment means from
@@ -31,6 +38,7 @@ Engines:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,15 +49,23 @@ from .borrow import (BorrowingMethod, EMPIRICAL_BAYES, FIXED_POWER_PRIOR,
                      NO_BORROWING, posterior_arrays)
 from .oc_onearm import OCPoint
 from .scenarios import ScenarioTwoArm
+# integrate and maximize_1d are no longer called here; the names stay for
+# bench/tracing.py, which wraps oc_twoarm.integrate and oc_twoarm.maximize_1d
 from .statmath import (DomainError, Interval, NonConvergenceError, RngStream,
-                       _check_count, integrate, maximize_1d, norm_cdf,
-                       norm_quantile)
+                       _check_count, _check_finite, _cuts, _integrate_batch,
+                       _maximize, integrate, maximize_1d, norm_cdf,
+                       norm_quantile)  # noqa: F401
 
 _INNER_GL_NODES = 40
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
 _SATURATION = 1.0 - 1e-9
 _SLOPE_PROBE = 1e-3
 _MAX_DOMAIN = 1536.0
+# nodes per integrand call of a batch of two-arm integrals: the inner-rule
+# nodes of 256 external means (3 segments of 40 nodes each).  Bounds the
+# temporaries of a 401-offset scan as _CURVE_CALL_ROWS bounds the curve's.
+_BATCH_NODES = 256 * 3 * _INNER_GL_NODES
+_WHOLE_LINE = Interval(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -156,89 +172,105 @@ def _threshold(mc, sc, zc: float, se_t: float):
 
 def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
                         dE_mean: float, method: BorrowingMethod, *,
-                        engine: str = "auto", tol: float = 1e-9) -> float:
+                        engine: str = "auto",
+                        tol: float = 1e-9) -> float | np.ndarray:
     """Rejection probability at true means (theta_c, theta_t) for one fixed
     external mean.
 
     ``engine="auto"`` uses the linear-Gaussian closed form for fixed
     weights and adaptive quadrature over the control mean for Empirical
     Bayes; ``"quadrature"`` forces the integral (cross-checking the closed
-    form).
+    form).  The three means broadcast against each other: arrays give an
+    array of probabilities, one independent integral each, evaluated as
+    one lockstep batch with the same values as one call per entry; scalars
+    give a float.
     """
     if engine not in ("auto", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
+    means = [_check_finite(name, v) for name, v in
+             (("theta_c", theta_c), ("theta_t", theta_t), ("dE_mean", dE_mean))]
+    scalar = all(np.ndim(v) == 0 for v in means)
     if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
-        return float(_closed_fixed(scen, theta_c, theta_t, dE_mean,
-                                   _method_delta(method)))
+        out = _closed_fixed(scen, *means, _method_delta(method))
+        return float(out) if scalar else out
 
+    shape = np.broadcast_shapes(*(np.shape(v) for v in means))
+    thc, tht, de = (np.broadcast_to(v, shape).ravel() for v in means)
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     zc = norm_quantile(scen.c)
 
-    def f(x):
-        mc, sc = posterior_arrays(x, dE_mean, scen.nc, scen.sigma,
+    def f(x, k):
+        mc, sc = posterior_arrays(x, de[k], scen.nc, scen.sigma,
                                   scen.nE, scen.sigmaE, method)
-        return (_norm_pdf(x, theta_c, se_c)
-                * ndtr((theta_t - _threshold(mc, sc, zc, se_t)) / se_t))
+        return (_norm_pdf(x, thc[k], se_c)
+                * ndtr((tht[k] - _threshold(mc, sc, zc, se_t)) / se_t))
 
-    breakpoints = ()
-    if method.kind == EMPIRICAL_BAYES:
-        r = math.sqrt(se_c**2 + scen.seE**2)
-        breakpoints = (dE_mean - r, dE_mean + r)
-    val = integrate(f, Interval(-math.inf, math.inf), abs_tol=tol,
-                    breakpoints=breakpoints, gaussian_hint=(theta_c, se_c))
-    return min(max(val, 0.0), 1.0)
+    r = math.sqrt(se_c**2 + scen.seE**2)
+    eb = method.kind == EMPIRICAL_BAYES
+    cuts = [_cuts(_WHOLE_LINE, (d - r, d + r) if eb else (), (c, se_c))
+            for c, d in zip(thc.tolist(), de.tolist())]
+    vals = _integrate_batch(f, cuts, tol, _BATCH_NODES)
+    out = np.clip(vals, 0.0, 1.0).reshape(shape)
+    return float(out) if scalar else out
 
 
-def _profile_max(f, offsets) -> tuple[float, float]:
-    """Maximize a type-I-error profile f over offsets.
+def _profile_max(reject, offsets) -> tuple[float, float]:
+    """Maximize the type-I-error profile ``reject(x, 0)`` over offsets x.
 
     Starts from the hull of [-6, 6] and the requested offsets; the upper
     end is doubled while the profile is still climbing there and has not
     saturated at 1 (within 1e-9), so a supremum approached in the limit is
-    localized deterministically.  Returns (max, argmax).
+    localized deterministically.  The 401-point scan of the maximizer is
+    one batch; its polish is serial.  Returns (max, argmax).
     """
     lo = min(-6.0, float(min(offsets))) if len(offsets) else -6.0
     hi = max(6.0, float(max(offsets))) if len(offsets) else 6.0
     while True:
-        end = f(hi)
-        if end > _SATURATION or f(hi - _SLOPE_PROBE) >= end:
+        end = reject(hi, 0.0)
+        if end > _SATURATION or reject(hi - _SLOPE_PROBE, 0.0) >= end:
             break
         if hi >= _MAX_DOMAIN:
             raise NonConvergenceError(
                 "type-I-error profile still climbing at offset "
                 f"{hi}; maximization domain exhausted")
         hi *= 2.0
-    xstar, amax = maximize_1d(f, Interval(lo, hi))
+    xstar, amax = _maximize(lambda x: reject(x, 0.0),
+                            lambda xs: reject(xs, 0.0), Interval(lo, hi))
     return min(amax, 1.0), xstar
 
 
 def _profile(scen: ScenarioTwoArm, reject, offsets,
              power: bool = True) -> OCProfile:
     """Offset profile from ``reject(x, effect)``, the rejection probability
-    with the control mean at offset x and the treatment mean ``effect``
-    above it: the null rate per offset and its refined maximum (a requested
-    offset beating that maximum by rounding wins, the smallest first), plus
-    power at theta1 per offset and the calibrated comparator if ``power``.
+    with the control mean at offset x (a float or an array of offsets) and
+    the treatment mean ``effect`` above it: the null rate per offset and
+    its refined maximum (a requested offset beating that maximum by
+    rounding wins, the smallest first), plus power at theta1 per offset
+    and the calibrated comparator if ``power``.  The requested offsets are
+    evaluated as one batch per effect.
     """
-    offs = tuple(float(x) for x in offsets)
-    t1e = tuple(reject(x, 0.0) for x in offs)
-    amax, xstar = _profile_max(lambda x: reject(x, 0.0), offs)
+    offs = _check_finite("offsets", [float(x) for x in offsets])
+    t1e = reject(offs, 0.0).tolist()
+    offs = offs.tolist()
+    amax, xstar = _profile_max(reject, offs)
     for x, v in zip(offs, t1e):
         if v > amax:
             amax, xstar = v, x
     if not power:
         return OCProfile(offs, t1e, amax, xstar)
     return OCProfile(offs, t1e, amax, xstar,
-                     power_borrow=tuple(reject(x, scen.theta1) for x in offs),
+                     power_borrow=reject(np.asarray(offs), scen.theta1).tolist(),
                      power_calibrated=power_calibrated_two_arm(amax, scen))
 
 
 def _fixed_reject(scen: ScenarioTwoArm, dE_mean: float,
                   method: BorrowingMethod):
     """``reject(x, effect)`` for a fixed external mean dE_mean."""
+    dE_mean = _check_finite("dE_mean", dE_mean)
+
     def reject(x, effect):
-        thc = dE_mean + x * scen.sigma
+        thc = dE_mean + np.asarray(x, dtype=float) * scen.sigma
         return reject_prob_two_arm(scen, thc, thc + effect, dE_mean, method)
     return reject
 
@@ -273,20 +305,26 @@ def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
 # random external data
 
 
+@functools.cache
 def _gl_pieces(m: int):
     """The inner Gauss-Legendre rule on [-1, 1] split into m equal pieces:
-    (nodes, weights) of a 40m-node composite rule; m = 1 gives the plain
-    rule bit for bit."""
+    (nodes, weights) of a 40m-node composite rule, read-only and built
+    once per m; m = 1 gives the plain rule bit for bit."""
     shift = (2.0 * np.arange(m) + 1.0) / m - 1.0
-    return (shift[:, None] + _GL_X / m).ravel(), np.tile(_GL_W / m, m)
+    rule = (shift[:, None] + _GL_X / m).ravel(), np.tile(_GL_W / m, m)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
-def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c: float,
+def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
                      theta_ts, method: BorrowingMethod,
                      zc: float) -> np.ndarray:
     """Conditional rejection probabilities given each external mean in the
     1-D array ``e``, one row per treatment mean in ``theta_ts``,
     integrating over the control mean with a segmented Gauss-Legendre rule.
+    The control mean ``theta_c`` and each treatment mean are a float or an
+    array with one entry per external mean.
 
     Segment boundaries sit at e +- r (where the fitted weight stops
     saturating), clipped to the 8.5-sigma truncation window around the
@@ -316,41 +354,51 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c: float,
     ends[:, 3] = hi
     half = 0.5 * np.maximum(ends[:, 1:] - ends[:, :-1], 0.0)
     live = half > 0.0                           # (row, segment) pairs
+
+    def per_segment(v):
+        """a float or one value per row -> a column, one per live segment"""
+        return np.broadcast_to(np.reshape(v, (-1, 1)), live.shape)[live][:, None]
+
     h = half[live]
     mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
     x = mid[live][:, None] + h[:, None] * gl_x
-    e_live = np.broadcast_to(e[:, None], live.shape)[live][:, None]
-    mc, sc = posterior_arrays(x, e_live, scen.nc, scen.sigma, scen.nE,
+    mc, sc = posterior_arrays(x, per_segment(e), scen.nc, scen.sigma, scen.nE,
                               scen.sigmaE, method)
-    pdf = _norm_pdf(x, theta_c, se_c)
+    pdf = _norm_pdf(x, per_segment(theta_c), se_c)
     tau = _threshold(mc, sc, zc, se_t)
     seg = np.zeros((len(theta_ts),) + live.shape)
     for k, theta_t in enumerate(theta_ts):
-        vals = pdf * ndtr((theta_t - tau) / se_t)
+        vals = pdf * ndtr((per_segment(theta_t) - tau) / se_t)
         seg[k][live] = h * (vals * gl_w).sum(axis=-1)
     # segment sums onto a zero total, lower, middle, upper
     return 0.0 + seg[..., 0] + seg[..., 1] + seg[..., 2]
 
 
-def _random_reject(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
-                   thetaE: float, method: BorrowingMethod, engine: str,
-                   tol: float) -> float:
-    """Rejection probability with the external mean random, N(thetaE, seE^2)."""
+def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
+                   method: BorrowingMethod, engine: str, tol: float):
+    """Rejection probabilities with the external mean random,
+    N(thetaE, seE^2), at the control and treatment means ``theta_c`` and
+    ``theta_t`` (floats, or arrays evaluated as one lockstep batch)."""
     if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
-        return float(_closed_fixed(scen, theta_c, theta_t, thetaE,
-                                   _method_delta(method),
-                                   external_var=scen.seE**2))
+        return _closed_fixed(scen, theta_c, theta_t, thetaE,
+                             _method_delta(method), external_var=scen.seE**2)
     seE = scen.seE
     zc = norm_quantile(scen.c)
+    thc, tht = (np.asarray(v, dtype=float) for v in (theta_c, theta_t))
+    shape = np.broadcast_shapes(thc.shape, tht.shape)
+    thc, tht = (np.broadcast_to(v, shape).ravel() for v in (thc, tht))
 
-    def g(e):
-        e = np.asarray(e, dtype=float)
+    def g(e, k):
         return (_norm_pdf(e, thetaE, seE)
-                * _inner_reject_gl(scen, e, theta_c, (theta_t,), method, zc)[0])
+                * _inner_reject_gl(scen, e, thc[k], (tht[k],), method, zc)[0])
 
-    val = integrate(g, Interval(-math.inf, math.inf), abs_tol=tol,
-                    gaussian_hint=(thetaE, seE))
-    return min(max(val, 0.0), 1.0)
+    se_c = scen.sigma / math.sqrt(scen.nc)
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    inner = 3 * _INNER_GL_NODES * math.ceil(se_c / se_t)
+    cuts = _cuts(_WHOLE_LINE, (), (thetaE, seE))
+    vals = _integrate_batch(g, [cuts] * thc.size, tol,
+                            max(1, _BATCH_NODES // inner))
+    return np.clip(vals, 0.0, 1.0).reshape(shape)
 
 
 def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
@@ -366,11 +414,13 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
     """
     if engine not in ("auto", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
+    thetaE = _check_finite("thetaE", thetaE)
 
     def reject(x, effect):
-        thc = thetaE + x * scen.sigma
-        return _random_reject(scen, thc, thc + effect, thetaE, method, engine,
-                              tol)
+        thc = thetaE + np.asarray(x, dtype=float) * scen.sigma
+        out = _random_reject(scen, thc, thc + effect, thetaE, method, engine,
+                             tol)
+        return float(out) if np.ndim(out) == 0 else out
 
     return _profile(scen, reject, offsets)
 
@@ -462,8 +512,9 @@ def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
     under the alternative, and records raw 0/1 decisions.
     """
     nsim = _check_count("nsim", nsim)
-    offs = tuple(float(x) for x in offsets)
-    e = RngStream(seed, 0).generator().normal(float(thetaE), scen.seE, nsim)
+    thetaE = _check_finite("thetaE", thetaE)
+    offs = _check_finite("offsets", [float(x) for x in offsets]).tolist()
+    e = RngStream(seed, 0).generator().normal(thetaE, scen.seE, nsim)
     thcs = [float(thetaE) + x * scen.sigma for x in offs]
     zc = norm_quantile(scen.c)
     if not literal:

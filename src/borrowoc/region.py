@@ -41,7 +41,8 @@ from scipy.special import ndtr
 from .borrow import (EMPIRICAL_BAYES, NO_BORROWING, BorrowingMethod,  # noqa: F401
                      posterior_arrays, tail_arrays)
 from .scenarios import ScenarioOneArm
-from .statmath import Interval, find_root, norm_cdf, norm_quantile  # noqa: F401
+from .statmath import (Interval, _check_finite, find_root, norm_cdf,  # noqa: F401
+                       norm_quantile)
 
 _NEWTON_STEPS = 3
 # eigenvalues of a near-double quartic root carry an imaginary part of order
@@ -164,10 +165,7 @@ def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod) -> Bounda
     so a row's result does not depend on the rest of the batch; only the
     padded width of ``roots`` does.
     """
-    de = np.atleast_1d(np.asarray(de, dtype=float))
-    bad = de[~np.isfinite(de)]
-    if bad.size:
-        raise ValueError(f"external_mean must be finite, got {float(bad[0])!r}")
+    de = np.atleast_1d(_check_finite("external_mean", de))
     zc = norm_quantile(scen.c)
     se, seE, theta0 = scen.se, scen.seE, scen.theta0
     lo = np.minimum(theta0 - 10.0 * se, de - 10.0 * seE)

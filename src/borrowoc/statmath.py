@@ -5,6 +5,12 @@ bracketed root finding, grid-plus-golden-section 1-D maximization, and
 reproducible counter-based random streams, plus the argument checks the
 record types share.  Only the standard normal family is supported; nothing
 here knows about trials or borrowing.
+
+The quadrature has one engine, :func:`_integrate_batch`, which runs many
+integrals in lockstep and evaluates their new nodes in one integrand call
+per round; :func:`integrate` is its one-integral case.  The maximizer has
+one loop, :func:`_maximize`, whose grid scan is one call on all grid
+points; :func:`maximize_1d` is its scalar-function case.
 """
 
 from __future__ import annotations
@@ -48,11 +54,19 @@ def _check_positive(name: str, value) -> float:
     return v
 
 
-def _check_finite(name: str, value) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"{name!r} must be finite, got {value!r}")
-    return v
+def _check_finite(name: str, value):
+    """``value`` as a float, or as a float array when it has dimensions;
+    raises :class:`DomainError` naming the first NaN or infinite entry."""
+    if np.ndim(value) == 0:
+        v = float(value)
+        if not math.isfinite(v):
+            raise DomainError(f"{name!r} must be finite, got {value!r}")
+        return v
+    arr = np.asarray(value, dtype=float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise DomainError(f"{name!r} must be finite, got {float(bad[0])!r}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -162,29 +176,133 @@ _GAUSS_TRUNC = 8.5     # tail mass beyond mu +- 8.5 sigma is < 2e-17
 _MAX_PANELS = 4096
 
 
-def _gk15(f, panels):
-    """Gauss-Kronrod panels [(a, b), ...] from one call of ``f`` on all
-    their nodes; returns one (integral, error estimate) per panel, each
-    from its own 15 values exactly as if evaluated alone."""
-    ab = np.array(panels, dtype=float)
-    c = 0.5 * (ab[:, 0] + ab[:, 1])
-    h = 0.5 * (ab[:, 1] - ab[:, 0])
-    x = c[:, None] + h[:, None] * _XGK
-    y = np.asarray(f(x.ravel()), dtype=float)
-    if y.shape != (x.size,):
-        raise DomainError("integrand must map a 1-D array to a same-shape array")
-    out = []
-    for (a, b), hp, yp in zip(panels, h.tolist(), y.reshape(x.shape)):
-        resk = hp * float(_WGK @ yp)
-        resg = hp * float(_WG @ yp)
-        # scaled error estimate: sharper than |K-G| on smooth panels, still
-        # conservative near unresolved structure
-        resasc = abs(hp) * float(_WGK @ np.abs(yp - resk / (b - a)))
-        err = abs(resk - resg)
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        out.append((resk, err))
-    return out
+def _rowdot(y, w):
+    """``w @ row`` for each row of ``y``.  The stacked product runs one
+    dot product per row, the same kernel as a 1-D ``w @ row``; a
+    matrix-vector product may sum in another order."""
+    return np.matmul(y[:, None, :], w[:, None])[:, 0, 0]
+
+
+def _gk15(f, owner, a, b, max_nodes):
+    """Gauss-Kronrod panels (a[i], b[i]) of problems owner[i]: their nodes
+    go through ``f(x, owner of each node)`` in calls of at most
+    ``max_nodes`` nodes (all at once if None).  Returns lists of integrals
+    and error estimates, one per panel, each from its own 15 values exactly
+    as if evaluated alone."""
+    if not owner:
+        return [], []
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    h = 0.5 * (b - a)
+    x = ((0.5 * (a + b))[:, None] + h[:, None] * _XGK).ravel()
+    k = np.repeat(np.asarray(owner, dtype=np.intp), _XGK.size)
+    step = x.size if max_nodes is None else max_nodes
+    parts = []
+    for start in range(0, x.size, step):
+        sl = slice(start, start + step)
+        y = np.asarray(f(x[sl], k[sl]), dtype=float)
+        if y.shape != x[sl].shape:
+            raise DomainError(
+                "integrand must map a 1-D array to a same-shape array")
+        parts.append(y)
+    y = np.concatenate(parts).reshape(-1, _XGK.size)
+    resk = h * _rowdot(y, _WGK)
+    errs = np.abs(resk - h * _rowdot(y, _WG)).tolist()
+    # scaled error estimate: sharper than |K-G| on smooth panels, still
+    # conservative near unresolved structure
+    dev = np.abs(y - (resk / (b - a))[:, None])
+    resasc = (np.abs(h) * _rowdot(dev, _WGK)).tolist()
+    for i, (err, asc) in enumerate(zip(errs, resasc)):
+        if asc != 0.0 and err != 0.0:
+            errs[i] = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+    return resk.tolist(), errs
+
+
+def _cuts(domain: Interval, breakpoints=(), gaussian_hint=None) -> list:
+    """Sorted edges of :func:`integrate`'s first panels: infinite ends
+    truncated at mu +- 8.5 sigma of the hint, breakpoints inside added;
+    empty when the hinted Gaussian lies outside a half-infinite domain."""
+    mu, sd = (0.0, 1.0) if gaussian_hint is None else map(float, gaussian_hint)
+    if not sd > 0.0:
+        raise DomainError("gaussian_hint scale must be positive")
+    lo = mu - _GAUSS_TRUNC * sd if math.isinf(domain.lo) else domain.lo
+    hi = mu + _GAUSS_TRUNC * sd if math.isinf(domain.hi) else domain.hi
+    if not lo < hi:
+        return []
+    inside = (float(b) for b in breakpoints if lo < float(b) < hi)
+    return sorted({lo, hi, *inside})
+
+
+def _integrate_batch(f, cuts, abs_tol: float, max_nodes=None) -> list:
+    """K adaptive Gauss-Kronrod integrals in lockstep, one per entry of
+    ``cuts`` (the edges of its first panels, from :func:`_cuts`).
+
+    Each round, every unfinished integral takes its worst panels off its
+    own heap exactly as :func:`integrate` alone would, setting aside
+    panels at floating-point resolution, and splits the first splittable
+    one; the new nodes of all integrals then go through one call
+    ``f(x, k)``, k being the index of the integral each node belongs to
+    (split into calls of at most ``max_nodes`` nodes).  Every integral
+    therefore sees the same panels, values and error estimates as when
+    integrated alone, and returns the same float.
+
+    Raises the :class:`NonConvergenceError` of the first integral, in
+    ``cuts`` order, whose panel budget runs out: integrals after it stop
+    there, those before it run to the end.
+    """
+    _check_positive("abs_tol", abs_tol)
+    n = len(cuts)
+    # per integral: a heap of (-err, tiebreak, a, b, value, err), and the
+    # values of panels too narrow to split
+    heaps = [[] for _ in range(n)]
+    done = [[] for _ in range(n)]
+    serial = [0] * n
+    owner = [k for k, c in enumerate(cuts) for _ in c[1:]]
+    a = [lo for c in cuts for lo in c[:-1]]
+    b = [hi for c in cuts for hi in c[1:]]
+    first = _gk15(f, owner, a, b, max_nodes)
+    for k, lo, hi, val, err in zip(owner, a, b, *first):
+        heapq.heappush(heaps[k], (-err, serial[k], lo, hi, val, err))
+        serial[k] += 1
+    total_err = [math.fsum(item[5] for item in heap) for heap in heaps]
+    live = [k for k in range(n) if total_err[k] > abs_tol]
+    failed = None
+    while live:
+        split = []      # (integral, a, midpoint, b, err of the split panel)
+        for k in live:
+            heap = heaps[k]
+            while heap and serial[k] < _MAX_PANELS:
+                _, _, lo, hi, val, err = heapq.heappop(heap)
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:  # panel at floating-point resolution
+                    done[k].append(val)
+                    continue
+                split.append((k, lo, mid, hi, err))
+                break
+            else:
+                failed = NonConvergenceError(
+                    f"quadrature error {total_err[k]:.3e} above tolerance "
+                    f"{abs_tol:.3e} after {serial[k]} panels")
+                break
+        if not split:
+            break
+        # left halves, then right halves
+        ks, los, mids, his, _ = zip(*split)
+        vals, errs = _gk15(f, ks + ks, los + mids, mids + his, max_nodes)
+        m = len(split)
+        live = []
+        for i, (k, lo, mid, hi, err) in enumerate(split):
+            v1, e1, v2, e2 = vals[i], errs[i], vals[m + i], errs[m + i]
+            heapq.heappush(heaps[k], (-e1, serial[k], lo, mid, v1, e1))
+            heapq.heappush(heaps[k], (-e2, serial[k] + 1, mid, hi, v2, e2))
+            serial[k] += 2
+            total_err[k] += e1 + e2 - err
+            if total_err[k] > abs_tol:
+                live.append(k)
+    if failed is not None:
+        raise failed
+    return [math.fsum(item[4] for item in heap) + math.fsum(vals)
+            for heap, vals in zip(heaps, done)]
 
 
 def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
@@ -215,44 +333,8 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
         If the panel budget is exhausted before the error estimate drops
         below ``abs_tol``.
     """
-    _check_positive("abs_tol", abs_tol)
-    mu, sd = (0.0, 1.0) if gaussian_hint is None else map(float, gaussian_hint)
-    if not sd > 0.0:
-        raise DomainError("gaussian_hint scale must be positive")
-    lo = mu - _GAUSS_TRUNC * sd if math.isinf(domain.lo) else domain.lo
-    hi = mu + _GAUSS_TRUNC * sd if math.isinf(domain.hi) else domain.hi
-    if not lo < hi:
-        # the hinted Gaussian lies entirely outside a half-infinite domain
-        return 0.0
-
-    cuts = sorted({lo, hi, *(float(b) for b in breakpoints if lo < float(b) < hi)})
-    heap = []   # (-err, tiebreak, a, b, value, err)
-    done = []   # panels too narrow to split further
-    serial = 0
-    panels = list(zip(cuts[:-1], cuts[1:]))
-    for (a, b), (val, err) in zip(panels, _gk15(f, panels)):
-        heapq.heappush(heap, (-err, serial, a, b, val, err))
-        serial += 1
-
-    total_err = math.fsum(item[5] for item in heap)
-    while total_err > abs_tol:
-        if not heap or serial >= _MAX_PANELS:
-            raise NonConvergenceError(
-                f"quadrature error {total_err:.3e} above tolerance {abs_tol:.3e} "
-                f"after {serial} panels")
-        _, _, a, b, val, err = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:    # panel at floating-point resolution
-            done.append((a, b, val, err))
-            continue
-        (v1, e1), (v2, e2) = _gk15(f, ((a, m), (m, b)))
-        heapq.heappush(heap, (-e1, serial, a, m, v1, e1))
-        serial += 1
-        heapq.heappush(heap, (-e2, serial, m, b, v2, e2))
-        serial += 1
-        total_err += e1 + e2 - err
-
-    return math.fsum(item[4] for item in heap) + math.fsum(p[2] for p in done)
+    cuts = _cuts(domain, breakpoints, gaussian_hint)
+    return _integrate_batch(lambda x, k: f(x), [cuts], abs_tol)[0]
 
 
 def find_root(f, bracket: Interval, tol: float = 1e-10) -> float:
@@ -277,22 +359,15 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 401
 
 
-def maximize_1d(f, domain: Interval, tol: float = 1e-10):
-    """Global 1-D maximization: coarse grid scan plus golden-section polish.
-
-    Scans 401 equispaced points, then refines inside the cell around the
-    best grid point with a golden-section search down to a bracket of width
-    ``tol`` (finite and positive).  Ties -- including plateaus such as a
-    type I error profile saturated at 1 -- resolve to the smallest argmax
-    (to within the scan resolution).
-
-    Returns ``(argmax, max)``.
-    """
+def _maximize(f, scan, domain: Interval, tol: float = 1e-10):
+    """:func:`maximize_1d` with its 401-point grid evaluated by one call
+    ``scan(xs)`` (an array of the values of ``f`` at ``xs``) and the
+    golden-section polish by scalar calls ``f(x)``."""
     if not domain.finite:
         raise DomainError("maximization domain must be finite")
     _check_positive("tol", tol)
     xs = np.linspace(domain.lo, domain.hi, _GRID_POINTS)
-    ys = np.array([f(x) for x in xs], dtype=float)
+    ys = np.asarray(scan(xs), dtype=float)
     i = int(np.argmax(ys))                      # first occurrence = smallest x
     best_x, best_y = float(xs[i]), float(ys[i])
 
@@ -315,3 +390,17 @@ def maximize_1d(f, domain: Interval, tol: float = 1e-10):
     if ym > best_y or (ym == best_y and xm < best_x):
         best_x, best_y = xm, ym
     return best_x, best_y
+
+
+def maximize_1d(f, domain: Interval, tol: float = 1e-10):
+    """Global 1-D maximization: coarse grid scan plus golden-section polish.
+
+    Scans 401 equispaced points, then refines inside the cell around the
+    best grid point with a golden-section search down to a bracket of width
+    ``tol`` (finite and positive).  Ties -- including plateaus such as a
+    type I error profile saturated at 1 -- resolve to the smallest argmax
+    (to within the scan resolution).  ``f`` maps a float to a float.
+
+    Returns ``(argmax, max)``.
+    """
+    return _maximize(f, lambda xs: [f(x) for x in xs], domain, tol)

@@ -19,7 +19,6 @@ from borrowoc import (
     ScenarioTwoArm,
     integrate,
     norm_quantile,
-    oc_random_external_two_arm,
     reject_prob_two_arm,
 )
 from borrowoc import oc_twoarm
@@ -132,16 +131,19 @@ class TestIntegrateMatchesPanelLoop:
             oracle.integrate(f, Interval(0.0, 30.0), abs_tol=1e-13)
         assert str(got.value) == str(ref.value)
 
-    def test_two_arm_integrals(self, monkeypatch):
-        fast = [reject_prob_two_arm(SCEN, x, x + d, 0.0, EB)
-                for x in (-0.4, 0.7, 2.5) for d in (0.0, SCEN.theta1)]
-        fast_random = oc_random_external_two_arm(SCEN, 0.1, EB, (0.0, 0.7))
-        monkeypatch.setattr(oc_twoarm, "integrate", oracle.integrate)
-        slow = [reject_prob_two_arm(SCEN, x, x + d, 0.0, EB)
-                for x in (-0.4, 0.7, 2.5) for d in (0.0, SCEN.theta1)]
-        assert fast == slow
-        assert fast_random == oc_random_external_two_arm(SCEN, 0.1, EB,
-                                                         (0.0, 0.7))
+    def test_two_arm_integrals(self):
+        thc = np.repeat([-0.4, 0.7, 2.5], 2)
+        tht = thc + np.tile([0.0, SCEN.theta1], 3)
+        serial = [oracle.reject_prob_two_arm(SCEN, c, t, 0.0, EB)
+                  for c, t in zip(thc.tolist(), tht.tolist())]
+        assert reject_prob_two_arm(SCEN, thc, tht, 0.0, EB).tolist() == serial
+        assert [reject_prob_two_arm(SCEN, c, t, 0.0, EB)
+                for c, t in zip(thc, tht)] == serial
+        random = oc_twoarm._random_reject(SCEN, thc[:2], tht[:2], 0.1, EB,
+                                          "auto", 1e-9)
+        assert random.tolist() == [
+            oracle.random_reject(SCEN, c, t, 0.1, EB)
+            for c, t in zip(thc[:2].tolist(), tht[:2].tolist())]
 
 
 class TestFusedMonteCarloRows:

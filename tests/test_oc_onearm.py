@@ -259,6 +259,17 @@ class TestRandomExternalClosedForm:
         assert pt.t1e_borrow == pytest.approx(0.025, abs=1e-12)
         assert pt.power_borrow == pytest.approx(0.7054139024424571, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_external_means(self, bad):
+        # an infinite thetaE used to give all-1 (or all-0) OCs, and NaN a
+        # complaint about alphaB
+        with pytest.raises(DomainError, match="'thetaE' must be finite"):
+            oc_random_external_fixed_pp(SCEN, bad, 0.5)
+        with pytest.raises(DomainError, match="'dE_mean' must be finite"):
+            t1e_closed_form_fixed_pp(SCEN, bad, 0.5)
+        with pytest.raises(DomainError, match="'thetaE' must be finite"):
+            oc_random_external_mc(SCEN, bad, EB, nsim=10, seed=1)
+
     def test_averages_fixed_external_curve(self):
         # the closed form is the Gaussian mixture of the fixed-external
         # closed form; check against a dense midpoint quadrature

@@ -282,6 +282,58 @@ class TestRandomExternalMonteCarlo:
                                           nsim=0, seed=0)
 
 
+class TestNonFiniteInputs:
+    """NaN or infinite offsets and means raise ``DomainError``; they used
+    to give a level of 0, NaN, or a non-convergence error under fixed-pp
+    only."""
+
+    BAD = (math.nan, math.inf, -math.inf)
+
+    @pytest.mark.parametrize("method", [EB, FIXED_HALF], ids=["eb", "fixed"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_profiles(self, method, bad):
+        with pytest.raises(DomainError, match="'offsets' must be finite"):
+            power_profile(SCEN, 0.0, method, [0.0, bad])
+        with pytest.raises(DomainError, match="'offsets' must be finite"):
+            oc_random_external_two_arm_mc(SCEN, 0.0, method, [bad], 10, 1)
+        with pytest.raises(DomainError, match="'dE_mean' must be finite"):
+            t1e_profile(SCEN, bad, method, [0.0])
+        with pytest.raises(DomainError, match="'dE_mean' must be finite"):
+            oc_fixed_external_two_arm(SCEN, bad, method)
+        with pytest.raises(DomainError, match="'thetaE' must be finite"):
+            oc_random_external_two_arm(SCEN, bad, method, [0.0])
+        with pytest.raises(DomainError, match="'thetaE' must be finite"):
+            oc_random_external_two_arm_mc(SCEN, bad, method, [0.0], 10, 1)
+
+    @pytest.mark.parametrize("method", [EB, FIXED_HALF], ids=["eb", "fixed"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rejection_probability(self, method, bad):
+        for args, name in (((bad, 0.0, 0.0), "theta_c"),
+                           ((0.0, bad, 0.0), "theta_t"),
+                           ((0.0, 0.0, bad), "dE_mean"),
+                           ((np.array([0.0, bad]), 0.0, 0.0), "theta_c")):
+            with pytest.raises(DomainError, match=f"'{name}' must be finite"):
+                reject_prob_two_arm(SCEN, *args, method)
+
+
+class TestArrayArguments:
+    @pytest.mark.parametrize("method", [NONE, FIXED_HALF, EB],
+                             ids=["none", "fixed", "eb"])
+    @pytest.mark.parametrize("engine", ["auto", "quadrature"])
+    def test_reject_prob_broadcasts_like_scalar_calls(self, method, engine):
+        thc = np.array([[-0.4], [0.7]])
+        tht = thc + np.array([0.0, SCEN.theta1, 2.0])
+        got = reject_prob_two_arm(SCEN, thc, tht, 0.3, method, engine=engine)
+        assert got.shape == (2, 3)
+        for i, j in np.ndindex(got.shape):
+            assert got[i, j] == reject_prob_two_arm(
+                SCEN, float(thc[i, 0]), float(tht[i, j]), 0.3, method,
+                engine=engine)
+        scalar = reject_prob_two_arm(SCEN, 0.1, 0.1, 0.3, method,
+                                     engine=engine)
+        assert type(scalar) is float
+
+
 class TestScenarioTwoArmValidation:
     def test_effect_must_be_positive(self):
         with pytest.raises(DomainError):

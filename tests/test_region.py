@@ -10,6 +10,7 @@ from scan_oracle import scan_region
 from borrowoc import (
     ArmSummary,
     BorrowingMethod,
+    DomainError,
     Interval,
     RejectionRegion,
     ScenarioOneArm,
@@ -234,6 +235,12 @@ class TestFlaggedDegenerateScan:
     def test_rejects_non_finite_external_mean(self):
         with pytest.raises(ValueError):
             rejection_region(SCEN, math.inf, BorrowingMethod.none())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_external_mean_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="'external_mean' must be finite"):
+            boundary_arrays(SCEN, np.array([0.1, bad]),
+                            BorrowingMethod.empirical_bayes())
 
 
 class TestRejectionRegionValidation:
