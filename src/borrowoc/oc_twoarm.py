@@ -378,15 +378,14 @@ def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
                    method: BorrowingMethod, engine: str, tol: float):
     """Rejection probabilities with the external mean random,
     N(thetaE, seE^2), at the control and treatment means ``theta_c`` and
-    ``theta_t`` (floats, or arrays evaluated as one lockstep batch)."""
+    ``theta_t``: floats give a float, same-shape arrays an array,
+    evaluated as one lockstep batch."""
     if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
         return _closed_fixed(scen, theta_c, theta_t, thetaE,
                              _method_delta(method), external_var=scen.seE**2)
     seE = scen.seE
     zc = norm_quantile(scen.c)
-    thc, tht = (np.asarray(v, dtype=float) for v in (theta_c, theta_t))
-    shape = np.broadcast_shapes(thc.shape, tht.shape)
-    thc, tht = (np.broadcast_to(v, shape).ravel() for v in (thc, tht))
+    thc, tht = np.ravel(theta_c), np.ravel(theta_t)
 
     def g(e, k):
         return (_norm_pdf(e, thetaE, seE)
@@ -398,7 +397,8 @@ def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
     cuts = _cuts(_WHOLE_LINE, (), (thetaE, seE))
     vals = _integrate_batch(g, [cuts] * thc.size, tol,
                             max(1, _BATCH_NODES // inner))
-    return np.clip(vals, 0.0, 1.0).reshape(shape)
+    out = np.clip(vals, 0.0, 1.0).reshape(np.shape(theta_c))
+    return float(out) if out.ndim == 0 else out
 
 
 def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
@@ -418,9 +418,8 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
 
     def reject(x, effect):
         thc = thetaE + np.asarray(x, dtype=float) * scen.sigma
-        out = _random_reject(scen, thc, thc + effect, thetaE, method, engine,
-                             tol)
-        return float(out) if np.ndim(out) == 0 else out
+        return _random_reject(scen, thc, thc + effect, thetaE, method, engine,
+                              tol)
 
     return _profile(scen, reject, offsets)
 
