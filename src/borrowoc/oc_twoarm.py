@@ -52,9 +52,9 @@ from .scenarios import ScenarioTwoArm
 # integrate and maximize_1d are no longer called here; the names stay for
 # bench/tracing.py, which wraps oc_twoarm.integrate and oc_twoarm.maximize_1d
 from .statmath import (DomainError, Interval, NonConvergenceError, RngStream,
-                       _check_count, _check_finite, _cuts, _integrate_batch,
-                       _maximize, integrate, maximize_1d, norm_cdf,
-                       norm_quantile)  # noqa: F401
+                       _check_count, _check_finite, _check_positive, _cuts,
+                       _integrate_batch, _maximize, integrate, maximize_1d,
+                       norm_cdf, norm_quantile)  # noqa: F401
 
 _INNER_GL_NODES = 40
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
@@ -183,8 +183,10 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
     form).  The three means broadcast against each other: arrays give an
     array of probabilities, one independent integral each, evaluated as
     one lockstep batch with the same values as one call per entry; scalars
-    give a float.
+    give a float.  ``tol`` must be finite and positive whichever engine
+    runs.
     """
+    tol = _check_positive("tol", tol)
     if engine not in ("auto", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
     means = [_check_finite(name, v) for name, v in
@@ -410,8 +412,10 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
     Offsets are standardized against thetaE: theta_c = thetaE + x*sigma.
     Produces the averaged null rejection rate per offset, its maximized
     value over offsets, the averaged power, and the comparator calibrated
-    to the maximized averaged level.
+    to the maximized averaged level.  ``tol`` must be finite and positive
+    whichever engine runs.
     """
+    tol = _check_positive("tol", tol)
     if engine not in ("auto", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
     thetaE = _check_finite("thetaE", thetaE)

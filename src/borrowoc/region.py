@@ -23,7 +23,9 @@ is positive.  Three cases cover every boundary:
   With w = (x - dE)/se and alpha = (dE - theta0)/se, g has the sign of
   sign(w) (w^2 + alpha w - 1) - z_c sqrt(w^2 - 1), whose roots are the
   roots of the quartic (w^2 + alpha w - 1)^2 = z_c^2 (w^2 - 1) on the
-  branch where sign(w) (w^2 + alpha w - 1) has the sign of z_c.
+  branch where sign(w) (w^2 + alpha w - 1) has the sign of z_c.  The
+  quartic is solved in closed form (Ferrari: a resolvent cubic, then two
+  real quadratics; :func:`_conflict_roots`).
 
 Probabilities then follow in closed form, with no Monte Carlo noise.
 """
@@ -45,8 +47,8 @@ from .statmath import (Interval, _check_finite, find_root, norm_cdf,  # noqa: F4
                        norm_quantile)
 
 _NEWTON_STEPS = 3
-# eigenvalues of a near-double quartic root carry an imaginary part of order
-# sqrt(machine eps); a larger one belongs to a genuinely complex pair
+# a quadratic factor's near-double root comes out with an imaginary part of
+# order sqrt(machine eps); a larger one belongs to a genuinely complex pair
 _IMAG_TOL = 1e-6
 
 
@@ -119,27 +121,53 @@ class Boundaries:
 def _conflict_roots(de: np.ndarray, scen: ScenarioOneArm, zc: float) -> np.ndarray:
     """Conflict-regime boundary candidates, shape (rows, 4), NaN if none.
 
-    Roots of the quartic w^4 + 2 alpha w^3 + (alpha^2 - 2 - z_c^2) w^2
-    - 2 alpha w + 1 + z_c^2 from batched 4x4 companion eigenvalues, kept in
-    the regime |w| > r/se after Newton steps on the unsquared margin
-    sign(w)(w^2 + alpha w - 1) - z_c sqrt(w^2 - 1).  Its roots stay simple
-    where a small z_c makes near-double roots of the quartic.  There the
-    computed sign of w^2 + alpha w - 1, which tells the two branches apart,
-    is rounding noise, so candidates are not filtered by branch: one that is
-    no boundary is dropped by the midpoint decisions.
+    Roots of the quartic (w^2 + alpha w - 1)^2 - z_c^2 (w^2 - 1) by Ferrari's
+    factorization.  With t the largest real root of the resolvent cubic
+    2t^3 + (z_c^2 - 4 - alpha^2) t^2 - 4 z_c^2 t - z_c^4 and g^2 = z_c^2 + 2t,
+    the quartic is (w^2 + alpha w - 1 + t)^2 - g^2 (w + t alpha / g^2)^2, the
+    product of the real quadratics w^2 + (alpha -+ g) w + t - 1 -+ t alpha / g.
+    The cubic is <= 0 at t = max(0, (4 + alpha^2 - z_c^2) / 2), so
+    g^2 >= 4 + alpha^2, and t is a simple root: Cardano's formula (one real
+    root) or the trigonometric one (three) gives it, and two Newton steps on
+    the cubic polish it.  Roots are kept in the regime |w| > r/se after Newton
+    steps on the unsquared margin sign(w)(w^2 + alpha w - 1) - z_c sqrt(w^2 - 1).
+    Its roots stay simple where a small z_c makes near-double roots of the
+    quartic.  There the computed sign of w^2 + alpha w - 1, which tells the
+    two branches apart, is rounding noise, so candidates are not filtered by
+    branch: one that is no boundary is dropped by the midpoint decisions.
     """
     se = scen.se
     alpha = (de - scen.theta0) / se
     z2 = zc * zc
-    comp = np.zeros((de.size, 4, 4))
-    comp[:, 0] = np.stack([-2.0 * alpha, 2.0 + z2 - alpha * alpha, 2.0 * alpha,
-                           np.full_like(alpha, -1.0 - z2)], axis=1)
-    comp[:, (1, 2, 3), (0, 1, 2)] = 1.0
-    eig = np.linalg.eigvals(comp)
-    w = eig.real
+    # the cubic in tau = t/S, S = 2 + alpha^2/2 (which keeps alpha^6 from
+    # overflowing), made monic, tau^3 + b tau^2 + c tau + d, and depressed by
+    # tau = s - b/3 to s^3 + p s + q; p = c - b^2/3 < 0, as c < 0 or b = -1
+    scale = 2.0 + 0.5 * alpha * alpha
+    zs = z2 / scale
+    b, c, d = 0.5 * zs - 1.0, -2.0 * zs / scale, -0.5 * zs * zs / scale
+    p = c - b * b / 3.0
+    q = (2.0 * b * b - 9.0 * c) * b / 27.0 + d
+    disc = 0.25 * q * q + p * p * p / 27.0
+    m = np.sqrt(-p / 3.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
+        cardano = u - p / (3.0 * u)
+    trig = 2.0 * m * np.cos(np.arccos(np.clip(-0.5 * q / m**3, -1.0, 1.0)) / 3.0)
+    tau = np.where(disc > 0.0, cardano, trig) - b / 3.0
+    for _ in range(2):
+        tau = tau - ((((tau + b) * tau + c) * tau + d)
+                     / ((3.0 * tau + 2.0 * b) * tau + c))
+    t = (scale * tau)[:, None]
+    g = np.sqrt(z2 + 2.0 * t) * np.array([1.0, -1.0])
     a = alpha[:, None]
+    mid = 0.5 * (g - a)                 # -(alpha -+ g)/2, the quadratics' centres
+    dq = mid * mid - (t - 1.0 - t / g * a)
+    half = np.sqrt(np.abs(dq))
+    span = np.where(dq >= 0.0, half, 0.0)
+    w = np.concatenate([mid + span, mid - span], axis=1)
+    imag = np.tile(half - span, 2)
     sw = np.sign(w)
-    ok = (np.abs(eig.imag) <= _IMAG_TOL * (1.0 + np.abs(w))) & (w * w > 1.0)
+    ok = (imag <= _IMAG_TOL * (1.0 + np.abs(w))) & (w * w > 1.0)
     w = np.where(ok, w, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_NEWTON_STEPS):

@@ -26,7 +26,6 @@ when a caller indexes or iterates ``RunReport.records``.
 from __future__ import annotations
 
 import math
-import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -179,15 +178,15 @@ def summarize(records, seed, nsim: int, scenario: dict) -> RunReport:
                           f"records")
     if np.any(np.diff(cols.replicate) <= 0):
         raise DomainError("replicate indices must be distinct and ascending")
-    t1e = cols.t1e_borrow.tolist()
-    diff = cols.power_diff.tolist()
+    t1e, diff = cols.t1e_borrow, cols.power_diff
     return RunReport(
         records=cols,
-        mean_t1e=math.fsum(t1e) / len(t1e),
-        mean_power_diff=math.fsum(diff) / len(diff),
-        t1e_min=min(t1e), t1e_max=max(t1e), t1e_median=statistics.median(t1e),
-        power_diff_min=min(diff), power_diff_max=max(diff),
-        power_diff_median=statistics.median(diff),
+        mean_t1e=math.fsum(t1e.tolist()) / len(t1e),
+        mean_power_diff=math.fsum(diff.tolist()) / len(diff),
+        t1e_min=float(t1e.min()), t1e_max=float(t1e.max()),
+        t1e_median=float(np.median(t1e)),
+        power_diff_min=float(diff.min()), power_diff_max=float(diff.max()),
+        power_diff_median=float(np.median(diff)),
         seed=seed, nsim=nsim, scenario=dict(scenario))
 
 

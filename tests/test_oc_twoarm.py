@@ -315,6 +315,16 @@ class TestNonFiniteInputs:
             with pytest.raises(DomainError, match=f"'{name}' must be finite"):
                 reject_prob_two_arm(SCEN, *args, method)
 
+    @pytest.mark.parametrize("method", [NONE, FIXED_HALF, EB],
+                             ids=["none", "fixed", "eb"])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_is_checked_before_the_engine_is_chosen(self, method, tol):
+        # the closed forms used to ignore tol, and EB named it 'abs_tol'
+        with pytest.raises(DomainError, match="'tol' must be a positive"):
+            reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, method, tol=tol)
+        with pytest.raises(DomainError, match="'tol' must be a positive"):
+            oc_random_external_two_arm(SCEN, 0.0, method, [0.0], tol=tol)
+
 
 class TestArrayArguments:
     @pytest.mark.parametrize("method", [NONE, FIXED_HALF, EB],

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import quartic_oracle
+from hypothesis import given, strategies as st
 from scan_oracle import scan_region
 
 from borrowoc import (
@@ -22,7 +24,7 @@ from borrowoc import (
     rejection_prob,
     rejection_region,
 )
-from borrowoc.region import _region_row, boundary_arrays
+from borrowoc.region import _conflict_roots, _region_row, boundary_arrays
 
 SCEN = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
                       nE=20, theta1=0.5)
@@ -209,6 +211,60 @@ def test_region_is_its_batch_row():
     batch = boundary_arrays(SCEN_BIG_EXT, de, eb)
     for j, d in enumerate(de):
         assert _region_row(batch, j) == rejection_region(SCEN_BIG_EXT, d, eb)
+
+
+# 3 x 4 x 4 x 2 = 96 designs; c = 0.5 is z_c = 0, where every root of the
+# conflict quartic is double
+FUZZ_DESIGNS = [ScenarioOneArm(n=n, sigma=1.0, theta0=0.0, alpha=0.025, nE=nE,
+                               theta1=0.5, c=c, sigmaE=sigmaE)
+                for n in (4, 25, 200) for nE in (2, 20, 1000, 5000)
+                for c in (0.5, 0.6, 0.975, 0.999) for sigmaE in (1.0, 1.7)]
+
+
+class TestClosedFormQuartic:
+    """The closed-form conflict roots against companion-matrix eigenvalues."""
+
+    def test_boundaries_match_eigenvalue_oracle(self):
+        rng = np.random.default_rng(13)
+        eb = BorrowingMethod.empirical_bayes()
+        rows = multi = 0
+        for scen in FUZZ_DESIGNS:
+            # alpha = (dE - theta0)/se: dense where agreement, the split
+            # regions and conflict meet, sparser in far conflict
+            alpha = np.concatenate([rng.uniform(-8.0, 8.0, 825),
+                                    rng.uniform(-60.0, 60.0, 275)])
+            de = scen.theta0 + alpha * scen.se
+            got = boundary_arrays(scen, de, eb)
+            want = quartic_oracle.boundary_arrays(scen, de, eb)
+            np.testing.assert_array_equal(got.start, want.start)
+            np.testing.assert_array_equal(got.signs, want.signs)
+            live = np.isfinite(want.roots)
+            np.testing.assert_array_equal(np.isfinite(got.roots), live)
+            np.testing.assert_allclose(got.roots[live], want.roots[live],
+                                       rtol=0.0, atol=1e-12)
+            for theta in (scen.theta0, scen.theta1):
+                np.testing.assert_allclose(got.prob(theta, scen.se),
+                                           want.prob(theta, scen.se),
+                                           rtol=0.0, atol=1e-12)
+            rows += de.size
+            pieces = want.start + np.count_nonzero(want.signs > 0.0, axis=1)
+            multi += np.count_nonzero(pieces > 1)
+        assert rows >= 100_000
+        assert multi >= 500     # the split regime is reached (934 rows)
+
+    @given(n=st.integers(2, 1000), nE=st.integers(2, 10_000),
+           sigmaE=st.floats(0.2, 5.0), theta0=st.floats(-2.0, 2.0))
+    def test_every_near_double_root_is_kept(self, n, nE, sigmaE, theta0):
+        scen = ScenarioOneArm(n=n, sigma=1.0, theta0=theta0, alpha=0.025, nE=nE,
+                              theta1=theta0 + 0.5, c=0.5, sigmaE=sigmaE)
+        zc = norm_quantile(scen.c)
+        assert zc == 0.0
+        de = theta0 + scen.se * np.linspace(-30.0, 30.0, 601)
+        want = quartic_oracle.conflict_roots(de, scen, zc)[:, :, None]
+        got = _conflict_roots(de, scen, zc)[:, None, :]
+        gap = np.min(np.abs(np.where(np.isnan(got), np.inf, got) - want), axis=2)
+        real = np.isfinite(want[:, :, 0])
+        assert np.all(gap[real] <= 1e-12 * (1.0 + np.abs(want[:, :, 0][real])))
 
 
 ALWAYS = RejectionRegion((Interval(-math.inf, math.inf),),
