@@ -260,11 +260,11 @@ class TestClosedFormQuartic:
         zc = norm_quantile(scen.c)
         assert zc == 0.0
         de = theta0 + scen.se * np.linspace(-30.0, 30.0, 601)
-        want = quartic_oracle.conflict_roots(de, scen, zc)[:, :, None]
-        got = _conflict_roots(de, scen, zc)[:, None, :]
-        gap = np.min(np.abs(np.where(np.isnan(got), np.inf, got) - want), axis=2)
-        real = np.isfinite(want[:, :, 0])
-        assert np.all(gap[real] <= 1e-12 * (1.0 + np.abs(want[:, :, 0][real])))
+        want = quartic_oracle.conflict_roots(de, scen, zc)
+        got = np.nan_to_num(_conflict_roots(de, scen, zc), nan=np.inf)
+        gap = np.min(np.abs(got[:, None, :] - want[:, :, None]), axis=2)
+        kept = np.isfinite(want)
+        assert np.all(gap[kept] <= 1e-12 * (1.0 + np.abs(want[kept])))
 
 
 ALWAYS = RejectionRegion((Interval(-math.inf, math.inf),),
