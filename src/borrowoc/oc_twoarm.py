@@ -34,6 +34,21 @@ Engines:
   probability depends only on d = theta_c - e, so each run tabulates one
   curve R(d) as Chebyshev panels from one batch of inner-rule nodes and
   evaluates it at every (offset, draw).
+
+The reported level is the maximum of the null profile over the offset: a
+401-point scan brackets it and a golden-section polish refines it.  Under
+Empirical Bayes, with the external mean fixed or random, the scan is
+screened by the u-line kernel :func:`_uline_reject`.  The EB weight depends
+only on u = control mean - external mean, so each rejection probability is
+one Gaussian integral over u.  Its values lie within ``_ULINE_ERR`` of the
+true probabilities, and the exact engine's within its tolerance, so only the
+grid points it puts within twice the sum of the two of its maximum go
+through the exact engine.  That shortlist holds the full scan's first
+argmax, so the bracket, the polish and every reported number are the exact
+engine's, bit for bit.  (The premise fails where the adaptive engines miss
+the threshold's narrow cusp past the saturation points, at large nE with
+nt >> nc; there they err beyond their tolerance and the kernel does not.)
+``engine="quadrature"`` scans all 401 points with the nested engine.
 """
 
 from __future__ import annotations
@@ -51,10 +66,11 @@ from .oc_onearm import OCPoint
 from .scenarios import ScenarioTwoArm
 # integrate and maximize_1d are no longer called here; the names stay for
 # bench/tracing.py, which wraps oc_twoarm.integrate and oc_twoarm.maximize_1d
-from .statmath import (DomainError, Interval, NonConvergenceError, RngStream,
-                       _check_count, _check_finite, _check_positive, _cuts,
-                       _integrate_batch, _maximize, integrate, maximize_1d,
-                       norm_cdf, norm_quantile)  # noqa: F401
+from .statmath import (_GAUSS_TRUNC, DomainError, Interval,
+                       NonConvergenceError, RngStream, _check_count,
+                       _check_finite, _check_positive, _cuts, _integrate_batch,
+                       _maximize, integrate, maximize_1d, norm_cdf,
+                       norm_quantile)  # noqa: F401
 
 _INNER_GL_NODES = 40
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
@@ -66,6 +82,12 @@ _MAX_DOMAIN = 1536.0
 # temporaries of a 401-offset scan as _CURVE_CALL_ROWS bounds the curve's.
 _BATCH_NODES = 256 * 3 * _INNER_GL_NODES
 _WHOLE_LINE = Interval(-math.inf, math.inf)
+# quadrature tolerance of the fixed-external profiles
+_FIXED_TOL = 1e-9
+# bound on the u-line kernel's error: a seeded fuzz (tests/test_uline.py)
+# finds it within 1e-13 of quadrature at tol 1e-13 for a fixed external
+# mean and within 1e-10 of the nested engine at tol 1e-12 for a random one
+_ULINE_ERR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -217,14 +239,105 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
     return float(out) if scalar else out
 
 
-def _profile_max(reject, offsets) -> tuple[float, float]:
+def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
+                  e_var: float, method: BorrowingMethod) -> np.ndarray:
+    """Empirical Bayes rejection probabilities at the control and treatment
+    means ``theta_c`` and ``theta_t`` (same-shape arrays) with the external
+    mean N(e_mean, e_var) (``e_var`` = 0: fixed at e_mean), as one integral
+    each over u = control mean - external mean.
+
+    The test rejects when S = treatment mean - external mean exceeds h(u),
+    the threshold from ``posterior_arrays(u, 0, ...)``, because the fitted
+    weight depends on u alone.  u ~ N(mu_u, s_u^2) with mu_u = theta_c -
+    e_mean and s_u^2 = se_c^2 + e_var, and given u, S is Gaussian with mean
+    m(u) = theta_t - e_mean + (e_var/s_u^2)(u - mu_u) and variance s^2 =
+    se_t^2 + se_c^2 e_var/s_u^2, so each probability is
+    E[Phi((m(u) - h(u))/s)].
+
+    The rule: 40-node Gauss-Legendre panels on mu_u +- 8.5 s_u, none wider
+    than 4 min(s, s_u), so that both the density and the Phi factor are
+    resolved, split at +-r = +-sqrt(se_c^2 + seE^2) where the weight stops
+    saturating.  Just past +-r, h varies like sqrt(eps + |u| - r) with
+    eps = (se_t^2 + se_c^2 seE^2/r^2) r^3/(2 se_c^4), a cusp far narrower
+    than se_c when nE is large and nt >> nc, so the panels there shrink by
+    factors of 8 down to eps.  Offsets go in chunks, and no node array holds
+    more than ``_BATCH_NODES`` elements.
+    """
+    se_c2 = scen.sigma**2 / scen.nc
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    s_u2 = se_c2 + e_var
+    s_u = math.sqrt(s_u2)
+    gain = e_var / s_u2                 # slope of m(u)
+    s = math.sqrt(se_t**2 + se_c2 * gain)
+    r2 = se_c2 + scen.seE**2
+    r = math.sqrt(r2)
+    zc = norm_quantile(scen.c)
+    width = 4.0 * min(s, s_u)
+    # breakpoints r + width/8^k, k = 1..grade, down to the cusp's width
+    cusp = (se_t**2 + se_c2 * scen.seE**2 / r2) * r * r2 / (2.0 * se_c2**2)
+    grade = max(0, math.ceil(math.log(width / cusp, 8.0)))
+    steps = width * 8.0 ** -np.arange(1, grade + 1)
+    cuts = np.concatenate([[r], r + steps])
+    cuts = np.concatenate([-cuts, cuts])
+    n_equal = math.ceil(2.0 * _GAUSS_TRUNC * s_u / width)
+    grid = np.linspace(-_GAUSS_TRUNC * s_u, _GAUSS_TRUNC * s_u, n_equal + 1)
+    panels = n_equal + cuts.size
+    rows = max(1, _BATCH_NODES // (_INNER_GL_NODES * panels))
+    step = min(panels, _BATCH_NODES // _INNER_GL_NODES)
+    mu = np.ravel(theta_c) - e_mean
+    m0 = np.ravel(theta_t) - e_mean
+    out = np.zeros(mu.shape)
+    for start in range(0, mu.size, rows):
+        sl = slice(start, start + rows)
+        mid = mu[sl, None]
+        split = np.clip(cuts, mid + grid[0], mid + grid[-1])
+        edges = np.sort(np.concatenate([mid + grid, split], axis=1), axis=1)
+        half = 0.5 * np.diff(edges, axis=1)
+        centre = edges[:, :-1] + half
+        for p in range(0, panels, step):
+            ps = slice(p, p + step)
+            u = centre[:, ps, None] + half[:, ps, None] * _GL_X
+            mc, sc = posterior_arrays(u, 0.0, scen.nc, scen.sigma, scen.nE,
+                                      scen.sigmaE, method)
+            z = (u - mid[..., None]) / s_u
+            m = m0[sl, None, None] + gain * s_u * z
+            vals = np.exp(-0.5 * z * z) * ndtr(
+                (m - _threshold(mc, sc, zc, se_t)) / s)
+            out[sl] += (half[:, ps] * (vals @ _GL_W)).sum(axis=1)
+    out /= s_u * math.sqrt(2.0 * math.pi)
+    return np.clip(out, 0.0, 1.0).reshape(np.shape(theta_c))
+
+
+def _uline_screen(scen: ScenarioTwoArm, e_mean: float, e_var: float,
+                  method: BorrowingMethod, tol: float):
+    """``(null, margin)`` for :func:`_profile_max` under Empirical Bayes,
+    None otherwise: ``null(xs)``, the u-line null rates at offsets xs
+    (theta_c = e_mean + xs sigma), and twice the sum of the kernel's error
+    bound and the exact engine's ``tol``.  Each screened value then lies
+    within half the margin of the exact one, so the exact scan's first
+    argmax is screened within the margin of the screened maximum."""
+    if method.kind != EMPIRICAL_BAYES:
+        return None
+
+    def null(xs):
+        thc = e_mean + xs * scen.sigma
+        return _uline_reject(scen, thc, thc, e_mean, e_var, method)
+    return null, 2.0 * (_ULINE_ERR + tol)
+
+
+def _profile_max(reject, offsets, screen=None) -> tuple[float, float]:
     """Maximize the type-I-error profile ``reject(x, 0)`` over offsets x.
 
     Starts from the hull of [-6, 6] and the requested offsets; the upper
     end is doubled while the profile is still climbing there and has not
     saturated at 1 (within 1e-9), so a supremum approached in the limit is
-    localized deterministically.  The 401-point scan of the maximizer is
-    one batch; its polish is serial.  Returns (max, argmax).
+    localized deterministically.  ``screen`` is None or a pair
+    ``(null, margin)`` from :func:`_uline_screen`: the 401-point scan then
+    evaluates exactly, as one batch, only the grid points whose screened
+    value lies within ``margin`` of the screened maximum.  The margin keeps
+    the exact scan's first argmax on that shortlist, so the bracket, the
+    serial polish and every returned value are those of the full scan.
+    Returns (max, argmax).
     """
     lo = min(-6.0, float(min(offsets))) if len(offsets) else -6.0
     hi = max(6.0, float(max(offsets))) if len(offsets) else 6.0
@@ -237,12 +350,14 @@ def _profile_max(reject, offsets) -> tuple[float, float]:
                 "type-I-error profile still climbing at offset "
                 f"{hi}; maximization domain exhausted")
         hi *= 2.0
+    null, margin = screen or (None, 0.0)
     xstar, amax = _maximize(lambda x: reject(x, 0.0),
-                            lambda xs: reject(xs, 0.0), Interval(lo, hi))
+                            lambda xs: reject(xs, 0.0), Interval(lo, hi),
+                            screen=null, margin=margin)
     return min(amax, 1.0), xstar
 
 
-def _profile(scen: ScenarioTwoArm, reject, offsets,
+def _profile(scen: ScenarioTwoArm, reject, screen, offsets,
              power: bool = True) -> OCProfile:
     """Offset profile from ``reject(x, effect)``, the rejection probability
     with the control mean at offset x (a float or an array of offsets) and
@@ -250,12 +365,13 @@ def _profile(scen: ScenarioTwoArm, reject, offsets,
     its refined maximum (a requested offset beating that maximum by
     rounding wins, the smallest first), plus power at theta1 per offset
     and the calibrated comparator if ``power``.  The requested offsets are
-    evaluated as one batch per effect.
+    evaluated as one batch per effect; ``screen`` goes to
+    :func:`_profile_max`.
     """
     offs = _check_finite("offsets", [float(x) for x in offsets])
     t1e = reject(offs, 0.0).tolist()
     offs = offs.tolist()
-    amax, xstar = _profile_max(reject, offs)
+    amax, xstar = _profile_max(reject, offs, screen)
     for x, v in zip(offs, t1e):
         if v > amax:
             amax, xstar = v, x
@@ -268,20 +384,22 @@ def _profile(scen: ScenarioTwoArm, reject, offsets,
 
 def _fixed_reject(scen: ScenarioTwoArm, dE_mean: float,
                   method: BorrowingMethod):
-    """``reject(x, effect)`` for a fixed external mean dE_mean."""
+    """``(reject, screen)`` for a fixed external mean dE_mean:
+    ``reject(x, effect)`` and its u-line screen for :func:`_profile_max`."""
     dE_mean = _check_finite("dE_mean", dE_mean)
 
     def reject(x, effect):
         thc = dE_mean + np.asarray(x, dtype=float) * scen.sigma
-        return reject_prob_two_arm(scen, thc, thc + effect, dE_mean, method)
-    return reject
+        return reject_prob_two_arm(scen, thc, thc + effect, dE_mean, method,
+                                   tol=_FIXED_TOL)
+    return reject, _uline_screen(scen, dE_mean, 0.0, method, _FIXED_TOL)
 
 
 def t1e_profile(scen: ScenarioTwoArm, dE_mean: float,
                 method: BorrowingMethod, offsets) -> OCProfile:
     """Null rejection rate at theta_c = theta_t = dE_mean + x*sigma for each
     offset x, with the maximized level and its location."""
-    return _profile(scen, _fixed_reject(scen, dE_mean, method), offsets,
+    return _profile(scen, *_fixed_reject(scen, dE_mean, method), offsets,
                     power=False)
 
 
@@ -289,7 +407,7 @@ def power_profile(scen: ScenarioTwoArm, dE_mean: float,
                   method: BorrowingMethod, offsets) -> OCProfile:
     """Full profile: null rejection rate and power (at effect theta1) per
     offset, plus the comparator calibrated to the maximized level."""
-    return _profile(scen, _fixed_reject(scen, dE_mean, method), offsets)
+    return _profile(scen, *_fixed_reject(scen, dE_mean, method), offsets)
 
 
 def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
@@ -297,8 +415,8 @@ def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
     """Point characteristics for one external mean: the maximized null
     rejection rate, the power at effect theta1 with the control mean at
     that maximizing offset, and the comparator calibrated to the maximum."""
-    reject = _fixed_reject(scen, dE_mean, method)
-    prof = _profile(scen, reject, (), power=False)
+    reject, screen = _fixed_reject(scen, dE_mean, method)
+    prof = _profile(scen, reject, screen, (), power=False)
     return OCPoint(prof.alphaB_max, reject(prof.argmax_offset, scen.theta1),
                    power_calibrated_two_arm(prof.alphaB_max, scen))
 
@@ -425,7 +543,9 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
         return _random_reject(scen, thc, thc + effect, thetaE, method, engine,
                               tol)
 
-    return _profile(scen, reject, offsets)
+    screen = (None if engine == "quadrature" else
+              _uline_screen(scen, thetaE, scen.seE**2, method, tol))
+    return _profile(scen, reject, screen, offsets)
 
 
 # the conditional rejection curve of the Monte Carlo rows: Chebyshev

@@ -43,14 +43,20 @@ from scipy.special import ndtr
 from .borrow import (EMPIRICAL_BAYES, NO_BORROWING, BorrowingMethod,  # noqa: F401
                      posterior_arrays, tail_arrays)
 from .scenarios import ScenarioOneArm
-from .statmath import (Interval, _check_finite, find_root, norm_cdf,  # noqa: F401
-                       norm_quantile)
+from .statmath import (DomainError, Interval, _check_finite,  # noqa: F401
+                       find_root, norm_cdf, norm_quantile)
 
 _NEWTON_STEPS = 3
 # a quadratic factor's near-double root comes out with an imaginary part of
 # order sqrt(machine eps); a larger one belongs to a genuinely complex pair
 _IMAG_TOL = 1e-6
 _PLUS_MINUS = np.array([1.0, -1.0])
+# Empirical Bayes refuses external means more than this many standard errors
+# se from theta0.  A far-conflict boundary is formed as dE + w se with w near
+# -(dE - theta0)/se, so it loses about 2e-16 (dE - theta0) to cancellation:
+# at most about 2e-10 se within the bound (a 60-digit solve over 200
+# scenarios), and no correct digit beyond 1e15 se.
+_MAX_EB_DISTANCE = 1e6
 
 
 @dataclass(frozen=True)
@@ -189,11 +195,21 @@ def boundary_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod) -> Bounda
     A candidate whose two neighbouring segments decide alike (a tangency,
     or no root at all) is dropped.  Every step is elementwise in the rows,
     so a row's result does not depend on the rest of the batch; only the
-    padded width of ``roots`` does.
+    padded width of ``roots`` does.  Under Empirical Bayes an external
+    mean more than ``_MAX_EB_DISTANCE`` standard errors from theta0 raises
+    :class:`DomainError`: within that bound every boundary is good to 1e-9
+    se, and beyond it the far-conflict boundary loses its digits.
     """
     de = np.atleast_1d(_check_finite("external_mean", de))
     zc = norm_quantile(scen.c)
     se, seE, theta0 = scen.se, scen.seE, scen.theta0
+    if method.kind == EMPIRICAL_BAYES:
+        far = np.abs(de - theta0) > _MAX_EB_DISTANCE * se
+        if far.any():
+            raise DomainError(
+                f"external mean {float(de[far][0])!r} lies more than "
+                f"{_MAX_EB_DISTANCE:g} standard errors from theta0; its "
+                "Empirical Bayes boundaries would lose their precision")
     lo = np.minimum(theta0 - 10.0 * se, de - 10.0 * seE)
     hi = np.maximum(theta0 + 10.0 * se, de + 10.0 * seE)
     v = se * se

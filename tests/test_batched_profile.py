@@ -33,6 +33,11 @@ SCEN = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0, alpha=0.025)
 # nt > nc: the inner rule cuts each segment into ceil(se_c/se_t) = 2 pieces
 WIDE = ScenarioTwoArm(nc=6, nt=20, nE=40, sigma=1.3, theta1=0.8, alpha=0.05,
                       sigmaE=0.9)
+NT_GT_NC = ScenarioTwoArm(nc=10, nt=40, nE=25, sigma=1.0, theta1=0.9,
+                          alpha=0.025, sigmaE=1.4)
+# the null profile still climbs at offset 6, so its upper end doubles
+FAR_PEAK = ScenarioTwoArm(nc=15, nt=15, nE=2, sigma=1.0, theta1=1.0,
+                          alpha=0.025, sigmaE=10.0)
 OFFSETS = (-1.0, 0.0, 0.7)
 
 
@@ -60,19 +65,29 @@ def _assert_same(prof, ref):
 
 
 class TestFixedExternal:
+    """The u-line screen picks the grid points the exact scan evaluates;
+    the oracle scans all 401 of them."""
+
     @pytest.mark.parametrize("scen, dE", [(SCEN, 0.0), (SCEN, -0.7353),
-                                          (WIDE, 0.3)],
-                             ids=["equal-arms", "shifted", "nt>nc"])
+                                          (WIDE, 0.3), (NT_GT_NC, -0.2),
+                                          (FAR_PEAK, 0.1)],
+                             ids=["equal-arms", "shifted", "nt>nc",
+                                  "nt>>nc", "hi-doubles"])
     def test_eb_profile(self, scen, dE):
         _assert_same(power_profile(scen, dE, EB, OFFSETS),
                      oracle.profile(scen, _fixed(scen, dE, EB), OFFSETS))
 
     def test_eb_point(self):
-        point = oc_fixed_external_two_arm(SCEN, 0.25, EB)
-        reject = _fixed(SCEN, 0.25, EB)
-        _, amax, xstar, _ = oracle.profile(SCEN, reject, ())
+        self.test_eb_point_elsewhere(SCEN, 0.25)
+
+    @pytest.mark.parametrize("scen, dE", [(WIDE, -0.1), (FAR_PEAK, 0.0)],
+                             ids=["nt>nc", "hi-doubles"])
+    def test_eb_point_elsewhere(self, scen, dE):
+        point = oc_fixed_external_two_arm(scen, dE, EB)
+        reject = _fixed(scen, dE, EB)
+        _, amax, xstar, _ = oracle.profile(scen, reject, ())
         assert point.t1e_borrow == amax
-        assert point.power_borrow == reject(xstar, SCEN.theta1)
+        assert point.power_borrow == reject(xstar, scen.theta1)
 
     def test_fixed_weight_quadrature(self):
         for thc, tht, dE in ((0.0, 0.0, 0.0), (-0.8, 0.2, 0.5),
@@ -202,13 +217,17 @@ class TestLockstepEngine:
 
 class TestBatchMemory:
     """A batch of profile integrals hands the integrand a bounded number of
-    nodes per call, whatever the number of offsets."""
+    nodes per call, whatever the number of offsets, and the u-line screen
+    builds no node array larger than the same cap."""
 
     @pytest.fixture
     def largest(self, monkeypatch):
-        seen = {"x": 0, "rows": 0}
+        seen = {"x": 0, "rows": 0, "uline": 0, "screens": 0}
         batch = oc_twoarm._integrate_batch
         inner = oc_twoarm._inner_reject_gl
+        kernel = oc_twoarm._uline_reject
+        posterior = oc_twoarm.posterior_arrays
+        in_kernel = []
 
         def recording_batch(f, cuts, tol, max_nodes=None):
             def g(x, k):
@@ -220,17 +239,50 @@ class TestBatchMemory:
             seen["rows"] = max(seen["rows"], e.size)
             return inner(scen, e, *args)
 
+        def recording_kernel(*args):
+            seen["screens"] += 1
+            in_kernel.append(True)
+            try:
+                return kernel(*args)
+            finally:
+                in_kernel.pop()
+
+        def recording_posterior(x, *args):
+            if in_kernel:
+                seen["uline"] = max(seen["uline"], np.size(x))
+            return posterior(x, *args)
+
         monkeypatch.setattr(oc_twoarm, "_integrate_batch", recording_batch)
         monkeypatch.setattr(oc_twoarm, "_inner_reject_gl", recording_inner)
+        monkeypatch.setattr(oc_twoarm, "_uline_reject", recording_kernel)
+        monkeypatch.setattr(oc_twoarm, "posterior_arrays", recording_posterior)
         return seen
 
     def test_fixed_external_scan(self, largest):
         power_profile(SCEN, 0.0, EB, OFFSETS)
         assert 0 < largest["x"] <= oc_twoarm._BATCH_NODES
         assert largest["rows"] == 0
+        assert largest["screens"] == 1
+        assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
 
     @pytest.mark.parametrize("scen, rows", [(SCEN, 256), (WIDE, 128)],
                              ids=["one-piece", "two-pieces"])
     def test_random_external_scan(self, largest, scen, rows):
-        oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6)
+        # the screened scan evaluates few grid points exactly, so 300
+        # requested offsets make the exact batch reach its cap
+        offsets = np.linspace(-3.0, 3.0, 300)
+        oc_random_external_two_arm(scen, 0.0, EB, offsets, tol=1e-6)
         assert largest["x"] == largest["rows"] == rows
+        assert largest["screens"] == 1
+        assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
+
+    @pytest.mark.parametrize("scen", [
+        ScenarioTwoArm(nc=4, nt=189, nE=10, sigma=1.0, theta1=1.0, alpha=0.025),
+        ScenarioTwoArm(nc=2, nt=300, nE=5000, sigma=1.0, theta1=1.0,
+                       alpha=0.025, sigmaE=1.6),
+    ], ids=["4/189", "2/300"])
+    def test_uline_kernel_on_narrow_panels(self, largest, scen):
+        xs = np.linspace(-6.0, 6.0, 401)
+        null, _ = oc_twoarm._uline_screen(scen, 0.0, 0.0, EB, 1e-9)
+        assert np.all(np.isfinite(null(xs)))
+        assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES

@@ -354,6 +354,17 @@ class TestOutputs:
         assert [r["interval_count"] for r in summary["regions"]] == [1, 1, 1]
         assert not any(r["flagged"] for r in summary["regions"])
 
+    def test_region_refuses_far_external_means(self, tmp_path, capsys):
+        # Empirical Bayes boundaries lose their digits 1e6 se from theta0
+        doc = one_arm(method="eb-pp",
+                      grid={"start": 0.0, "stop": 1e10, "step": 5e9})
+        del doc["delta"]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["region", "--config", path, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "standard errors from theta0" in capsys.readouterr().err
+
     def test_region_requires_one_arm(self, tmp_path, capsys):
         path = write_config(tmp_path, two_arm(
             grid={"start": 0.0, "stop": 1.0, "step": 0.5}))

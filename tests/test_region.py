@@ -24,6 +24,7 @@ from borrowoc import (
     rejection_prob,
     rejection_region,
 )
+from borrowoc.oc_onearm import region_oc_arrays
 from borrowoc.region import _conflict_roots, _region_row, boundary_arrays
 
 SCEN = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
@@ -297,6 +298,48 @@ class TestFlaggedDegenerateScan:
         with pytest.raises(DomainError, match="'external_mean' must be finite"):
             boundary_arrays(SCEN, np.array([0.1, bad]),
                             BorrowingMethod.empirical_bayes())
+
+
+class TestFarExternalMeans:
+    """Empirical Bayes refuses external means beyond _MAX_EB_DISTANCE
+    standard errors from theta0, where the far-conflict boundary would lose
+    its digits; at the bound it is still good to 1e-9 se."""
+
+    # the boundary near theta0 + z_c se; its 20-digit value from a 60-digit
+    # mpmath solve of the decision margin
+    AT_BOUND = ((0.999e6, 0.3919925967072214244),
+                (-0.999e6, 0.39199299710762182748))
+
+    @pytest.mark.parametrize("dE", [1e10, 1e15, 1e20, 1e155, -1e300,
+                                    1.001e6 * SCEN.se])
+    def test_scalar_route_refuses(self, dE):
+        with pytest.raises(DomainError, match="standard errors from theta0"):
+            rejection_region(SCEN, dE, BorrowingMethod.empirical_bayes())
+
+    def test_array_route_refuses(self):
+        de = np.array([0.0, 0.3, -1e15, 0.5])
+        with pytest.raises(DomainError, match="-1000000000000000.0 lies"):
+            region_oc_arrays(SCEN, de, BorrowingMethod.empirical_bayes())
+
+    @pytest.mark.parametrize("distance, boundary", AT_BOUND)
+    def test_boundary_at_the_bound(self, distance, boundary):
+        de = SCEN.theta0 + distance * SCEN.se
+        for region in (rejection_region(SCEN, de, BorrowingMethod.empirical_bayes()),
+                       _region_row(boundary_arrays(
+                           SCEN, [0.1, de], BorrowingMethod.empirical_bayes()), 1)):
+            (iv,) = region.intervals
+            assert iv.hi == math.inf
+            assert abs(iv.lo - boundary) <= 1e-9 * SCEN.se
+        t1e, _ = region_oc_arrays(SCEN, np.array([de]),
+                                  BorrowingMethod.empirical_bayes())
+        assert t1e[0] == pytest.approx(
+            1.0 - norm_cdf((boundary - SCEN.theta0) / SCEN.se), abs=1e-9)
+
+    def test_fixed_weights_are_not_refused(self):
+        for method in (BorrowingMethod.none(),
+                       BorrowingMethod.fixed_power_prior(0.5)):
+            (iv,) = rejection_region(SCEN, 1e10, method).intervals
+            assert math.isfinite(iv.lo)
 
 
 class TestRejectionRegionValidation:
