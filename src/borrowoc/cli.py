@@ -12,7 +12,8 @@ Subcommands
     the replicate study / random-external run dispatched by the config's
     ``design`` key.
 ``region``
-    rejection-interval table over a grid of external means.
+    rejection-interval table over a grid of external means, from one
+    batch call of the boundary engine.
 
 Every output starts with a provenance line (scenario, method, seed, nsim,
 config hash, version) and is written atomically; identical config + seed
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -39,7 +41,10 @@ from . import __version__
 from .borrow import _KINDS, BorrowingMethod, NO_BORROWING
 from .oc_twoarm import (oc_random_external_two_arm,
                         oc_random_external_two_arm_mc, power_profile)
-from .region import interval_count, rejection_region
+# rejection_region is no longer called here; the name stays for
+# bench/tracing.py, which wraps cli.rejection_region
+from .region import (_region_row, boundary_arrays,  # noqa: F401
+                     interval_count, rejection_region)
 from .runner import (COLUMNS, DEFAULT_NSIM_FIXED, DEFAULT_NSIM_RANDOM,
                      DEFAULT_TWO_ARM_OFFSETS, RunReport, run_algorithm1,
                      run_algorithm2, run_grid, scenario_echo)
@@ -398,7 +403,8 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
         _write_report(out_dir, _provenance(cfg, report.scenario, None,
                                            report.nsim), report)
     elif subcommand == "region":
-        regions = [rejection_region(scen, de, method) for de in grid]
+        bounds = boundary_arrays(scen, grid, method)
+        regions = [_region_row(bounds, j) for j in range(len(grid))]
         _write_region(out_dir, _provenance(cfg, scenario_echo(scen, method),
                                            None, len(grid)), grid, regions)
     else:                                   # the two-arm profiles
@@ -441,6 +447,7 @@ def dispatch(subcommand: str, cfg: ScenarioConfig, out_dir, *,
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="borrowoc",

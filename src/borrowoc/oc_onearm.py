@@ -61,18 +61,22 @@ class OCPoint:
             object.__setattr__(self, "power_diff", float(self.power_diff))
 
 
-def power_calibrated(alphaB: float, scen: ScenarioOneArm) -> float:
+def power_calibrated(alphaB, scen: ScenarioOneArm):
     """Power at theta1 of the z-test calibrated to level alphaB.
 
-    Computed as Phi(effect + quantile(alphaB)) so that a tiny alphaB keeps
-    its relative precision; degenerate levels return the limits (0 -> 0,
-    1 -> 1).
+    Accepts a scalar or an array of levels, like :func:`norm_cdf`: a float
+    gives a float, an array an ndarray of the same shape, each entry equal
+    to the scalar call's.  Computed as Phi(effect + quantile(alphaB)) so
+    that a tiny alphaB keeps its relative precision; degenerate levels
+    return the limits (0 -> 0, 1 -> 1).
     """
-    alphaB = float(alphaB)
-    if not 0.0 <= alphaB <= 1.0:
-        raise DomainError(f"alphaB must lie in [0, 1], got {alphaB!r}")
+    levels = np.asarray(alphaB, dtype=float)
+    bad = ~((levels >= 0.0) & (levels <= 1.0))
+    if bad.any():
+        raise DomainError(f"alphaB must lie in [0, 1], got "
+                          f"{float(levels[bad][0])!r}")
     shift = (scen.theta1 - scen.theta0) / scen.se
-    return norm_cdf(shift + norm_quantile(alphaB))
+    return norm_cdf(shift + norm_quantile(levels))
 
 
 def oc_fixed_external(scen: ScenarioOneArm, dE_mean: float,

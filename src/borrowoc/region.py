@@ -263,9 +263,10 @@ def rejection_region(scen: ScenarioOneArm, external_mean: float,
                      method: BorrowingMethod) -> RejectionRegion:
     """Rejection region for one fixed external mean.
 
-    A one-row call to :func:`boundary_arrays`: its boundaries are the exact
-    roots of the decision margin, and it is ``flagged`` when none of them
-    lies inside ``scan_bounds``.
+    The one-row case of :func:`boundary_arrays` (a table over many external
+    means is one batch call, cut into regions row by row): its boundaries
+    are the exact roots of the decision margin, and it is ``flagged`` when
+    none of them lies inside ``scan_bounds``.
     """
     return _region_row(boundary_arrays(scen, float(external_mean), method), 0)
 

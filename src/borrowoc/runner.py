@@ -261,10 +261,8 @@ def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
                                   pt.power_calibrated)
     else:
         if not literal:
-            t1e, power = (a.tolist() for a in region_oc_arrays(scen, de,
-                                                               method))
-        cols = _replicate_columns(de, t1e, power,
-                                  [power_calibrated(t, scen) for t in t1e])
+            t1e, power = region_oc_arrays(scen, de, method)
+        cols = _replicate_columns(de, t1e, power, power_calibrated(t1e, scen))
     return summarize(cols, seed, nsim, scenario_echo(scen, method, thetaE))
 
 
@@ -331,8 +329,7 @@ def run_grid(scen, dE_means, method: BorrowingMethod) -> RunReport:
                               "alphaB_max": prof.alphaB_max,
                               "argmax_offset": prof.argmax_offset})
     else:
-        t1e, power = (a.tolist() for a in region_oc_arrays(scen, pts, method))
-        cols = _replicate_columns(pts, t1e, power,
-                                  [power_calibrated(t, scen) for t in t1e])
+        t1e, power = region_oc_arrays(scen, pts, method)
+        cols = _replicate_columns(pts, t1e, power, power_calibrated(t1e, scen))
         echo = scenario_echo(scen, method, None, {"grid_axis": "dE_mean"})
     return summarize(cols, None, len(pts), echo)

@@ -299,6 +299,19 @@ class TestOutputs:
         assert sha(rec1[0]) == sha(rec2[0])
         assert "seed=43" in rec2[0]
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        path = write_config(tmp_path, one_arm(thetaE=0.0, seed=42, nsim=2))
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["one-arm-fixed", "--config", path, "--out", str(first),
+                     "--seed", "5"]) == EXIT_OK
+        assert main(["one-arm-fixed", "--config", path,
+                     "--out", str(second)]) == EXIT_OK
+        for out, seed in ((first, 5), (second, 42)):
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["provenance"]["seed"] == seed
+            assert f"seed={seed}," in (out / "records.csv").read_text()
+
     def test_nsim_override_controls_row_count(self, tmp_path):
         path = write_config(tmp_path, one_arm(thetaE=0.0, seed=1, nsim=5))
         out = tmp_path / "out"
@@ -363,7 +376,10 @@ class TestOutputs:
         out = tmp_path / "out"
         rc = main(["region", "--config", path, "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert "standard errors from theta0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "standard errors from theta0" in err
+        # the table is one batch call; it names the first far grid value
+        assert "external mean 5000000000.0 lies" in err
 
     def test_region_requires_one_arm(self, tmp_path, capsys):
         path = write_config(tmp_path, two_arm(

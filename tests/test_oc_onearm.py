@@ -67,6 +67,27 @@ class TestPowerCalibrated:
         with pytest.raises(DomainError):
             power_calibrated(1.3, SCEN)
 
+    LEVELS = (0.0, 5e-324, 1e-300, 0.0171, 0.025, 0.5, 1.0 - 1e-16, 1.0)
+
+    def test_array_is_the_scalar_map(self):
+        want = [power_calibrated(a, SCEN) for a in self.LEVELS]
+        assert all(type(v) is float for v in want)
+        got = power_calibrated(np.array(self.LEVELS), SCEN)
+        assert isinstance(got, np.ndarray) and got.shape == (len(want),)
+        assert got.tolist() == want             # bit for bit
+        grid = power_calibrated(np.array(self.LEVELS).reshape(2, 4), SCEN)
+        assert grid.ravel().tolist() == want
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.3])
+    @pytest.mark.parametrize("where", [0, 3, 7])
+    def test_array_domain_covers_every_entry(self, bad, where):
+        levels = np.array(self.LEVELS)
+        levels[where] = bad
+        with pytest.raises(DomainError, match="alphaB must lie in"):
+            power_calibrated(levels, SCEN)
+        with pytest.raises(DomainError, match="alphaB must lie in"):
+            power_calibrated(bad, SCEN)
+
     def test_monotone_in_level(self):
         levels = np.linspace(0.001, 0.999, 101)
         vals = [power_calibrated(float(a), SCEN) for a in levels]

@@ -206,12 +206,28 @@ def test_algebraic_region_matches_dense_scan(scen, method):
     assert compared >= len(ORACLE_DE) - 4
 
 
+# the benchmark's region grid: 601 points from about -1 in steps of 0.005,
+# across the nE = 1000 two-interval band [0.05, 0.15]; far external means
+# within the 1e6 se bound, where fixed weights leave no boundary in the
+# window (flagged) and Empirical Bayes is in far conflict
+BENCH_GRID = tuple(-0.9975 + 0.005 * k for k in range(601))
+FAR_DE = (-1e5, -1e4, -50.0, 50.0, 1e4, 1e5)
+
+
 def test_region_is_its_batch_row():
-    de = np.array([-20.0, -0.4, 0.0, 0.056286, 0.1, 0.1452, 0.7, 20.0])
+    # the region table is one boundary_arrays call cut into rows; each row
+    # must be the one-row call's region: intervals, window and flag
+    de = BENCH_GRID + FAR_DE + (-20.0, 0.056286, 0.1452, 20.0)
     eb = BorrowingMethod.empirical_bayes()
-    batch = boundary_arrays(SCEN_BIG_EXT, de, eb)
-    for j, d in enumerate(de):
-        assert _region_row(batch, j) == rejection_region(SCEN_BIG_EXT, d, eb)
+    for scen, method, multi, flagged in (
+            (SCEN_BIG_EXT, eb, 20, 0), (SCEN, eb, 0, 0),
+            (SCEN, BorrowingMethod.fixed_power_prior(0.5), 0, 8),
+            (SCEN, BorrowingMethod.none(), 0, 0)):
+        batch = boundary_arrays(scen, de, method)
+        rows = [_region_row(batch, j) for j in range(len(de))]
+        assert rows == [rejection_region(scen, d, method) for d in de]
+        assert sum(interval_count(r) > 1 for r in rows) == multi
+        assert sum(r.flagged for r in rows) == flagged
 
 
 # 3 x 4 x 4 x 2 = 96 designs; c = 0.5 is z_c = 0, where every root of the
