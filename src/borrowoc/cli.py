@@ -384,7 +384,11 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
     scen, method = cfg.scenario(), cfg.borrowing_method()
     grid = cfg.grid_points() if needs_grid or cfg.grid is not None else None
     _check_positive("tol", tol)
-    # every refusal comes before the output directory exists
+    # the region table's far-mean refusal is raised by its batch call, so
+    # the call comes first: every refusal comes before the output
+    # directory exists
+    bounds = (boundary_arrays(scen, grid, method) if subcommand == "region"
+              else None)
     out_dir.mkdir(parents=True, exist_ok=True)
     if subcommand in ("algorithm1", "one-arm-fixed"):
         nsim = cfg.nsim or DEFAULT_NSIM_FIXED
@@ -403,7 +407,6 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
         _write_report(out_dir, _provenance(cfg, report.scenario, None,
                                            report.nsim), report)
     elif subcommand == "region":
-        bounds = boundary_arrays(scen, grid, method)
         regions = [_region_row(bounds, j) for j in range(len(grid))]
         _write_region(out_dir, _provenance(cfg, scenario_echo(scen, method),
                                            None, len(grid)), grid, regions)

@@ -380,6 +380,7 @@ class TestOutputs:
         assert "standard errors from theta0" in err
         # the table is one batch call; it names the first far grid value
         assert "external mean 5000000000.0 lies" in err
+        assert not out.exists()             # refused before the directory
 
     def test_region_requires_one_arm(self, tmp_path, capsys):
         path = write_config(tmp_path, two_arm(

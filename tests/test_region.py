@@ -216,11 +216,13 @@ FAR_DE = (-1e5, -1e4, -50.0, 50.0, 1e4, 1e5)
 
 def test_region_is_its_batch_row():
     # the region table is one boundary_arrays call cut into rows; each row
-    # must be the one-row call's region: intervals, window and flag
-    de = BENCH_GRID + FAR_DE + (-20.0, 0.056286, 0.1452, 20.0)
+    # must be the one-row call's region: intervals, window and flag; the
+    # last eight points (theta0 = 0 among them) are the earlier test's
+    de = BENCH_GRID + FAR_DE + (-20.0, -0.4, 0.0, 0.056286, 0.1, 0.1452,
+                                 0.7, 20.0)
     eb = BorrowingMethod.empirical_bayes()
     for scen, method, multi, flagged in (
-            (SCEN_BIG_EXT, eb, 20, 0), (SCEN, eb, 0, 0),
+            (SCEN_BIG_EXT, eb, 21, 0), (SCEN, eb, 0, 0),
             (SCEN, BorrowingMethod.fixed_power_prior(0.5), 0, 8),
             (SCEN, BorrowingMethod.none(), 0, 0)):
         batch = boundary_arrays(scen, de, method)
