@@ -384,9 +384,7 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
     scen, method = cfg.scenario(), cfg.borrowing_method()
     grid = cfg.grid_points() if needs_grid or cfg.grid is not None else None
     _check_positive("tol", tol)
-    # the region table's far-mean refusal is raised by its batch call, so
-    # the call comes first: every refusal comes before the output
-    # directory exists
+    # every refusal, the region batch's too, comes before --out exists
     bounds = (boundary_arrays(scen, grid, method) if subcommand == "region"
               else None)
     out_dir.mkdir(parents=True, exist_ok=True)
