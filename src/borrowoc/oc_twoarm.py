@@ -8,17 +8,16 @@ error rate is a *profile* over the standardized control-vs-external offset
 ``x = (theta_c - dE_mean)/sigma``, and the reported level is its maximum
 over x.
 
-Engines:
+Exact engines:
 
 * fixed weights (and no borrowing) reduce to a single normal probability --
   the test statistic is linear in the jointly Gaussian sample means;
 * Empirical Bayes weights require one adaptive quadrature over the control
-  mean, split at the two points where the fitted weight stops saturating;
-  the integrals of many offsets run as one lockstep batch
-  (``statmath._integrate_batch``), each with the same value as alone, so
-  a profile evaluates its requested offsets and the 401-point scan of its
-  maximizer as one batch each, with at most ``_BATCH_NODES`` nodes per
-  integrand call;
+  mean, split at the two points where the fitted weight stops saturating
+  (and graded into the threshold's cusp just past them where that cusp is
+  much narrower than se_c); the integrals of many offsets run as one
+  lockstep batch (``statmath._integrate_batch``), each with the same value
+  as alone, with at most ``_BATCH_NODES`` nodes per integrand call;
 * random external data add an outer expectation over the external mean --
   closed-form again for fixed weights, an outer adaptive quadrature with a
   vectorized inner Gauss-Legendre rule for Empirical Bayes (batched over
@@ -37,18 +36,14 @@ Engines:
 
 The reported level is the maximum of the null profile over the offset: a
 401-point scan brackets it and a golden-section polish refines it.  Under
-Empirical Bayes, with the external mean fixed or random, the scan is
-screened by the u-line kernel :func:`_uline_reject`.  The EB weight depends
-only on u = control mean - external mean, so each rejection probability is
-one Gaussian integral over u.  Its values lie within ``_ULINE_ERR`` of the
-true probabilities, and the exact engine's within its tolerance, so only the
-grid points it puts within twice the sum of the two of its maximum go
-through the exact engine.  That shortlist holds the full scan's first
-argmax, so the bracket, the polish and every reported number are the exact
-engine's, bit for bit.  (The premise fails where the adaptive engines miss
-the threshold's narrow cusp past the saturation points, at large nE with
-nt >> nc; there they err beyond their tolerance and the kernel does not.)
-``engine="quadrature"`` scans all 401 points with the nested engine.
+Empirical Bayes, with the external mean fixed or random, the u-line kernel
+:func:`_uline_reject` reports every profile value: the requested offsets,
+the power, the scan and the checks that stop the search domain.  The EB
+weight depends only on u = control mean - external mean, so each rejection
+probability is one Gaussian integral over u.  The exact engines make the
+polish's scalar calls, so the maximum and its location are theirs.  With
+``engine="quadrature"`` they give every value of a random-external
+profile, as a cross-check of the kernel.
 """
 
 from __future__ import annotations
@@ -84,10 +79,6 @@ _BATCH_NODES = 256 * 3 * _INNER_GL_NODES
 _WHOLE_LINE = Interval(-math.inf, math.inf)
 # quadrature tolerance of the fixed-external profiles
 _FIXED_TOL = 1e-9
-# bound on the u-line kernel's error: a seeded fuzz (tests/test_uline.py)
-# finds it within 1e-13 of quadrature at tol 1e-13 for a fixed external
-# mean and within 1e-10 of the nested engine at tol 1e-12 for a random one
-_ULINE_ERR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -230,13 +221,33 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
         return (_norm_pdf(x, thc[k], se_c)
                 * ndtr((tht[k] - _threshold(mc, sc, zc, se_t)) / se_t))
 
-    r = math.sqrt(se_c**2 + scen.seE**2)
-    eb = method.kind == EMPIRICAL_BAYES
-    cuts = [_cuts(_WHOLE_LINE, (d - r, d + r) if eb else (), (c, se_c))
+    dist = np.empty(0)
+    if method.kind == EMPIRICAL_BAYES:
+        dist = _cusp_cuts(scen, se_c)
+        # a cusp more than 8 times narrower than se_c (two grades or more)
+        # escapes the error estimate; a wider one needs only the cuts at +-r
+        if dist.size < 3:
+            dist = dist[:1]
+    cuts = [_cuts(_WHOLE_LINE, np.concatenate([d - dist, d + dist]), (c, se_c))
             for c, d in zip(thc.tolist(), de.tolist())]
     vals = _integrate_batch(f, cuts, tol, _BATCH_NODES)
     out = np.clip(vals, 0.0, 1.0).reshape(shape)
     return float(out) if scalar else out
+
+
+def _cusp_cuts(scen: ScenarioTwoArm, width: float) -> np.ndarray:
+    """Distances from the external mean at which the panels of an Empirical
+    Bayes rejection integral end: r = sqrt(se_c^2 + seE^2), where the
+    fitted weight stops saturating, then r + width/8^k, k = 1, 2, ..., down
+    to eps = (se_t^2 + se_c^2 seE^2/r^2) r^3/(2 se_c^4).  Just past r the
+    threshold varies like sqrt(eps + |u| - r), a cusp far narrower than
+    se_c when nE is large and nt >> nc."""
+    se_c = scen.sigma / math.sqrt(scen.nc)
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    r = math.sqrt(se_c**2 + scen.seE**2)
+    eps = (se_t**2 + (se_c * scen.seE / r) ** 2) * r**3 / (2.0 * se_c**4)
+    grade = max(0, math.ceil(math.log(width / eps, 8.0)))
+    return np.concatenate([[r], r + width * 8.0 ** -np.arange(1, grade + 1)])
 
 
 def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
@@ -255,13 +266,14 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     E[Phi((m(u) - h(u))/s)].
 
     The rule: 40-node Gauss-Legendre panels on mu_u +- 8.5 s_u, none wider
-    than 4 min(s, s_u), so that both the density and the Phi factor are
-    resolved, split at +-r = +-sqrt(se_c^2 + seE^2) where the weight stops
-    saturating.  Just past +-r, h varies like sqrt(eps + |u| - r) with
-    eps = (se_t^2 + se_c^2 seE^2/r^2) r^3/(2 se_c^4), a cusp far narrower
-    than se_c when nE is large and nt >> nc, so the panels there shrink by
-    factors of 8 down to eps.  Offsets go in chunks, and no node array holds
-    more than ``_BATCH_NODES`` elements.
+    than width = 4 min(s, s_u), so that both the density and the Phi factor
+    are resolved, split at +-:func:`_cusp_cuts` of that width: the panels
+    shrink by factors of 8 into the threshold's cusp past +-r.  Over a
+    seeded fuzz (``tests/test_uline.py``) the values lie within 1e-13 of
+    cusp-aware quadrature at tol 1e-13 for a fixed external mean, and
+    within 1e-10 of the nested engine at tol 1e-12 for a random one.
+    Offsets go in chunks, and no node array holds more than
+    ``_BATCH_NODES`` elements.
     """
     se_c2 = scen.sigma**2 / scen.nc
     se_t = scen.sigma / math.sqrt(scen.nt)
@@ -269,15 +281,9 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     s_u = math.sqrt(s_u2)
     gain = e_var / s_u2                 # slope of m(u)
     s = math.sqrt(se_t**2 + se_c2 * gain)
-    r2 = se_c2 + scen.seE**2
-    r = math.sqrt(r2)
     zc = norm_quantile(scen.c)
     width = 4.0 * min(s, s_u)
-    # breakpoints r + width/8^k, k = 1..grade, down to the cusp's width
-    cusp = (se_t**2 + se_c2 * scen.seE**2 / r2) * r * r2 / (2.0 * se_c2**2)
-    grade = max(0, math.ceil(math.log(width / cusp, 8.0)))
-    steps = width * 8.0 ** -np.arange(1, grade + 1)
-    cuts = np.concatenate([[r], r + steps])
+    cuts = _cusp_cuts(scen, width)
     cuts = np.concatenate([-cuts, cuts])
     n_equal = math.ceil(2.0 * _GAUSS_TRUNC * s_u / width)
     grid = np.linspace(-_GAUSS_TRUNC * s_u, _GAUSS_TRUNC * s_u, n_equal + 1)
@@ -308,106 +314,106 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     return np.clip(out, 0.0, 1.0).reshape(np.shape(theta_c))
 
 
-def _uline_screen(scen: ScenarioTwoArm, e_mean: float, e_var: float,
-                  method: BorrowingMethod, tol: float):
-    """``(null, margin)`` for :func:`_profile_max` under Empirical Bayes,
-    None otherwise: ``null(xs)``, the u-line null rates at offsets xs
-    (theta_c = e_mean + xs sigma), and twice the sum of the kernel's error
-    bound and the exact engine's ``tol``.  Each screened value then lies
-    within half the margin of the exact one, so the exact scan's first
-    argmax is screened within the margin of the screened maximum."""
-    if method.kind != EMPIRICAL_BAYES:
-        return None
+def _offset_engines(scen: ScenarioTwoArm, e_mean: float, e_var: float,
+                    method: BorrowingMethod, engine: str, tol: float):
+    """``(exact, values)``: two ways to compute ``f(x, effect)``, the
+    rejection probability with the external mean N(e_mean, e_var)
+    (``e_var`` = 0: fixed at e_mean), the control mean at offset x (a float
+    or an array) and the treatment mean ``effect`` above it.
 
-    def null(xs):
-        thc = e_mean + xs * scen.sigma
-        return _uline_reject(scen, thc, thc, e_mean, e_var, method)
-    return null, 2.0 * (_ULINE_ERR + tol)
+    ``exact`` is the adaptive quadrature at ``tol``: over the control mean
+    for a fixed external mean, nested over the external mean for a random
+    one.  ``values`` is the u-line kernel :func:`_uline_reject` under
+    Empirical Bayes and ``exact`` itself with ``engine="quadrature"``.
+    Fixed weights and no borrowing use the closed form for both.
+    """
+    def means(x, effect):
+        thc = e_mean + np.asarray(x, dtype=float) * scen.sigma
+        return thc, thc + effect
+
+    if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
+        def closed(x, effect):
+            return _closed_fixed(scen, *means(x, effect), e_mean,
+                                 _method_delta(method), external_var=e_var)
+        return closed, closed
+
+    def exact(x, effect):
+        if e_var == 0.0:
+            return reject_prob_two_arm(scen, *means(x, effect), e_mean,
+                                       method, engine=engine, tol=tol)
+        return _random_reject(scen, *means(x, effect), e_mean, method, tol)
+
+    def kernel(x, effect):
+        return _uline_reject(scen, *means(x, effect), e_mean, e_var, method)
+    return exact, exact if engine == "quadrature" else kernel
 
 
-def _profile_max(reject, offsets, screen=None) -> tuple[float, float]:
-    """Maximize the type-I-error profile ``reject(x, 0)`` over offsets x.
+def _profile_max(exact, values, offsets) -> tuple[float, float]:
+    """Maximize the type-I-error profile over offsets x: ``values(x, 0)``
+    scans it and ``exact(x, 0)`` polishes (see :func:`_offset_engines`).
 
     Starts from the hull of [-6, 6] and the requested offsets; the upper
-    end is doubled while the profile is still climbing there and has not
+    end is doubled while ``values`` still climbs there and has not
     saturated at 1 (within 1e-9), so a supremum approached in the limit is
-    localized deterministically.  ``screen`` is None or a pair
-    ``(null, margin)`` from :func:`_uline_screen`: the 401-point scan then
-    evaluates exactly, as one batch, only the grid points whose screened
-    value lies within ``margin`` of the screened maximum.  The margin keeps
-    the exact scan's first argmax on that shortlist, so the bracket, the
-    serial polish and every returned value are those of the full scan.
-    Returns (max, argmax).
+    localized deterministically.  The 401-point scan is one ``values``
+    call; the golden-section polish in its best cell makes scalar
+    ``exact`` calls, and its value is the maximum unless a scanned value
+    beats it.  Returns (max, argmax).
     """
-    lo = min(-6.0, float(min(offsets))) if len(offsets) else -6.0
-    hi = max(6.0, float(max(offsets))) if len(offsets) else 6.0
+    lo, hi = min([-6.0, *offsets]), max([6.0, *offsets])
     while True:
-        end = reject(hi, 0.0)
-        if end > _SATURATION or reject(hi - _SLOPE_PROBE, 0.0) >= end:
+        end = values(hi, 0.0)
+        if end > _SATURATION or values(hi - _SLOPE_PROBE, 0.0) >= end:
             break
         if hi >= _MAX_DOMAIN:
             raise NonConvergenceError(
                 "type-I-error profile still climbing at offset "
                 f"{hi}; maximization domain exhausted")
         hi *= 2.0
-    null, margin = screen or (None, 0.0)
-    xstar, amax = _maximize(lambda x: reject(x, 0.0),
-                            lambda xs: reject(xs, 0.0), Interval(lo, hi),
-                            screen=null, margin=margin)
+    xstar, amax = _maximize(lambda x: exact(x, 0.0),
+                            lambda xs: values(xs, 0.0), Interval(lo, hi))
     return min(amax, 1.0), xstar
 
 
-def _profile(scen: ScenarioTwoArm, reject, screen, offsets,
+def _profile(scen: ScenarioTwoArm, engines, offsets,
              power: bool = True) -> OCProfile:
-    """Offset profile from ``reject(x, effect)``, the rejection probability
-    with the control mean at offset x (a float or an array of offsets) and
-    the treatment mean ``effect`` above it: the null rate per offset and
-    its refined maximum (a requested offset beating that maximum by
-    rounding wins, the smallest first), plus power at theta1 per offset
-    and the calibrated comparator if ``power``.  The requested offsets are
-    evaluated as one batch per effect; ``screen`` goes to
-    :func:`_profile_max`.
+    """Offset profile from ``engines = (exact, values)`` of
+    :func:`_offset_engines`: the null rate per offset from one ``values``
+    call and its maximum from :func:`_profile_max` (a requested offset
+    whose value beats that maximum wins, the smallest first), plus, if
+    ``power``, one ``values`` call for the power at theta1 per offset and
+    the comparator calibrated to the maximum.
     """
+    exact, values = engines
     offs = _check_finite("offsets", [float(x) for x in offsets])
-    t1e = reject(offs, 0.0).tolist()
-    offs = offs.tolist()
-    amax, xstar = _profile_max(reject, offs, screen)
-    for x, v in zip(offs, t1e):
+    t1e = values(offs, 0.0).tolist()
+    amax, xstar = _profile_max(exact, values, offs.tolist())
+    for x, v in zip(offs.tolist(), t1e):
         if v > amax:
             amax, xstar = v, x
     if not power:
         return OCProfile(offs, t1e, amax, xstar)
     return OCProfile(offs, t1e, amax, xstar,
-                     power_borrow=reject(np.asarray(offs), scen.theta1).tolist(),
+                     power_borrow=values(offs, scen.theta1).tolist(),
                      power_calibrated=power_calibrated_two_arm(amax, scen))
-
-
-def _fixed_reject(scen: ScenarioTwoArm, dE_mean: float,
-                  method: BorrowingMethod):
-    """``(reject, screen)`` for a fixed external mean dE_mean:
-    ``reject(x, effect)`` and its u-line screen for :func:`_profile_max`."""
-    dE_mean = _check_finite("dE_mean", dE_mean)
-
-    def reject(x, effect):
-        thc = dE_mean + np.asarray(x, dtype=float) * scen.sigma
-        return reject_prob_two_arm(scen, thc, thc + effect, dE_mean, method,
-                                   tol=_FIXED_TOL)
-    return reject, _uline_screen(scen, dE_mean, 0.0, method, _FIXED_TOL)
 
 
 def t1e_profile(scen: ScenarioTwoArm, dE_mean: float,
                 method: BorrowingMethod, offsets) -> OCProfile:
     """Null rejection rate at theta_c = theta_t = dE_mean + x*sigma for each
     offset x, with the maximized level and its location."""
-    return _profile(scen, *_fixed_reject(scen, dE_mean, method), offsets,
-                    power=False)
+    engines = _offset_engines(scen, _check_finite("dE_mean", dE_mean), 0.0,
+                              method, "auto", _FIXED_TOL)
+    return _profile(scen, engines, offsets, power=False)
 
 
 def power_profile(scen: ScenarioTwoArm, dE_mean: float,
                   method: BorrowingMethod, offsets) -> OCProfile:
     """Full profile: null rejection rate and power (at effect theta1) per
     offset, plus the comparator calibrated to the maximized level."""
-    return _profile(scen, *_fixed_reject(scen, dE_mean, method), offsets)
+    engines = _offset_engines(scen, _check_finite("dE_mean", dE_mean), 0.0,
+                              method, "auto", _FIXED_TOL)
+    return _profile(scen, engines, offsets)
 
 
 def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
@@ -415,9 +421,11 @@ def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
     """Point characteristics for one external mean: the maximized null
     rejection rate, the power at effect theta1 with the control mean at
     that maximizing offset, and the comparator calibrated to the maximum."""
-    reject, screen = _fixed_reject(scen, dE_mean, method)
-    prof = _profile(scen, reject, screen, (), power=False)
-    return OCPoint(prof.alphaB_max, reject(prof.argmax_offset, scen.theta1),
+    engines = _offset_engines(scen, _check_finite("dE_mean", dE_mean), 0.0,
+                              method, "auto", _FIXED_TOL)
+    prof = _profile(scen, engines, (), power=False)
+    return OCPoint(prof.alphaB_max,
+                   float(engines[1](prof.argmax_offset, scen.theta1)),
                    power_calibrated_two_arm(prof.alphaB_max, scen))
 
 
@@ -495,14 +503,12 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
 
 
 def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
-                   method: BorrowingMethod, engine: str, tol: float):
+                   method: BorrowingMethod, tol: float):
     """Rejection probabilities with the external mean random,
     N(thetaE, seE^2), at the control and treatment means ``theta_c`` and
-    ``theta_t``: floats give a float, same-shape arrays an array,
+    ``theta_t``, by an outer adaptive quadrature over the external mean of
+    the inner rule: floats give a float, same-shape arrays an array,
     evaluated as one lockstep batch."""
-    if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
-        return _closed_fixed(scen, theta_c, theta_t, thetaE,
-                             _method_delta(method), external_var=scen.seE**2)
     seE = scen.seE
     zc = norm_quantile(scen.c)
     thc, tht = np.ravel(theta_c), np.ravel(theta_t)
@@ -531,21 +537,16 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
     Produces the averaged null rejection rate per offset, its maximized
     value over offsets, the averaged power, and the comparator calibrated
     to the maximized averaged level.  ``tol`` must be finite and positive
-    whichever engine runs.
+    whichever engine runs; it is the tolerance of the nested quadrature,
+    which polishes the maximum and, with ``engine="quadrature"``, gives
+    every value (see :func:`_offset_engines`).
     """
     tol = _check_positive("tol", tol)
     if engine not in ("auto", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
     thetaE = _check_finite("thetaE", thetaE)
-
-    def reject(x, effect):
-        thc = thetaE + np.asarray(x, dtype=float) * scen.sigma
-        return _random_reject(scen, thc, thc + effect, thetaE, method, engine,
-                              tol)
-
-    screen = (None if engine == "quadrature" else
-              _uline_screen(scen, thetaE, scen.seE**2, method, tol))
-    return _profile(scen, reject, screen, offsets)
+    return _profile(scen, _offset_engines(scen, thetaE, scen.seE**2, method,
+                                          engine, tol), offsets)
 
 
 # the conditional rejection curve of the Monte Carlo rows: Chebyshev

@@ -10,8 +10,8 @@ The quadrature has one engine, :func:`_integrate_batch`, which runs many
 integrals in lockstep and evaluates their new nodes in one integrand call
 per round; :func:`integrate` is its one-integral case.  The maximizer has
 one loop, :func:`_maximize`, whose grid scan is one call on all grid
-points, or on the points an optional cheaper screen cannot rule out;
-:func:`maximize_1d` is its scalar-function case.
+points and whose polish makes scalar calls, possibly of another function;
+:func:`maximize_1d` is its case of one scalar function.
 """
 
 from __future__ import annotations
@@ -360,31 +360,20 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 401
 
 
-def _maximize(f, scan, domain: Interval, tol: float = 1e-10, *,
-              screen=None, margin: float = 0.0):
+def _maximize(f, scan, domain: Interval, tol: float = 1e-10):
     """:func:`maximize_1d` with its 401-point grid evaluated by one call
-    ``scan(xs)`` (an array of the values of ``f`` at ``xs``) and the
-    golden-section polish by scalar calls ``f(x)``.
-
-    An optional ``screen(xs)`` approximates ``scan`` to within
-    ``margin / 2`` at every grid point.  ``scan`` then evaluates only the
-    grid points screened within ``margin`` of the screened maximum.  The
-    first argmax of the full scan is always among them, and every point
-    before it that is kept scans lower, so the bracket, the polish and the
-    result are those of the unscreened call.
+    ``scan(xs)`` (an array of values at ``xs``) and the golden-section
+    polish by scalar calls ``f(x)``.  ``scan`` may be a cheaper
+    approximation of ``f``: it only picks the cell to polish, and its best
+    value is returned only if the polish does not beat it.
     """
     if not domain.finite:
         raise DomainError("maximization domain must be finite")
     _check_positive("tol", tol)
     xs = np.linspace(domain.lo, domain.hi, _GRID_POINTS)
-    keep = np.arange(_GRID_POINTS)
-    if screen is not None:
-        approx = np.asarray(screen(xs), dtype=float)
-        keep = np.flatnonzero(approx >= approx.max() - margin)
-    ys = np.asarray(scan(xs[keep]), dtype=float)
-    j = int(np.argmax(ys))                      # first occurrence = smallest x
-    i = int(keep[j])
-    best_x, best_y = float(xs[i]), float(ys[j])
+    ys = np.asarray(scan(xs), dtype=float)
+    i = int(np.argmax(ys))                      # first occurrence = smallest x
+    best_x, best_y = float(xs[i]), float(ys[i])
 
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, _GRID_POINTS - 1)])

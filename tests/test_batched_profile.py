@@ -1,13 +1,17 @@
-"""Two-arm profiles against a serial oracle, bit for bit.
+"""Two-arm profiles against a serial oracle.
 
 ``kernel_oracle.profile`` evaluates every offset on its own: one adaptive
 integral per offset through the one-panel-per-call ``kernel_oracle.integrate``,
-and a scalar 401-point scan plus golden-section polish for the maximum.  The
-engines in ``borrowoc.oc_twoarm`` may batch offsets and panels, but each
-profile value, the maximized level and its location must come out exactly
-the same.
+and a scalar 401-point scan plus golden-section polish for the maximum.
+Under Empirical Bayes the engines in ``borrowoc.oc_twoarm`` take the profile
+values and the scan from the u-line kernel and polish with the exact
+engine, so the maximized level and its location must come out exactly the
+oracle's, and each value within the oracle's tolerance plus 1e-12.  The
+``engine="quadrature"`` route batches offsets and panels of the exact
+engine, so its values must equal the oracle's exactly.
 """
 
+import json
 import math
 
 import numpy as np
@@ -25,6 +29,7 @@ from borrowoc import (
     reject_prob_two_arm,
 )
 from borrowoc import oc_twoarm
+from borrowoc.cli import EXIT_NUMERICS, main
 from borrowoc.statmath import _cuts, _integrate_batch
 
 EB = BorrowingMethod.empirical_bayes()
@@ -56,17 +61,19 @@ def _random(scen, thetaE, method, tol):
     return reject
 
 
-def _assert_same(prof, ref):
+def _assert_same(prof, ref, gap):
+    """The maximum and its location bit for bit; the null rate and the
+    power per offset within ``gap`` of the oracle's."""
     t1e, amax, xstar, power = ref
-    assert prof.t1e == tuple(t1e)
     assert prof.alphaB_max == amax
     assert prof.argmax_offset == xstar
-    assert prof.power_borrow == tuple(power)
+    assert np.abs(np.subtract(prof.t1e, t1e)).max() <= gap
+    assert np.abs(np.subtract(prof.power_borrow, power)).max() <= gap
 
 
 class TestFixedExternal:
-    """The u-line screen picks the grid points the exact scan evaluates;
-    the oracle scans all 401 of them."""
+    """The u-line kernel scans all 401 grid points and gives the values;
+    the oracle scans and polishes with quadrature at tol 1e-9."""
 
     @pytest.mark.parametrize("scen, dE", [(SCEN, 0.0), (SCEN, -0.7353),
                                           (WIDE, 0.3), (NT_GT_NC, -0.2),
@@ -75,7 +82,8 @@ class TestFixedExternal:
                                   "nt>>nc", "hi-doubles"])
     def test_eb_profile(self, scen, dE):
         _assert_same(power_profile(scen, dE, EB, OFFSETS),
-                     oracle.profile(scen, _fixed(scen, dE, EB), OFFSETS))
+                     oracle.profile(scen, _fixed(scen, dE, EB), OFFSETS),
+                     1e-9 + 1e-12)
 
     def test_eb_point(self):
         self.test_eb_point_elsewhere(SCEN, 0.25)
@@ -87,7 +95,8 @@ class TestFixedExternal:
         reject = _fixed(scen, dE, EB)
         _, amax, xstar, _ = oracle.profile(scen, reject, ())
         assert point.t1e_borrow == amax
-        assert point.power_borrow == reject(xstar, scen.theta1)
+        assert abs(point.power_borrow - reject(xstar, scen.theta1)) <= (
+            1e-9 + 1e-12)
 
     def test_fixed_weight_quadrature(self):
         for thc, tht, dE in ((0.0, 0.0, 0.0), (-0.8, 0.2, 0.5),
@@ -107,20 +116,40 @@ class TestRandomExternal:
         prof = oc_random_external_two_arm(scen, thetaE, method, OFFSETS, tol,
                                           engine=engine)
         _assert_same(prof, oracle.profile(
-            scen, _random(scen, thetaE, method, tol), OFFSETS))
+            scen, _random(scen, thetaE, method, tol), OFFSETS),
+            0.0 if engine == "quadrature" else tol + 1e-12)
 
     def test_first_failing_offset_names_the_failure(self):
         # at tol 1e-19 the offset -3 converges while 0.5 and 0 exhaust the
-        # panel budget with different error estimates; the profile raises
-        # what the serial loop raises for 0.5, the first failing offset
+        # panel budget with different error estimates; the quadrature route
+        # raises what the serial loop raises for 0.5, the first failing
+        # offset
         with pytest.raises(NonConvergenceError) as ref:
             oracle.random_reject(SCEN, 0.5, 0.5, 0.0, EB, 1e-19)
         assert oracle.random_reject(SCEN, -3.0, -3.0, 0.0, EB, 1e-19) > 0.0
         with pytest.raises(NonConvergenceError) as got:
             oc_random_external_two_arm(SCEN, 0.0, EB, (-3.0, 0.5, 0.0),
-                                       tol=1e-19)
+                                       tol=1e-19, engine="quadrature")
         assert str(got.value) == str(ref.value)
         assert "after 4097 panels" in str(ref.value)
+
+    def test_polish_fails_at_an_unreachable_tolerance(self, tmp_path, capsys):
+        # the kernel gives the values, but the polish still runs the nested
+        # engine at the requested tolerance, and the CLI maps its failure
+        # to exit code 3
+        with pytest.raises(NonConvergenceError, match="after 4097 panels"):
+            oc_random_external_two_arm(SCEN, 0.0, EB, (-3.0, 0.5, 0.0),
+                                       tol=1e-19)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"design": "two-arm", "nc": 15, "nt": 15, "nE": 10, "sigma": 1.0,
+             "theta1": 1.0, "alpha": 0.025, "method": "eb-pp", "thetaE": 0.0,
+             "grid": {"start": -3.0, "stop": 0.5, "step": 3.5}}),
+            encoding="utf-8")
+        rc = main(["two-arm-random", "--config", str(config),
+                   "--out", str(tmp_path / "out"), "--tol", "1e-19"])
+        assert rc == EXIT_NUMERICS == 3
+        assert "after 4097 panels" in capsys.readouterr().err
 
 
 def _dispatch(fs):
@@ -217,12 +246,12 @@ class TestLockstepEngine:
 
 class TestBatchMemory:
     """A batch of profile integrals hands the integrand a bounded number of
-    nodes per call, whatever the number of offsets, and the u-line screen
+    nodes per call, whatever the number of offsets, and the u-line kernel
     builds no node array larger than the same cap."""
 
     @pytest.fixture
     def largest(self, monkeypatch):
-        seen = {"x": 0, "rows": 0, "uline": 0, "screens": 0}
+        seen = {"x": 0, "rows": 0, "uline": 0}
         batch = oc_twoarm._integrate_batch
         inner = oc_twoarm._inner_reject_gl
         kernel = oc_twoarm._uline_reject
@@ -240,7 +269,6 @@ class TestBatchMemory:
             return inner(scen, e, *args)
 
         def recording_kernel(*args):
-            seen["screens"] += 1
             in_kernel.append(True)
             try:
                 return kernel(*args)
@@ -262,19 +290,17 @@ class TestBatchMemory:
         power_profile(SCEN, 0.0, EB, OFFSETS)
         assert 0 < largest["x"] <= oc_twoarm._BATCH_NODES
         assert largest["rows"] == 0
-        assert largest["screens"] == 1
         assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
 
     @pytest.mark.parametrize("scen, rows", [(SCEN, 256), (WIDE, 128)],
                              ids=["one-piece", "two-pieces"])
     def test_random_external_scan(self, largest, scen, rows):
-        # the screened scan evaluates few grid points exactly, so 300
-        # requested offsets make the exact batch reach its cap
-        offsets = np.linspace(-3.0, 3.0, 300)
-        oc_random_external_two_arm(scen, 0.0, EB, offsets, tol=1e-6)
+        # the quadrature route evaluates its 401-point scan as one batch,
+        # which reaches the cap
+        oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6,
+                                   engine="quadrature")
         assert largest["x"] == largest["rows"] == rows
-        assert largest["screens"] == 1
-        assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
+        assert largest["uline"] == 0
 
     @pytest.mark.parametrize("scen", [
         ScenarioTwoArm(nc=4, nt=189, nE=10, sigma=1.0, theta1=1.0, alpha=0.025),
@@ -282,7 +308,7 @@ class TestBatchMemory:
                        alpha=0.025, sigmaE=1.6),
     ], ids=["4/189", "2/300"])
     def test_uline_kernel_on_narrow_panels(self, largest, scen):
-        xs = np.linspace(-6.0, 6.0, 401)
-        null, _ = oc_twoarm._uline_screen(scen, 0.0, 0.0, EB, 1e-9)
-        assert np.all(np.isfinite(null(xs)))
+        thc = np.linspace(-6.0, 6.0, 401)
+        assert np.all(np.isfinite(
+            oc_twoarm._uline_reject(scen, thc, thc, 0.0, 0.0, EB)))
         assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES

@@ -140,7 +140,7 @@ class TestIntegrateMatchesPanelLoop:
         assert [reject_prob_two_arm(SCEN, c, t, 0.0, EB)
                 for c, t in zip(thc, tht)] == serial
         random = oc_twoarm._random_reject(SCEN, thc[:2], tht[:2], 0.1, EB,
-                                          "auto", 1e-9)
+                                          1e-9)
         assert random.tolist() == [
             oracle.random_reject(SCEN, c, t, 0.1, EB)
             for c, t in zip(thc[:2].tolist(), tht[:2].tolist())]

@@ -1,23 +1,21 @@
-"""The u-line kernel of the two-arm Empirical Bayes test, and the screen it
-gives the profile maximizer.
+"""The u-line kernel of the two-arm Empirical Bayes test, which gives every
+value of a profile, and the exact engines that polish its maximum.
 
 ``oc_twoarm._uline_reject`` integrates over u = control mean - external
 mean only.  Its values are checked over a seeded scenario fuzz: a fixed
 external mean against adaptive quadrature over the control mean at tol
 1e-13, and a random one against the nested quadrature behind
 ``oc_random_external_two_arm(engine="quadrature")`` at tol 1e-12.  The
-screen's margin (``oc_twoarm._ULINE_ERR``) rests on these bounds.  The
-kernel only chooses which grid points the exact engine evaluates, so every
-profile of ``engine="auto"`` must equal the unscreened ``"quadrature"``
-profile bit for bit.
+maximized level and its location come from the exact engine's polish, so
+``engine="auto"`` must give the ``"quadrature"`` profile's maximum bit for
+bit and its values within the quadrature's tolerance.
 
 The fixed-mean reference is ``reject_prob_two_arm``'s integral with extra
 breakpoints at the square-root cusp of the threshold just past the
-external mean +- r.  ``reject_prob_two_arm`` itself has no such
-breakpoints; where the cusp is much narrower than se_c (nc/nt = 2/234, nE
-= 5000 below) its error estimate misses the cusp and its value is off by
-about 1e-7 at tol 1e-13, while the kernel agrees with a 30-digit mpmath
-integral to 1e-17.
+external mean +- r.  ``reject_prob_two_arm`` grades its panels into that
+cusp only where it is much narrower than se_c (nc/nt = 2/234, nE = 5000
+below); there it is checked against 30-digit mpmath integrals, since it
+then shares the reference's idea of breakpoints.
 """
 
 import math
@@ -35,10 +33,10 @@ from borrowoc import (
     ScenarioTwoArm,
     oc_random_external_two_arm,
     reject_prob_two_arm,
+    t1e_profile,
 )
 from borrowoc import norm_quantile, oc_twoarm
 from borrowoc.borrow import posterior_arrays
-from borrowoc.statmath import _maximize, maximize_1d
 
 EB = BorrowingMethod.empirical_bayes()
 SCEN = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0, alpha=0.025)
@@ -141,7 +139,7 @@ class TestKernelAccuracy:
             got = oc_twoarm._uline_reject(scen, thc, thc + effect, thetaE, var,
                                           EB)
             ref = oc_twoarm._random_reject(scen, thc, thc + effect, thetaE, EB,
-                                           "quadrature", 1e-12)
+                                           1e-12)
             assert np.abs(got - ref).max() <= RANDOM_ERR
 
     def test_random_profile_values(self):
@@ -156,13 +154,6 @@ class TestKernelAccuracy:
         assert np.abs(null - prof.t1e).max() <= RANDOM_ERR
         assert np.abs(power - prof.power_borrow).max() <= RANDOM_ERR
 
-    def test_margin_covers_the_stated_bounds(self):
-        assert oc_twoarm._ULINE_ERR >= max(FIXED_ERR, RANDOM_ERR)
-        _, margin = oc_twoarm._uline_screen(SCEN, 0.0, 0.0, EB, 1e-9)
-        assert margin == 2.0 * (oc_twoarm._ULINE_ERR + 1e-9)
-        fixed_pp = BorrowingMethod.fixed_power_prior(0.5)
-        assert oc_twoarm._uline_screen(SCEN, 0.0, 0.0, fixed_pp, 1e-9) is None
-
     def test_chunks_do_not_change_the_values(self, monkeypatch):
         # 120-node chunks: one offset per chunk, three panels per call
         thc = np.linspace(-2.0, 3.0, 7)
@@ -176,8 +167,9 @@ class TestKernelAccuracy:
 
 
 class TestScreenedProfiles:
-    """``engine="auto"`` screens the scan with the kernel; ``"quadrature"``
-    scans every grid point with the nested engine."""
+    """``engine="auto"`` scans with the kernel and reports its values;
+    ``"quadrature"`` scans every grid point with the nested engine.  Both
+    polish with the nested engine."""
 
     @pytest.mark.parametrize("scen, thetaE, tol", [
         (SCEN, 0.0, 1e-9),
@@ -191,57 +183,84 @@ class TestScreenedProfiles:
         auto = oc_random_external_two_arm(scen, thetaE, EB, offs, tol)
         quad = oc_random_external_two_arm(scen, thetaE, EB, offs, tol,
                                           engine="quadrature")
-        assert auto == quad
+        assert (auto.alphaB_max, auto.argmax_offset) == (
+            quad.alphaB_max, quad.argmax_offset)
+        for got, ref in ((auto.t1e, quad.t1e),
+                         (auto.power_borrow, quad.power_borrow)):
+            assert np.abs(np.subtract(got, ref)).max() <= tol + 1e-12
 
     def test_upper_end_doubles(self):
-        reject, _ = oc_twoarm._fixed_reject(FAR_PEAK, 0.0, EB)
-        assert reject(6.0 - 1e-3, 0.0) < reject(6.0, 0.0)
+        exact, values = oc_twoarm._offset_engines(
+            FAR_PEAK, 0.0, 0.0, EB, "auto", oc_twoarm._FIXED_TOL)
+        assert values(6.0 - 1e-3, 0.0) < values(6.0, 0.0)
+        assert exact(6.0 - 1e-3, 0.0) < exact(6.0, 0.0)
+
+    @pytest.mark.parametrize("e_var", [0.0, SCEN.seE**2],
+                             ids=["fixed", "random"])
+    def test_requested_offset_at_the_polished_argmax(self, e_var):
+        engines = oc_twoarm._offset_engines(SCEN, 0.0, e_var, EB, "auto",
+                                            1e-9)
+        polished = oc_twoarm._profile(SCEN, engines, (), power=False)
+        xstar = polished.argmax_offset
+        prof = oc_twoarm._profile(SCEN, engines, (xstar,), power=False)
+        assert prof.alphaB_max >= max(prof.t1e)
+        assert (prof.alphaB_max, prof.argmax_offset) in (
+            (polished.alphaB_max, xstar), (prof.t1e[0], xstar))
+
+    def test_requested_offset_beating_the_polish_wins(self):
+        exact, values = oc_twoarm._offset_engines(SCEN, 0.0, 0.0, EB, "auto",
+                                                  1e-9)
+        polished = oc_twoarm._profile(SCEN, (exact, values), (), power=False)
+        xstar = polished.argmax_offset
+
+        def high(x, effect):
+            return values(x, effect) + 1e-9
+        prof = oc_twoarm._profile(SCEN, (exact, high), (-1.0, xstar),
+                                  power=False)
+        assert prof.t1e[1] > polished.alphaB_max
+        assert (prof.alphaB_max, prof.argmax_offset) == (prof.t1e[1], xstar)
 
 
-def _bumps(x):
-    """Two peaks 1e-6 apart in height and a plateau of ties."""
-    x = np.asarray(x, dtype=float)
-    return (np.exp(-((x - 1.3) / 0.4) ** 2) + (1.0 - 1e-6)
-            * np.exp(-((x + 2.1) / 0.3) ** 2) + np.where(x > 4.0, 0.5, 0.0))
+class TestPrintedValues:
+    """Values the exact engines used to print wrong."""
 
+    # ROADMAP item 8: the threshold's cusp past r is 0.0061 wide, se_c 1.41
+    CUSP = ScenarioTwoArm(nc=2, nt=234, nE=5000, sigma=2.0, theta1=1.0,
+                          alpha=0.025, c=0.999, sigmaE=0.7)
+    # (theta_c, theta_t, P(reject)) at external mean 0.3, from 30-digit
+    # mpmath integrals over the control mean with breakpoints graded into
+    # the cusp
+    MPMATH = ((0.3, 0.3, 0.00124440867403414051552656398),
+              (-0.7, 0.3, 0.00603840572809203731923444239),
+              (0.8, 0.8, 0.502157418299394127293639946))
 
-class TestMaximizeScreen:
-    @pytest.mark.parametrize("f, domain", [
-        (_bumps, Interval(-5.0, 5.0)),
-        (lambda x: np.minimum(np.asarray(x, dtype=float), 1.0),
-         Interval(0.0, 3.0)),
-        (lambda x: -(np.asarray(x, dtype=float) - 0.57) ** 2,
-         Interval(0.0, 1.0)),
-    ], ids=["two-peaks", "plateau", "parabola"])
-    def test_perturbed_screen_changes_nothing(self, f, domain):
-        margin = 3e-6
-        rng = np.random.default_rng(7)
-        scanned = []
+    @pytest.mark.parametrize("thc, tht, ref", MPMATH,
+                             ids=["null-0", "alternative--0.5", "null-0.25"])
+    def test_fixed_external_quadrature_at_the_cusp(self, thc, tht, ref):
+        got = reject_prob_two_arm(self.CUSP, thc, tht, 0.3, EB, tol=1e-13)
+        assert abs(got - ref) <= 1e-13
 
-        def scan(xs):
-            scanned.append(len(xs))
-            return [float(f(x)) for x in xs]
+    def test_fixed_external_profile_at_the_cusp(self):
+        prof = t1e_profile(self.CUSP, 0.3, EB, [0.25])
+        ref = _fixed_reference(self.CUSP, 0.8, 0.8, 0.3)
+        assert abs(prof.t1e[0] - ref) <= 1e-9
 
-        def screen(xs):
-            return f(xs) + rng.uniform(-margin / 3, margin / 3, len(xs))
+    def test_random_external_far_offsets(self):
+        # the nested engine's inner rule erred by up to 6.9e-11 here; the
+        # reference is an outer adaptive integral over the external mean
+        # of the fixed-mean quadrature
+        seE = SCEN.seE
 
-        plain = maximize_1d(lambda x: float(f(x)), domain)
-        for _ in range(5):
-            got = _maximize(lambda x: float(f(x)), scan, domain,
-                            screen=screen, margin=margin)
-            assert got == plain
-        assert max(scanned) < 401
+        def reference(thc, tht):
+            def g(e):
+                return (np.exp(-0.5 * (e / seE) ** 2)
+                        / (seE * math.sqrt(2.0 * math.pi))
+                        * reject_prob_two_arm(SCEN, thc, tht, e, EB,
+                                              tol=1e-13))
+            return oracle.integrate(g, Interval(-math.inf, math.inf), 1e-14,
+                                    gaussian_hint=(0.0, seE))
 
-    def test_screen_keeps_every_near_tie(self):
-        seen = []
-
-        def scan(xs):
-            seen.append(np.array(xs))
-            return [float(_bumps(x)) for x in xs]
-
-        _maximize(lambda x: float(_bumps(x)), scan, Interval(-5.0, 5.0),
-                  screen=_bumps, margin=2e-6)
-        # both peaks lie within the margin; the plateau is far below
-        kept = seen[0]
-        assert kept.min() < -1.5 and kept.max() > 1.0
-        assert np.all(kept < 4.0)
+        prof = oc_random_external_two_arm(SCEN, 0.0, EB, (-3.0, 3.0))
+        for x, t1e, power in zip(prof.grid, prof.t1e, prof.power_borrow):
+            assert abs(t1e - reference(x, x)) <= 1e-12
+            assert abs(power - reference(x, x + SCEN.theta1)) <= 1e-12
