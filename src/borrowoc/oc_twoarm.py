@@ -421,11 +421,11 @@ def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
     """Point characteristics for one external mean: the maximized null
     rejection rate, the power at effect theta1 with the control mean at
     that maximizing offset, and the comparator calibrated to the maximum."""
-    engines = _offset_engines(scen, _check_finite("dE_mean", dE_mean), 0.0,
-                              method, "auto", _FIXED_TOL)
-    prof = _profile(scen, engines, (), power=False)
+    exact, values = _offset_engines(scen, _check_finite("dE_mean", dE_mean),
+                                    0.0, method, "auto", _FIXED_TOL)
+    prof = _profile(scen, (exact, values), (), power=False)
     return OCPoint(prof.alphaB_max,
-                   float(engines[1](prof.argmax_offset, scen.theta1)),
+                   float(values(prof.argmax_offset, scen.theta1)),
                    power_calibrated_two_arm(prof.alphaB_max, scen))
 
 
