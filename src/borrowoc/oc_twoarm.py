@@ -15,24 +15,25 @@ Exact engines:
 * Empirical Bayes weights require one adaptive quadrature over the control
   mean, split at the two points where the fitted weight stops saturating
   (and graded into the threshold's cusp just past them where that cusp is
-  much narrower than se_c); the integrals of many offsets run as one
-  lockstep batch (``statmath._integrate_batch``), each with the same value
-  as alone, with at most ``_BATCH_NODES`` nodes per integrand call;
+  much narrower than se_c), one integral (``statmath._integrate``) per
+  entry of an array call;
 * random external data add an outer expectation over the external mean --
-  closed-form again for fixed weights, an outer adaptive quadrature with a
-  vectorized inner Gauss-Legendre rule for Empirical Bayes (batched over
-  offsets in the same way, the inner-rule nodes of at most 256 external
-  means per call), and a seeded
-  Monte Carlo variant for audit.  The inner rule is one fused pass over its
-  three segments per batch of external means; it skips segments clipped to
-  zero width and serves the null and the alternative treatment means from
-  the same nodes, density and threshold.  When nt > nc it cuts each segment
-  into ceil(se_c/se_t) equal pieces, because the treatment-arm factor is
-  then a step narrower than the control mean's spread.  The Monte Carlo
-  rows do not integrate per draw: a draw's conditional rejection
-  probability depends only on d = theta_c - e, so each run tabulates one
-  curve R(d) as Chebyshev panels from one batch of inner-rule nodes and
-  evaluates it at every (offset, draw).
+  closed-form again for fixed weights, an outer adaptive quadrature (one
+  per entry) with a vectorized inner Gauss-Legendre rule for Empirical
+  Bayes, and a seeded Monte Carlo variant for audit.  The inner rule is
+  one fused pass over its three segments per batch of external means; it
+  skips segments clipped to zero width and serves the null and the
+  alternative treatment means from the same nodes, density and threshold.
+  When nt > nc it cuts each segment into ceil(se_c/se_t) equal pieces,
+  because the treatment-arm factor is then a step narrower than the
+  control mean's spread.  The Monte Carlo rows do not integrate per draw:
+  a draw's conditional rejection probability depends only on
+  d = theta_c - e, so each run tabulates one curve R(d) as Chebyshev
+  panels from inner-rule nodes and evaluates it at every (offset, draw).
+
+``_BATCH_NODES`` is the one node budget of the u-line kernel's node
+arrays, the nested quadrature's integrand calls and the curve's inner-rule
+calls.
 
 The reported level is the maximum of the null profile over the offset: a
 401-point scan brackets it and a golden-section polish refines it.  Under
@@ -63,7 +64,7 @@ from .scenarios import ScenarioTwoArm
 # bench/tracing.py, which wraps oc_twoarm.integrate and oc_twoarm.maximize_1d
 from .statmath import (_GAUSS_TRUNC, DomainError, Interval,
                        NonConvergenceError, RngStream, _check_count,
-                       _check_finite, _check_positive, _cuts, _integrate_batch,
+                       _check_finite, _check_positive, _cuts, _integrate,
                        _maximize, integrate, maximize_1d, norm_cdf,
                        norm_quantile)  # noqa: F401
 
@@ -72,9 +73,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
 _SATURATION = 1.0 - 1e-9
 _SLOPE_PROBE = 1e-3
 _MAX_DOMAIN = 1536.0
-# nodes per integrand call of a batch of two-arm integrals: the inner-rule
-# nodes of 256 external means (3 segments of 40 nodes each).  Bounds the
-# temporaries of a 401-offset scan as _CURVE_CALL_ROWS bounds the curve's.
+# the one node budget of the two-arm arrays (module docstring): the
+# inner-rule nodes of 256 external means (3 segments of 40) when nc >= nt
 _BATCH_NODES = 256 * 3 * _INNER_GL_NODES
 _WHOLE_LINE = Interval(-math.inf, math.inf)
 # quadrature tolerance of the fixed-external profiles
@@ -194,10 +194,9 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
     weights and adaptive quadrature over the control mean for Empirical
     Bayes; ``"quadrature"`` forces the integral (cross-checking the closed
     form).  The three means broadcast against each other: arrays give an
-    array of probabilities, one independent integral each, evaluated as
-    one lockstep batch with the same values as one call per entry; scalars
-    give a float.  ``tol`` must be finite and positive whichever engine
-    runs.
+    array of probabilities, one adaptive integral per entry, each equal to
+    its scalar call; scalars give a float.  ``tol`` must be finite and
+    positive whichever engine runs.
     """
     tol = _check_positive("tol", tol)
     if engine not in ("auto", "quadrature"):
@@ -210,17 +209,9 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
         return float(out) if scalar else out
 
     shape = np.broadcast_shapes(*(np.shape(v) for v in means))
-    thc, tht, de = (np.broadcast_to(v, shape).ravel() for v in means)
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     zc = norm_quantile(scen.c)
-
-    def f(x, k):
-        mc, sc = posterior_arrays(x, de[k], scen.nc, scen.sigma,
-                                  scen.nE, scen.sigmaE, method)
-        return (_norm_pdf(x, thc[k], se_c)
-                * ndtr((tht[k] - _threshold(mc, sc, zc, se_t)) / se_t))
-
     dist = np.empty(0)
     if method.kind == EMPIRICAL_BAYES:
         dist = _cusp_cuts(scen, se_c)
@@ -228,9 +219,19 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
         # escapes the error estimate; a wider one needs only the cuts at +-r
         if dist.size < 3:
             dist = dist[:1]
-    cuts = [_cuts(_WHOLE_LINE, np.concatenate([d - dist, d + dist]), (c, se_c))
-            for c, d in zip(thc.tolist(), de.tolist())]
-    vals = _integrate_batch(f, cuts, tol, _BATCH_NODES)
+
+    def reject(c, t, d):
+        def f(x):
+            mc, sc = posterior_arrays(x, d, scen.nc, scen.sigma,
+                                      scen.nE, scen.sigmaE, method)
+            return (_norm_pdf(x, c, se_c)
+                    * ndtr((t - _threshold(mc, sc, zc, se_t)) / se_t))
+        cuts = _cuts(_WHOLE_LINE, np.concatenate([d - dist, d + dist]),
+                     (c, se_c))
+        return _integrate(f, cuts, tol)
+
+    thc, tht, de = (np.broadcast_to(v, shape).ravel().tolist() for v in means)
+    vals = [reject(c, t, d) for c, t, d in zip(thc, tht, de)]
     out = np.clip(vals, 0.0, 1.0).reshape(shape)
     return float(out) if scalar else out
 
@@ -445,6 +446,15 @@ def _gl_pieces(m: int):
     return rule
 
 
+def _inner_rows(scen: ScenarioTwoArm) -> int:
+    """External means per inner-rule call whose nodes (3 segments of
+    ceil(se_c/se_t) 40-node pieces each) fit in ``_BATCH_NODES``."""
+    se_c = scen.sigma / math.sqrt(scen.nc)
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    pieces = math.ceil(se_c / se_t)
+    return max(1, _BATCH_NODES // (3 * _INNER_GL_NODES * pieces))
+
+
 def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
                      theta_ts, method: BorrowingMethod,
                      zc: float) -> np.ndarray:
@@ -507,22 +517,21 @@ def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
     """Rejection probabilities with the external mean random,
     N(thetaE, seE^2), at the control and treatment means ``theta_c`` and
     ``theta_t``, by an outer adaptive quadrature over the external mean of
-    the inner rule: floats give a float, same-shape arrays an array,
-    evaluated as one lockstep batch."""
+    the inner rule: floats give a float, same-shape arrays an array, one
+    integral per entry.  Each integrand call takes at most as many external
+    means as keep the inner rule's nodes within ``_BATCH_NODES``."""
     seE = scen.seE
     zc = norm_quantile(scen.c)
-    thc, tht = np.ravel(theta_c), np.ravel(theta_t)
-
-    def g(e, k):
-        return (_norm_pdf(e, thetaE, seE)
-                * _inner_reject_gl(scen, e, thc[k], (tht[k],), method, zc)[0])
-
-    se_c = scen.sigma / math.sqrt(scen.nc)
-    se_t = scen.sigma / math.sqrt(scen.nt)
-    inner = 3 * _INNER_GL_NODES * math.ceil(se_c / se_t)
     cuts = _cuts(_WHOLE_LINE, (), (thetaE, seE))
-    vals = _integrate_batch(g, [cuts] * thc.size, tol,
-                            max(1, _BATCH_NODES // inner))
+
+    def reject(c, t):
+        def g(e):
+            return (_norm_pdf(e, thetaE, seE)
+                    * _inner_reject_gl(scen, e, c, (t,), method, zc)[0])
+        return _integrate(g, cuts, tol, _inner_rows(scen))
+
+    vals = [reject(c, t) for c, t in zip(np.ravel(theta_c).tolist(),
+                                         np.ravel(theta_t).tolist())]
     out = np.clip(vals, 0.0, 1.0).reshape(np.shape(theta_c))
     return float(out) if out.ndim == 0 else out
 
@@ -558,10 +567,6 @@ _CHEB_X = np.cos(_CHEB_ANGLES)                  # first-kind nodes on [-1, 1]
 _CHEB_FIT = (2.0 / _CURVE_NODES) * np.cos(
     np.outer(np.arange(_CURVE_NODES), _CHEB_ANGLES))
 _CHEB_FIT[0] *= 0.5
-# curve nodes per inner-rule call: one call for every run that needs at most
-# 240 panels (the benchmark's needs about 35); bounds the temporaries of
-# sampling sizes whose panels are narrow
-_CURVE_CALL_ROWS = 4096
 
 
 def _clenshaw(coef: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -587,9 +592,10 @@ def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
     so every entry lies on one curve R(d).  It is tabulated on the panels
     [k w, (k+1) w), w = min(se_c, se_t), that some d falls in, as a
     degree-16 Chebyshev interpolant on 17 nodes; the nodes go through the
-    inner rule at theta_c = 0, e = -d, which serves the null and the
-    alternative together.  An entry depends only on its own d: not on the
-    other draws, the other control means or the number of draws.
+    inner rule at theta_c = 0, e = -d, in calls within ``_BATCH_NODES``
+    nodes, which serve the null and the alternative together.  An entry
+    depends only on its own d: not on the other draws, the other control
+    means or the number of draws.
     """
     thcs = [float(thc) for thc in theta_cs]
     if method.kind != EMPIRICAL_BAYES:
@@ -602,11 +608,10 @@ def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
     panels = np.unique(np.concatenate(
         [np.unique(np.floor((thc - e) / w)) for thc in thcs]))
     d = (w * (panels[:, None] + 0.5 + 0.5 * _CHEB_X)).ravel()
-    vals = np.empty((2, d.shape[0]))
-    for start in range(0, d.shape[0], _CURVE_CALL_ROWS):
-        sl = slice(start, start + _CURVE_CALL_ROWS)
-        vals[:, sl] = _inner_reject_gl(scen, -d[sl], 0.0, (0.0, scen.theta1),
-                                       method, zc)
+    rows = _inner_rows(scen)
+    vals = np.concatenate([_inner_reject_gl(scen, -d[i:i + rows], 0.0,
+                                            (0.0, scen.theta1), method, zc)
+                           for i in range(0, d.size, rows)], axis=1)
     # per-panel sums, not a matrix product: a panel's coefficients must not
     # depend on how many other panels there are
     coef = [(v.reshape(-1, 1, _CURVE_NODES) * _CHEB_FIT).sum(axis=-1).T

@@ -107,19 +107,18 @@ class Boundaries:
     lo: np.ndarray
     hi: np.ndarray
 
-    def prob(self, theta, se: float, rows=slice(None)) -> np.ndarray:
+    def prob(self, theta, se: float) -> np.ndarray:
         """P(current mean in the region) for means ~ N(theta, se^2).
 
-        ``theta`` broadcasts against the selected rows (shape ``(m,)`` or
-        ``(g, m)``).  Each row is start + sum_k signs_k Phi(theta/se - r_k/se),
+        ``theta`` broadcasts against the rows (shape ``(m,)`` or ``(g, m)``).
+        Each row is start + sum_k signs_k Phi(theta/se - r_k/se),
         accumulated in a fixed order; padding adds exactly zero, so a row's
         value does not depend on the other rows.
         """
-        start = self.start[rows]
-        acc = np.broadcast_to(start.astype(float),
-                              np.broadcast_shapes(np.shape(theta), start.shape))
+        acc = np.broadcast_to(self.start.astype(float), np.broadcast_shapes(
+            np.shape(theta), self.start.shape))
         z = np.asarray(theta) / se
-        roots, signs = self.roots[rows] / se, self.signs[rows]
+        roots, signs = self.roots / se, self.signs
         for k in range(roots.shape[1]):
             acc = acc + signs[:, k] * ndtr(z - roots[:, k])
         return np.clip(acc, 0.0, 1.0)
@@ -137,13 +136,14 @@ def _conflict_roots(de: np.ndarray, scen: ScenarioOneArm, zc: float) -> np.ndarr
     g^2 >= 4 + alpha^2, and t is a simple root, well apart from the other two
     once the cubic is scaled by 2 + alpha^2/2: Cardano's formula (one real
     root) or the trigonometric one (three) gives it to about 3e-16 relative
-    (against a 40-digit solve), so it needs no polishing.  Roots are kept in the regime |w| > r/se after
-    Newton steps on the unsquared margin
-    sign(w)(w^2 + alpha w - 1) - z_c sqrt(w^2 - 1).
-    Its roots stay simple where a small z_c makes near-double roots of the
-    quartic.  There the computed sign of w^2 + alpha w - 1, which tells the
-    two branches apart, is rounding noise, so candidates are not filtered by
-    branch: one that is no boundary is dropped by the midpoint decisions.
+    (against a 40-digit solve), so t needs no polishing.  The Newton steps
+    polish w, not t: on the unsquared margin
+    sign(w)(w^2 + alpha w - 1) - z_c sqrt(w^2 - 1), and roots are then kept
+    in the regime |w| > r/se.  The margin's roots stay simple where a small
+    z_c makes near-double roots of the quartic.  There the computed sign of
+    w^2 + alpha w - 1, which tells the two branches apart, is rounding
+    noise, so candidates are not filtered by branch: one that is no
+    boundary is dropped by the midpoint decisions.
     """
     se = scen.se
     alpha = (de - scen.theta0) / se

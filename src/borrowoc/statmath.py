@@ -6,9 +6,9 @@ reproducible counter-based random streams, plus the argument checks the
 record types share.  Only the standard normal family is supported; nothing
 here knows about trials or borrowing.
 
-The quadrature has one engine, :func:`_integrate_batch`, which runs many
-integrals in lockstep and evaluates their new nodes in one integrand call
-per round; :func:`integrate` is its one-integral case.  The maximizer has
+The quadrature has one engine, :func:`_integrate`, which computes one
+integral from the edges of its first panels and can cap the nodes of each
+integrand call; :func:`integrate` is its public form.  The maximizer has
 one loop, :func:`_maximize`, whose grid scan is one call on all grid
 points and whose polish makes scalar calls, possibly of another function;
 :func:`maximize_1d` is its case of one scalar function.
@@ -184,24 +184,20 @@ def _rowdot(y, w):
     return np.matmul(y[:, None, :], w[:, None])[:, 0, 0]
 
 
-def _gk15(f, owner, a, b, max_nodes):
-    """Gauss-Kronrod panels (a[i], b[i]) of problems owner[i]: their nodes
-    go through ``f(x, owner of each node)`` in calls of at most
-    ``max_nodes`` nodes (all at once if None).  Returns lists of integrals
-    and error estimates, one per panel, each from its own 15 values exactly
-    as if evaluated alone."""
-    if not owner:
-        return [], []
+def _gk15(f, a, b, max_nodes):
+    """Gauss-Kronrod panels (a[i], b[i]): their nodes go through ``f`` in
+    calls of at most ``max_nodes`` nodes (all at once if None).  Returns
+    lists of integrals and error estimates, one per panel, each from its
+    own 15 values exactly as if evaluated alone."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
     x = ((0.5 * (a + b))[:, None] + h[:, None] * _XGK).ravel()
-    k = np.repeat(np.asarray(owner, dtype=np.intp), _XGK.size)
     step = x.size if max_nodes is None else max_nodes
     parts = []
     for start in range(0, x.size, step):
         sl = slice(start, start + step)
-        y = np.asarray(f(x[sl], k[sl]), dtype=float)
+        y = np.asarray(f(x[sl]), dtype=float)
         if y.shape != x[sl].shape:
             raise DomainError(
                 "integrand must map a 1-D array to a same-shape array")
@@ -234,76 +230,43 @@ def _cuts(domain: Interval, breakpoints=(), gaussian_hint=None) -> list:
     return sorted({lo, hi, *inside})
 
 
-def _integrate_batch(f, cuts, abs_tol: float, max_nodes=None) -> list:
-    """K adaptive Gauss-Kronrod integrals in lockstep, one per entry of
-    ``cuts`` (the edges of its first panels, from :func:`_cuts`).
+def _integrate(f, cuts, abs_tol: float, max_nodes=None) -> float:
+    """Adaptive Gauss-Kronrod integral of ``f`` from the panels between
+    consecutive ``cuts`` (from :func:`_cuts`; none: the integral is 0).
 
-    Each round, every unfinished integral takes its worst panels off its
-    own heap exactly as :func:`integrate` alone would, setting aside
+    Each step takes the panel of largest error off a heap, sets aside
     panels at floating-point resolution, and splits the first splittable
-    one; the new nodes of all integrals then go through one call
-    ``f(x, k)``, k being the index of the integral each node belongs to
-    (split into calls of at most ``max_nodes`` nodes).  Every integral
-    therefore sees the same panels, values and error estimates as when
-    integrated alone, and returns the same float.
-
-    Raises the :class:`NonConvergenceError` of the first integral, in
-    ``cuts`` order, whose panel budget runs out: integrals after it stop
-    there, those before it run to the end.
+    one; the nodes of both halves go through ``f`` in calls of at most
+    ``max_nodes`` nodes (all at once if None).
     """
     _check_positive("abs_tol", abs_tol)
-    n = len(cuts)
-    # per integral: a heap of (-err, tiebreak, a, b, value, err), and the
-    # values of panels too narrow to split
-    heaps = [[] for _ in range(n)]
-    done = [[] for _ in range(n)]
-    serial = [0] * n
-    owner = [k for k, c in enumerate(cuts) for _ in c[1:]]
-    a = [lo for c in cuts for lo in c[:-1]]
-    b = [hi for c in cuts for hi in c[1:]]
-    first = _gk15(f, owner, a, b, max_nodes)
-    for k, lo, hi, val, err in zip(owner, a, b, *first):
-        heapq.heappush(heaps[k], (-err, serial[k], lo, hi, val, err))
-        serial[k] += 1
-    total_err = [math.fsum(item[5] for item in heap) for heap in heaps]
-    live = [k for k in range(n) if total_err[k] > abs_tol]
-    failed = None
-    while live:
-        split = []      # (integral, a, midpoint, b, err of the split panel)
-        for k in live:
-            heap = heaps[k]
-            while heap and serial[k] < _MAX_PANELS:
-                _, _, lo, hi, val, err = heapq.heappop(heap)
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:  # panel at floating-point resolution
-                    done[k].append(val)
-                    continue
-                split.append((k, lo, mid, hi, err))
-                break
-            else:
-                failed = NonConvergenceError(
-                    f"quadrature error {total_err[k]:.3e} above tolerance "
-                    f"{abs_tol:.3e} after {serial[k]} panels")
-                break
-        if not split:
-            break
-        # left halves, then right halves
-        ks, los, mids, his, _ = zip(*split)
-        vals, errs = _gk15(f, ks + ks, los + mids, mids + his, max_nodes)
-        m = len(split)
-        live = []
-        for i, (k, lo, mid, hi, err) in enumerate(split):
-            v1, e1, v2, e2 = vals[i], errs[i], vals[m + i], errs[m + i]
-            heapq.heappush(heaps[k], (-e1, serial[k], lo, mid, v1, e1))
-            heapq.heappush(heaps[k], (-e2, serial[k] + 1, mid, hi, v2, e2))
-            serial[k] += 2
-            total_err[k] += e1 + e2 - err
-            if total_err[k] > abs_tol:
-                live.append(k)
-    if failed is not None:
-        raise failed
-    return [math.fsum(item[4] for item in heap) + math.fsum(vals)
-            for heap, vals in zip(heaps, done)]
+    if not cuts:
+        return 0.0
+    # a heap of (-err, tiebreak, a, b, value, err), and the values of panels
+    # too narrow to split
+    heap = []
+    done = []
+    first = zip(cuts[:-1], cuts[1:], *_gk15(f, cuts[:-1], cuts[1:], max_nodes))
+    for i, (lo, hi, val, err) in enumerate(first):
+        heapq.heappush(heap, (-err, i, lo, hi, val, err))
+    serial = len(heap)
+    total_err = math.fsum(item[5] for item in heap)
+    while total_err > abs_tol:
+        if not heap or serial >= _MAX_PANELS:
+            raise NonConvergenceError(
+                f"quadrature error {total_err:.3e} above tolerance "
+                f"{abs_tol:.3e} after {serial} panels")
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:      # panel at floating-point resolution
+            done.append(val)
+            continue
+        (v1, v2), (e1, e2) = _gk15(f, (lo, mid), (mid, hi), max_nodes)
+        heapq.heappush(heap, (-e1, serial, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, serial + 1, mid, hi, v2, e2))
+        serial += 2
+        total_err += e1 + e2 - err
+    return math.fsum(item[4] for item in heap) + math.fsum(done)
 
 
 def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
@@ -315,7 +278,7 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
     f : callable
         Elementwise integrand: maps a 1-D float array of abscissae to a
         same-shape array of values, each value depending on its own
-        abscissa only.  One call may cover the nodes of several panels.
+        abscissa only.  A call covers some panels of this one integral.
     domain : Interval
         Integration range; endpoints may be infinite (see below).
     abs_tol : float
@@ -334,8 +297,7 @@ def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,
         If the panel budget is exhausted before the error estimate drops
         below ``abs_tol``.
     """
-    cuts = _cuts(domain, breakpoints, gaussian_hint)
-    return _integrate_batch(lambda x, k: f(x), [cuts], abs_tol)[0]
+    return _integrate(f, _cuts(domain, breakpoints, gaussian_hint), abs_tol)
 
 
 def find_root(f, bracket: Interval, tol: float = 1e-10) -> float:

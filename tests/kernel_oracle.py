@@ -1,4 +1,4 @@
-"""Unfused quadrature kernels: bitwise oracles for the batched engines.
+"""Unfused quadrature kernels: bitwise oracles for the fused engines.
 
 ``integrate`` evaluates one Gauss-Kronrod panel per integrand call, and
 ``inner_reject_gl`` walks the three Gauss-Legendre segments (each cut into
@@ -6,10 +6,12 @@ equal pieces when nt > nc) of the two-arm Empirical Bayes inner rule one
 at a time, for one treatment mean, with the normal quantile of the
 posterior threshold recomputed on every call.  ``profile`` builds a two-arm
 profile from them one offset at a time, with a scalar grid scan and
-golden-section polish for its maximum.  The engines in
-``borrowoc.statmath`` and ``borrowoc.oc_twoarm`` do the same
-floating-point operations in fewer NumPy calls, so they must agree with
-these loops exactly, not to a tolerance.
+golden-section polish for its maximum.  ``borrowoc.statmath._integrate``
+also computes one integral per call, but evaluates the first panels, and
+then both halves of each split, in one integrand call; the inner rule of
+``borrowoc.oc_twoarm`` takes all segments of many external means at once.
+They do the same floating-point operations in fewer NumPy calls, so they
+must agree with these loops exactly, not to a tolerance.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ Under Empirical Bayes the engines in ``borrowoc.oc_twoarm`` take the profile
 values and the scan from the u-line kernel and polish with the exact
 engine, so the maximized level and its location must come out exactly the
 oracle's, and each value within the oracle's tolerance plus 1e-12.  The
-``engine="quadrature"`` route batches offsets and panels of the exact
-engine, so its values must equal the oracle's exactly.
+``engine="quadrature"`` route runs one adaptive integral of the exact
+engine per offset, its panels evaluated together, so its values must
+equal the oracle's exactly.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ import pytest
 import kernel_oracle as oracle
 from borrowoc import (
     BorrowingMethod,
-    Interval,
     NonConvergenceError,
     ScenarioTwoArm,
     oc_fixed_external_two_arm,
@@ -30,7 +29,6 @@ from borrowoc import (
 )
 from borrowoc import oc_twoarm
 from borrowoc.cli import EXIT_NUMERICS, main
-from borrowoc.statmath import _cuts, _integrate_batch
 
 EB = BorrowingMethod.empirical_bayes()
 FIXED = BorrowingMethod.fixed_power_prior(0.5)
@@ -152,117 +150,26 @@ class TestRandomExternal:
         assert "after 4097 panels" in capsys.readouterr().err
 
 
-def _dispatch(fs):
-    """``f(x, k)`` applying ``fs[k]`` to the nodes of integral k."""
-    def f(x, k):
-        out = np.empty_like(x)
-        for j in np.unique(k):
-            out[k == j] = fs[j](x[k == j])
-        return out
-    return f
-
-
-ONE_ULP = 1.0 + 2.0**-52
-
-
-def _ulp_spike(x):
-    # [1, 1 + ulp] cannot be split and its round-off error estimate
-    # dominates: the loop sets it aside and refines the kink panel
-    return np.where(x <= ONE_ULP, 1e30, 4.0 * np.abs(x - 1.4))
-
-
-# (integrand, domain, breakpoints, gaussian hint); integrals of order 1e9,
-# so that the shared tolerance 1 asks for about 1e-9 relative accuracy
-PROBLEMS = (
-    (lambda x: 1e9 * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
-     Interval(-math.inf, math.inf), (), None),
-    (lambda x: 3e9 * x**2, Interval(0.0, 2.0), (), None),
-    (_ulp_spike, Interval(1.0, 2.0), (ONE_ULP,), None),
-    (lambda x: 1e9 * np.exp(-np.abs(x - 0.3)) * np.cos(5.0 * x),
-     Interval(-2.0, 3.0), (0.3, -1.0, 7.0), None),
-    (lambda x: 1e9 / (1.0 + x * x), Interval(0.0, math.inf), (), (1.0, 3.0)),
-    (lambda x: x, Interval(0.0, math.inf), (), (-20.0, 1.0)),
-)
-
-
-class TestLockstepEngine:
-    """``statmath._integrate_batch`` against one serial integral each."""
-
-    def _serial(self, problems, tol):
-        return [oracle.integrate(f, dom, tol, breakpoints=bp, gaussian_hint=hint)
-                for f, dom, bp, hint in problems]
-
-    def _batch(self, problems, tol, max_nodes=None):
-        cuts = [_cuts(dom, bp, hint) for _, dom, bp, hint in problems]
-        return _integrate_batch(_dispatch([p[0] for p in problems]), cuts,
-                                tol, max_nodes)
-
-    def test_each_integral_as_if_alone(self):
-        assert 0.5 * (1.0 + ONE_ULP) in (1.0, ONE_ULP)
-        assert self._batch(PROBLEMS, 1.0) == self._serial(PROBLEMS, 1.0)
-        assert self._batch(PROBLEMS[::-1], 1.0) == self._serial(PROBLEMS[::-1], 1.0)
-
-    def test_node_cap_bounds_every_call(self):
-        sizes = []
-
-        def f(x, k):
-            sizes.append(x.size)
-            return _dispatch([p[0] for p in PROBLEMS])(x, k)
-
-        cuts = [_cuts(dom, bp, hint) for _, dom, bp, hint in PROBLEMS]
-        capped = _integrate_batch(f, cuts, 1.0, 37)
-        assert max(sizes) == 37
-        assert capped == self._serial(PROBLEMS, 1.0)
-
-    def test_empty_batch_and_empty_domain(self):
-        assert _integrate_batch(_dispatch([]), [], 1e-9) == []
-        # the hinted Gaussian lies outside the half-infinite domain
-        assert _cuts(*PROBLEMS[-1][1:]) == []
-        assert self._batch(PROBLEMS[-1:], 1e-9) == [0.0]
-
-    def test_first_failing_integral_raises_even_if_it_fails_last(self):
-        # integral 1 exhausts its panel budget after 2,000 rounds; integral
-        # 3 runs out of splittable panels in the first round.  A serial
-        # loop meets integral 1 first, so its message is the one raised.
-        poly = (lambda x: 3.0 * x**2, Interval(0.0, 2.0), (), None)
-        problems = (poly,
-                    (lambda x: np.sin(4000.0 * x), Interval(0.0, 30.0), (), None),
-                    poly,
-                    (lambda x: np.full_like(x, 1e30), Interval(1.0, ONE_ULP),
-                     (), None))
-        with pytest.raises(NonConvergenceError) as ref:
-            oracle.integrate(problems[1][0], problems[1][1], 1e-13)
-        with pytest.raises(NonConvergenceError) as late:
-            oracle.integrate(problems[3][0], problems[3][1], 1e-13)
-        assert "after 1 panels" in str(late.value)
-        assert oracle.integrate(poly[0], poly[1], 1e-13) == pytest.approx(8.0)
-        with pytest.raises(NonConvergenceError) as got:
-            self._batch(problems, 1e-13)
-        assert str(got.value) == str(ref.value)
-        with pytest.raises(NonConvergenceError) as got:
-            self._batch(problems[2:], 1e-13)
-        assert str(got.value) == str(late.value)
-
-
 class TestBatchMemory:
-    """A batch of profile integrals hands the integrand a bounded number of
-    nodes per call, whatever the number of offsets, and the u-line kernel
-    builds no node array larger than the same cap."""
+    """No integrand call of an adaptive integral gets more than
+    ``_BATCH_NODES`` nodes, counting the inner-rule nodes behind each
+    external mean of the nested one, and the u-line kernel builds no larger
+    node array."""
 
     @pytest.fixture
     def largest(self, monkeypatch):
         seen = {"x": 0, "rows": 0, "uline": 0}
-        batch = oc_twoarm._integrate_batch
+        integrate = oc_twoarm._integrate
         inner = oc_twoarm._inner_reject_gl
         kernel = oc_twoarm._uline_reject
         posterior = oc_twoarm.posterior_arrays
         in_kernel = []
 
-        def recording_batch(f, cuts, tol, max_nodes=None):
-            def g(x, k):
+        def recording_integrate(f, cuts, tol, max_nodes=None):
+            def g(x):
                 seen["x"] = max(seen["x"], x.size)
-                return f(x, k)
-            return batch(g, cuts, tol, max_nodes)
+                return f(x)
+            return integrate(g, cuts, tol, max_nodes)
 
         def recording_inner(scen, e, *args):
             seen["rows"] = max(seen["rows"], e.size)
@@ -280,7 +187,7 @@ class TestBatchMemory:
                 seen["uline"] = max(seen["uline"], np.size(x))
             return posterior(x, *args)
 
-        monkeypatch.setattr(oc_twoarm, "_integrate_batch", recording_batch)
+        monkeypatch.setattr(oc_twoarm, "_integrate", recording_integrate)
         monkeypatch.setattr(oc_twoarm, "_inner_reject_gl", recording_inner)
         monkeypatch.setattr(oc_twoarm, "_uline_reject", recording_kernel)
         monkeypatch.setattr(oc_twoarm, "posterior_arrays", recording_posterior)
@@ -292,15 +199,16 @@ class TestBatchMemory:
         assert largest["rows"] == 0
         assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
 
-    @pytest.mark.parametrize("scen, rows", [(SCEN, 256), (WIDE, 128)],
-                             ids=["one-piece", "two-pieces"])
-    def test_random_external_scan(self, largest, scen, rows):
-        # the quadrature route evaluates its 401-point scan as one batch,
-        # which reaches the cap
-        oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6,
-                                   engine="quadrature")
-        assert largest["x"] == largest["rows"] == rows
-        assert largest["uline"] == 0
+    def test_random_external_integral(self, largest):
+        # se_c/se_t = 10: each external mean costs the inner rule 3 x 10
+        # pieces of 40 nodes, so the cap admits 25 external means per call,
+        # fewer than the 30 nodes of one split
+        scen = ScenarioTwoArm(nc=1, nt=100, nE=10, sigma=1.0, theta1=1.0,
+                              alpha=0.025)
+        got = oc_twoarm._random_reject(scen, 0.3, 0.3, 0.0, EB, 1e-6)
+        assert largest["x"] == largest["rows"] == 25
+        assert 25 * 3 * 10 * oc_twoarm._INNER_GL_NODES <= oc_twoarm._BATCH_NODES
+        assert got == oracle.random_reject(scen, 0.3, 0.3, 0.0, EB, 1e-6)
 
     @pytest.mark.parametrize("scen", [
         ScenarioTwoArm(nc=4, nt=189, nE=10, sigma=1.0, theta1=1.0, alpha=0.025),
@@ -312,3 +220,26 @@ class TestBatchMemory:
         assert np.all(np.isfinite(
             oc_twoarm._uline_reject(scen, thc, thc, 0.0, 0.0, EB)))
         assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
+
+    def test_default_profiles_call_the_exact_engines_with_scalars(
+            self, monkeypatch):
+        # under engine="auto" the kernel gives every array of values; the
+        # exact engines see only the polish's scalar calls
+        calls = []
+
+        def recording(engine):
+            def call(scen, theta_c, theta_t, *args, **kwargs):
+                calls.append(np.ndim(theta_c) + np.ndim(theta_t)
+                             + np.ndim(args[0]))
+                return engine(scen, theta_c, theta_t, *args, **kwargs)
+            return call
+
+        for name in ("reject_prob_two_arm", "_random_reject"):
+            monkeypatch.setattr(oc_twoarm, name,
+                                recording(getattr(oc_twoarm, name)))
+        power_profile(SCEN, 0.0, EB, OFFSETS)
+        oc_fixed_external_two_arm(SCEN, 0.2, EB)
+        fixed = len(calls)
+        oc_random_external_two_arm(SCEN, 0.0, EB, OFFSETS, tol=1e-6)
+        assert 0 < fixed < len(calls)
+        assert not any(calls)

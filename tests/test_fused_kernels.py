@@ -1,8 +1,9 @@
 """Batched quadrature kernels against their unfused oracles, bit for bit.
 
 ``tests/kernel_oracle.py`` keeps the one-panel-per-call ``integrate`` and
-the segment-by-segment two-arm inner rule.  The batched engines do the same
-floating-point operations in fewer NumPy calls, so every comparison here is
+the segment-by-segment two-arm inner rule.  The engines evaluate the panels
+of one integral and the segments of many external means in fewer NumPy
+calls with the same floating-point operations, so every comparison here is
 exact equality.
 """
 
@@ -24,6 +25,7 @@ from borrowoc import (
 from borrowoc import oc_twoarm
 from borrowoc.oc_twoarm import (_inner_reject_gl, _mc_conditional_rows,
                                 _random_two_arm_mc_grids)
+from borrowoc.statmath import _cuts, _integrate
 
 METHODS = (BorrowingMethod.none(), BorrowingMethod.fixed_power_prior(0.5),
            BorrowingMethod.empirical_bayes())
@@ -130,6 +132,34 @@ class TestIntegrateMatchesPanelLoop:
         with pytest.raises(NonConvergenceError) as ref:
             oracle.integrate(f, Interval(0.0, 30.0), abs_tol=1e-13)
         assert str(got.value) == str(ref.value)
+
+    def test_unsplittable_panel_fails(self):
+        # [1, 1 + ulp] cannot be split: the heap empties with its error
+        # estimate still above the tolerance
+        one_ulp = 1.0 + 2.0**-52
+
+        def f(x):
+            return np.full_like(x, 1e30)
+
+        with pytest.raises(NonConvergenceError) as got:
+            integrate(f, Interval(1.0, one_ulp), abs_tol=1e-13)
+        with pytest.raises(NonConvergenceError) as ref:
+            oracle.integrate(f, Interval(1.0, one_ulp), abs_tol=1e-13)
+        assert str(got.value) == str(ref.value)
+        assert "after 1 panels" in str(got.value)
+
+    def test_node_cap_bounds_every_call(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-np.abs(x - 0.3)) * np.cos(5.0 * x)
+
+        cuts = _cuts(Interval(-2.0, 3.0), (0.3, -1.0, 7.0))
+        capped = _integrate(f, cuts, 1e-12, 37)
+        assert max(sizes) == 37
+        assert capped == integrate(f, Interval(-2.0, 3.0), 1e-12,
+                                   breakpoints=(0.3, -1.0, 7.0))
 
     def test_two_arm_integrals(self):
         thc = np.repeat([-0.4, 0.7, 2.5], 2)

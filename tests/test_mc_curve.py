@@ -159,9 +159,28 @@ class TestConditionalCurve:
         e = RngStream(6, 0).generator().normal(0.0, SCEN.seE, 300)
         thcs = (-3.0, 0.0, 2.5)
         whole = _mc_conditional_rows(SCEN, e, thcs, EB, zc)
-        monkeypatch.setattr(oc_twoarm, "_CURVE_CALL_ROWS", 50)
+        # 50 curve nodes per inner-rule call
+        monkeypatch.setattr(oc_twoarm, "_BATCH_NODES",
+                            50 * 3 * oc_twoarm._INNER_GL_NODES)
         batched = _mc_conditional_rows(SCEN, e, thcs, EB, zc)
         assert all(np.array_equal(a, b) for a, b in zip(whole, batched))
+
+    def test_node_budget_bounds_every_inner_rule_call(self, monkeypatch):
+        # at nc/nt = 4/189 the curve's panels are se_t wide and each row
+        # costs the inner rule 3 x 7 pieces of 40 nodes
+        scen = ScenarioTwoArm(nc=4, nt=189, nE=10, sigma=1.0, theta1=1.0,
+                              alpha=0.025)
+        pieces = math.ceil(math.sqrt(189 / 4))
+        nodes = []
+
+        def counting(scen, e, *args):
+            nodes.append(e.size * 3 * pieces * oc_twoarm._INNER_GL_NODES)
+            return _inner_reject_gl(scen, e, *args)
+
+        monkeypatch.setattr(oc_twoarm, "_inner_reject_gl", counting)
+        _random_two_arm_mc_grids(scen, 0.3, EB, (-1.0, 0.0, 1.0), 2500, seed=1)
+        assert len(nodes) > 1
+        assert max(nodes) <= oc_twoarm._BATCH_NODES
 
     def test_far_apart_offsets_tabulate_only_the_panels_they_hit(
             self, monkeypatch):
