@@ -199,6 +199,17 @@ class TestBatchMemory:
         assert largest["rows"] == 0
         assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
 
+    @pytest.mark.parametrize("scen, rows", [(SCEN, 256), (WIDE, 128)],
+                             ids=["one-piece", "two-pieces"])
+    def test_random_external_scan(self, largest, scen, rows):
+        # the quadrature route runs its 401-point scan one integral at a
+        # time: each call gets the 30 nodes of one split, below the cap
+        oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6,
+                                   engine="quadrature")
+        assert oc_twoarm._inner_rows(scen) == rows
+        assert largest["x"] == largest["rows"] == 30
+        assert largest["uline"] == 0
+
     def test_random_external_integral(self, largest):
         # se_c/se_t = 10: each external mean costs the inner rule 3 x 10
         # pieces of 40 nodes, so the cap admits 25 external means per call,
