@@ -49,17 +49,13 @@ from .runner import (COLUMNS, DEFAULT_NSIM_FIXED, DEFAULT_NSIM_RANDOM,
                      DEFAULT_TWO_ARM_OFFSETS, RunReport, run_algorithm1,
                      run_algorithm2, run_grid, scenario_echo)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
-from .statmath import (DomainError, NumericsError, RngStream, _check_count,
-                       _check_finite, _check_positive)
+from .statmath import (DomainError, NumericsError, RngStream, _blocks,
+                       _check_count, _check_finite, _check_positive)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_IO = 4
-
-# rows of records.csv formatted and written per chunk; bounds the memory
-# the text of a large run takes
-CSV_CHUNK_ROWS = 8192
 
 _SUMMARY_FIELDS = ("mean_t1e", "mean_power_diff", "t1e_min", "t1e_max",
                    "t1e_median", "power_diff_min", "power_diff_max",
@@ -316,13 +312,12 @@ def _column_fields(col) -> list:
 
 def _write_records_csv(path: Path, prov: dict, report: RunReport) -> None:
     """records.csv straight from the report's columns, formatted and
-    written CSV_CHUNK_ROWS rows at a time."""
+    written one block of ``statmath._BLOCK_ROWS`` rows at a time."""
     cols = report.records
 
     def chunks():
         yield f"{_provenance_line(prov)}\n{','.join(COLUMNS)}\n"
-        for lo in range(0, len(cols), CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+        for rows in _blocks(len(cols)):
             fields = [_column_fields(getattr(cols, name)[rows])
                       for name in COLUMNS]
             yield "\n".join(map(",".join, zip(*fields))) + "\n"

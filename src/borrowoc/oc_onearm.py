@@ -31,8 +31,9 @@ from .borrow import BorrowingMethod, tail_arrays
 # oc_onearm.maximize_1d
 from .region import boundary_arrays, rejection_region  # noqa: F401
 from .scenarios import ScenarioOneArm
-from .statmath import (DomainError, RngStream, _check_count, _check_finite,
-                       maximize_1d, norm_cdf, norm_quantile)  # noqa: F401
+from .statmath import (DomainError, RngStream, _blocks, _check_count,
+                       _check_finite, _fsum, maximize_1d, norm_cdf,
+                       norm_quantile)  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,18 @@ def region_oc_arrays(scen: ScenarioOneArm, de, method: BorrowingMethod):
 
     For c < 1/2 step 1 fails and the supremum can exceed P(theta0); the
     scenarios refuse such thresholds.
+
+    The rows go through :func:`boundary_arrays` and ``Boundaries.prob`` one
+    block of ``statmath._BLOCK_ROWS`` at a time; rows are independent, so
+    the values are those of one call over all rows.
     """
-    b = boundary_arrays(scen, np.asarray(de, dtype=float), method)
-    return tuple(b.prob(np.array([[scen.theta0], [scen.theta1]]), scen.se))
+    de = np.atleast_1d(_check_finite("external_mean", de))
+    t1e, power = np.empty(de.shape), np.empty(de.shape)
+    theta = np.array([[scen.theta0], [scen.theta1]])
+    for rows in _blocks(len(de)):
+        b = boundary_arrays(scen, de[rows], method)
+        t1e[rows], power[rows] = b.prob(theta, scen.se)
+    return t1e, power
 
 
 def _random_external_arrays(scen: ScenarioOneArm, thetaE: float,
@@ -179,20 +189,22 @@ def _random_external_arrays(scen: ScenarioOneArm, thetaE: float,
 
     Returns ``(de, t1e_j, power_j)``.  Draw order from the single stream
     (seed, 0): external means; then, in literal mode only, current means
-    under theta0 and under theta1.
+    under theta0 and under theta1.  Literal mode draws each of those in
+    blocks of ``statmath._BLOCK_ROWS``, which continue the stream exactly
+    as one draw of all nsim would, and decides each block as it is drawn.
     """
     nsim = _check_count("nsim", nsim)
     thetaE = _check_finite("thetaE", thetaE)
     gen = RngStream(seed, 0).generator()
     de = gen.normal(thetaE, scen.seE, nsim)
-    if literal:
-        d0 = gen.normal(scen.theta0, scen.se, nsim)
-        d1 = gen.normal(scen.theta1, scen.se, nsim)
-        args = (scen.n, scen.sigma, scen.nE, scen.sigmaE, method, scen.theta0)
-        t1e_j = (tail_arrays(d0, de, *args) > scen.c).astype(float)
-        power_j = (tail_arrays(d1, de, *args) > scen.c).astype(float)
-    else:
-        t1e_j, power_j = region_oc_arrays(scen, de, method)
+    if not literal:
+        return (de, *region_oc_arrays(scen, de, method))
+    args = (scen.n, scen.sigma, scen.nE, scen.sigmaE, method, scen.theta0)
+    t1e_j, power_j = np.empty(nsim), np.empty(nsim)
+    for mu, out in ((scen.theta0, t1e_j), (scen.theta1, power_j)):
+        for rows in _blocks(nsim):
+            d = gen.normal(mu, scen.se, rows.stop - rows.start)
+            out[rows] = tail_arrays(d, de[rows], *args) > scen.c
     return de, t1e_j, power_j
 
 
@@ -211,6 +223,6 @@ def oc_random_external_mc(scen: ScenarioOneArm, thetaE: float,
     """
     _, t1e_j, power_j = _random_external_arrays(scen, thetaE, method, nsim,
                                                 seed, literal)
-    aB = math.fsum(t1e_j) / nsim
-    pb = math.fsum(power_j) / nsim
+    aB = _fsum(t1e_j) / nsim
+    pb = _fsum(power_j) / nsim
     return OCPoint(aB, pb, power_calibrated(aB, scen))

@@ -29,7 +29,9 @@ Exact engines:
   control mean's spread.  The Monte Carlo rows do not integrate per draw:
   a draw's conditional rejection probability depends only on
   d = theta_c - e, so each run tabulates one curve R(d) as Chebyshev
-  panels from inner-rule nodes and evaluates it at every (offset, draw).
+  panels from inner-rule nodes and evaluates it at the draws one offset at
+  a time.  Each offset's rows are reduced to their means as they come, so
+  a run holds the rows of two offsets, not of all of them.
 
 ``_BATCH_NODES`` is the one node budget of the u-line kernel's node
 arrays, the nested quadrature's integrand calls and the curve's inner-rule
@@ -64,8 +66,8 @@ from .scenarios import ScenarioTwoArm
 # bench/tracing.py, which wraps oc_twoarm.integrate and oc_twoarm.maximize_1d
 from .statmath import (_GAUSS_TRUNC, DomainError, Interval,
                        NonConvergenceError, RngStream, _check_count,
-                       _check_finite, _check_positive, _cuts, _integrate,
-                       _maximize, integrate, maximize_1d, norm_cdf,
+                       _check_finite, _check_positive, _cuts, _fsum,
+                       _integrate, _maximize, integrate, maximize_1d, norm_cdf,
                        norm_quantile)  # noqa: F401
 
 _INNER_GL_NODES = 40
@@ -583,27 +585,27 @@ def _clenshaw(coef: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
                          method: BorrowingMethod, zc: float):
     """Exact conditional rejection probabilities given each drawn external
-    mean (the current-arm sampling replaced by its expectation): arrays
-    ``(T, P)`` of shape (control mean, draw), the null with the treatment
-    mean at each control mean in ``theta_cs`` and the alternative theta1
-    above it.
+    mean (the current-arm sampling replaced by its expectation): yields,
+    for each control mean in ``theta_cs`` in turn, the pair of rows
+    ``(null, power)`` over the draws, the null with the treatment mean at
+    the control mean and the alternative theta1 above it.
 
     Under Empirical Bayes the probability depends on d = theta_c - e only,
-    so every entry lies on one curve R(d).  It is tabulated on the panels
-    [k w, (k+1) w), w = min(se_c, se_t), that some d falls in, as a
-    degree-16 Chebyshev interpolant on 17 nodes; the nodes go through the
-    inner rule at theta_c = 0, e = -d, in calls within ``_BATCH_NODES``
-    nodes, which serve the null and the alternative together.  An entry
-    depends only on its own d: not on the other draws, the other control
-    means or the number of draws.
+    so every entry lies on one curve R(d).  It is tabulated once, before
+    the first pair, on the panels [k w, (k+1) w), w = min(se_c, se_t),
+    that some d falls in, as a degree-16 Chebyshev interpolant on 17
+    nodes; the nodes go through the inner rule at theta_c = 0, e = -d, in
+    calls within ``_BATCH_NODES`` nodes, which serve the null and the
+    alternative together.  An entry depends only on its own d: not on the
+    other draws, the other control means or the number of draws.
     """
     thcs = [float(thc) for thc in theta_cs]
     if method.kind != EMPIRICAL_BAYES:
         delta = _method_delta(method)
-        return (np.array([_closed_fixed(scen, thc, thc, e, delta)
-                          for thc in thcs], dtype=float),
-                np.array([_closed_fixed(scen, thc, thc + scen.theta1, e, delta)
-                          for thc in thcs], dtype=float))
+        for thc in thcs:
+            yield (_closed_fixed(scen, thc, thc, e, delta),
+                   _closed_fixed(scen, thc, thc + scen.theta1, e, delta))
+        return
     w = min(scen.sigma / math.sqrt(scen.nc), scen.sigma / math.sqrt(scen.nt))
     panels = np.unique(np.concatenate(
         [np.unique(np.floor((thc - e) / w)) for thc in thcs]))
@@ -616,29 +618,51 @@ def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
     # depend on how many other panels there are
     coef = [(v.reshape(-1, 1, _CURVE_NODES) * _CHEB_FIT).sum(axis=-1).T
             for v in vals]
-    T = np.empty((len(thcs), e.shape[0]))
-    P = np.empty_like(T)
-    for o, thc in enumerate(thcs):
+    for thc in thcs:
         u = (thc - e) / w
         k = np.floor(u)
         idx = np.searchsorted(panels, k)
         t = 2.0 * (u - k) - 1.0
-        T[o] = _clenshaw(coef[0], idx, t)
-        P[o] = _clenshaw(coef[1], idx, t)
-    return np.clip(T, 0.0, 1.0), np.clip(P, 0.0, 1.0)
+        yield (np.clip(_clenshaw(coef[0], idx, t), 0.0, 1.0),
+               np.clip(_clenshaw(coef[1], idx, t), 0.0, 1.0))
+
+
+def _literal_mc_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
+                     method: BorrowingMethod, zc: float, seed: int):
+    """Raw 0/1 decisions of the literal Monte Carlo: yields the
+    ``(null, power)`` rows of each control mean in ``theta_cs`` in turn,
+    the o-th drawn from stream (seed, o+1): control and treatment means
+    under the null, then under the alternative."""
+    nsim = e.shape[0]
+    se_c = scen.sigma / math.sqrt(scen.nc)
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    for o, thc in enumerate(theta_cs):
+        gen = RngStream(seed, o + 1).generator()
+        draws = [gen.normal(mu, se, nsim) for mu, se in
+                 ((thc, se_c), (thc, se_t), (thc, se_c),
+                  (thc + scen.theta1, se_t))]
+        rows = []
+        for dc, dt in (draws[:2], draws[2:]):
+            mc, sc = posterior_arrays(dc, e, scen.nc, scen.sigma,
+                                      scen.nE, scen.sigmaE, method)
+            rows.append((dt > _threshold(mc, sc, zc, se_t)).astype(float))
+        yield tuple(rows)
 
 
 def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
                              method: BorrowingMethod, offsets, nsim: int,
                              seed: int, literal: bool = False):
-    """Per-replicate Monte Carlo building blocks of the random-external
-    two-arm run.
+    """The random-external two-arm Monte Carlo over the offsets, reduced
+    one offset at a time.
 
-    Returns ``(e, T, P)``: the external-mean draws and the
-    (offset, replicate) arrays of null/power contributions.  External means
-    come from stream (seed, 0); literal mode draws, per offset index o from
-    stream (seed, o+1): control and treatment means under the null, then
-    under the alternative, and records raw 0/1 decisions.
+    Returns ``(e, t1e, power, k, T, P)``: the external-mean draws, the
+    per-offset means of the null and power rows (``math.fsum`` over the
+    replicates, divided by nsim), the index k of the first offset with the
+    largest null mean, and that offset's null and power rows.  Only two
+    offsets' rows are held at once, whatever the number of offsets.
+    External means come from stream (seed, 0); the rows are exact
+    conditional probabilities (:func:`_mc_conditional_rows`) or, in
+    literal mode, raw decisions (:func:`_literal_mc_rows`).
     """
     nsim = _check_count("nsim", nsim)
     thetaE = _check_finite("thetaE", thetaE)
@@ -646,24 +670,15 @@ def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
     e = RngStream(seed, 0).generator().normal(thetaE, scen.seE, nsim)
     thcs = [float(thetaE) + x * scen.sigma for x in offs]
     zc = norm_quantile(scen.c)
-    if not literal:
-        T, P = _mc_conditional_rows(scen, e, thcs, method, zc)
-        return e, T, P
-    T = np.empty((len(offs), nsim))
-    P = np.empty((len(offs), nsim))
-    se_c = scen.sigma / math.sqrt(scen.nc)
-    se_t = scen.sigma / math.sqrt(scen.nt)
-    for o, thc in enumerate(thcs):
-        gen = RngStream(seed, o + 1).generator()
-        dc0 = gen.normal(thc, se_c, nsim)
-        dt0 = gen.normal(thc, se_t, nsim)
-        dc1 = gen.normal(thc, se_c, nsim)
-        dt1 = gen.normal(thc + scen.theta1, se_t, nsim)
-        for dc, dt, out in ((dc0, dt0, T), (dc1, dt1, P)):
-            mc, sc = posterior_arrays(dc, e, scen.nc, scen.sigma,
-                                      scen.nE, scen.sigmaE, method)
-            out[o] = (dt > _threshold(mc, sc, zc, se_t)).astype(float)
-    return e, T, P
+    rows = (_literal_mc_rows(scen, e, thcs, method, zc, seed) if literal
+            else _mc_conditional_rows(scen, e, thcs, method, zc))
+    t1e, power, k, best = [], [], 0, ()
+    for o, (T, P) in enumerate(rows):
+        t1e.append(_fsum(T) / nsim)
+        power.append(_fsum(P) / nsim)
+        if not best or t1e[o] > t1e[k]:
+            k, best = o, (T, P)
+    return (e, t1e, power, k, *best)
 
 
 def oc_random_external_two_arm_mc(scen: ScenarioTwoArm, thetaE: float,
@@ -679,10 +694,7 @@ def oc_random_external_two_arm_mc(scen: ScenarioTwoArm, thetaE: float,
     offs = tuple(float(x) for x in offsets)
     if not offs:
         raise DomainError("offsets must be non-empty")
-    _, T, P = _random_two_arm_mc_grids(scen, thetaE, method, offs, nsim,
-                                       seed, literal)
-    t1e = [math.fsum(T[o]) / nsim for o in range(len(offs))]
-    power = [math.fsum(P[o]) / nsim for o in range(len(offs))]
-    k = int(np.argmax(t1e))
+    _, t1e, power, k, _, _ = _random_two_arm_mc_grids(
+        scen, thetaE, method, offs, nsim, seed, literal)
     return OCProfile(offs, t1e, t1e[k], offs[k], power_borrow=power,
                      power_calibrated=power_calibrated_two_arm(t1e[k], scen))

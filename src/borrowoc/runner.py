@@ -39,7 +39,8 @@ from .oc_onearm import (_random_external_arrays,  # noqa: F401
 from .oc_twoarm import (_random_two_arm_mc_grids, oc_fixed_external_two_arm,
                         power_calibrated_two_arm, power_profile)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
-from .statmath import DomainError, RngStream, _check_count, _check_finite
+from .statmath import (DomainError, RngStream, _blocks, _check_count,
+                       _check_finite, _fsum)
 
 DEFAULT_NSIM_FIXED = 100
 DEFAULT_NSIM_RANDOM = 100_000
@@ -78,9 +79,13 @@ class ReplicateColumns(Sequence):
     """A run's replicate results, held column by column.
 
     Each name in :data:`COLUMNS` is a read-only NumPy array with one entry
-    per replicate, in ascending replicate order.  As a sequence it yields
-    :class:`ReplicateRecord` objects, built only when indexed or iterated;
-    ``len()`` builds none.
+    per replicate, in ascending replicate order.  An array of the column's
+    type that owns its data is kept without a copy and made read-only (the
+    runs hand over the arrays their engines just made), a value shared by
+    every replicate stays a zero-stride broadcast, and a view into a larger
+    array is copied.  As a sequence it yields :class:`ReplicateRecord`
+    objects, built only when indexed or iterated (one block of
+    ``statmath._BLOCK_ROWS`` rows at a time); ``len()`` builds none.
     """
 
     __slots__ = COLUMNS
@@ -90,8 +95,10 @@ class ReplicateColumns(Sequence):
         cols = (replicate, dE_mean, t1e_borrow, power_borrow,
                 power_calibrated, power_diff)
         for name, col in zip(COLUMNS, cols):
-            arr = np.array(col, dtype=np.int64 if name == "replicate"
-                           else np.float64)
+            arr = np.asarray(col, dtype=np.int64 if name == "replicate"
+                             else np.float64)
+            if arr.base is not None and arr.strides != (0,):
+                arr = arr.copy()
             arr.flags.writeable = False
             setattr(self, name, arr)
 
@@ -107,7 +114,9 @@ class ReplicateColumns(Sequence):
         return ReplicateRecord(*(col[i].item() for col in self._arrays()))
 
     def __iter__(self):
-        return map(ReplicateRecord, *(col.tolist() for col in self._arrays()))
+        for rows in _blocks(len(self)):
+            yield from map(ReplicateRecord,
+                           *(col[rows].tolist() for col in self._arrays()))
 
     def __eq__(self, other):
         if isinstance(other, ReplicateColumns):
@@ -124,11 +133,15 @@ class ReplicateColumns(Sequence):
 def _replicate_columns(dE_mean, t1e_borrow, power_borrow,
                        power_calibrated) -> ReplicateColumns:
     """Columns of replicates 0..n-1; scalar arguments are shared by every
-    replicate, and ``power_diff`` is the elementwise difference
-    ``power_borrow - power_calibrated``."""
+    replicate as zero-stride broadcasts, and ``power_diff`` is the
+    elementwise difference ``power_borrow - power_calibrated``."""
     n = len(dE_mean)
-    t1e, pb, pc = (np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
-                   for c in (t1e_borrow, power_borrow, power_calibrated))
+
+    def column(c):
+        c = np.asarray(c, dtype=np.float64)
+        return np.broadcast_to(c, (n,)) if c.ndim == 0 else c
+
+    t1e, pb, pc = map(column, (t1e_borrow, power_borrow, power_calibrated))
     return ReplicateColumns(np.arange(n), dE_mean, t1e, pb, pc, pb - pc)
 
 
@@ -164,6 +177,8 @@ def summarize(records, seed, nsim: int, scenario: dict) -> RunReport:
     does not depend on how the records were produced or scheduled.  An
     empty record list, a record count other than ``nsim`` and a repeated
     replicate index are errors, never a silent NaN or a mislabeled report.
+    The means convert their columns to Python floats one block of
+    ``statmath._BLOCK_ROWS`` at a time.
     """
     if isinstance(records, ReplicateColumns):
         cols = records
@@ -181,8 +196,8 @@ def summarize(records, seed, nsim: int, scenario: dict) -> RunReport:
     t1e, diff = cols.t1e_borrow, cols.power_diff
     return RunReport(
         records=cols,
-        mean_t1e=math.fsum(t1e.tolist()) / len(t1e),
-        mean_power_diff=math.fsum(diff.tolist()) / len(diff),
+        mean_t1e=_fsum(t1e) / len(t1e),
+        mean_power_diff=_fsum(diff) / len(diff),
         t1e_min=float(t1e.min()), t1e_max=float(t1e.max()),
         t1e_median=float(np.median(t1e)),
         power_diff_min=float(diff.min()), power_diff_max=float(diff.max()),
@@ -289,19 +304,17 @@ def run_algorithm2(scen, thetaE: float, method: BorrowingMethod,
             else tuple(float(x) for x in offsets)
         if not offs:
             raise DomainError("offsets must be non-empty")
-        e, T, P = _random_two_arm_mc_grids(scen, thetaE, method, offs, nsim,
-                                           seed, literal)
-        means = [math.fsum(T[o]) / nsim for o in range(len(offs))]
-        k = int(np.argmax(means))
-        cols = _replicate_columns(e, T[k], P[k],
-                                  power_calibrated_two_arm(means[k], scen))
+        e, t1e, _, k, T, P = _random_two_arm_mc_grids(
+            scen, thetaE, method, offs, nsim, seed, literal)
+        cols = _replicate_columns(e, T, P,
+                                  power_calibrated_two_arm(t1e[k], scen))
         echo = scenario_echo(scen, method, thetaE,
                              {"argmax_offset": offs[k]})
     else:
         de, t1e_j, power_j = _random_external_arrays(scen, thetaE, method,
                                                      nsim, seed, literal)
         cols = _replicate_columns(de, t1e_j, power_j, power_calibrated(
-            math.fsum(t1e_j) / nsim, scen))
+            _fsum(t1e_j) / nsim, scen))
         echo = scenario_echo(scen, method, thetaE)
     return summarize(cols, seed, nsim, echo)
 

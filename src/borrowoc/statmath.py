@@ -6,6 +6,9 @@ reproducible counter-based random streams, plus the argument checks the
 record types share.  Only the standard normal family is supported; nothing
 here knows about trials or borrowing.
 
+Replicate runs work in blocks of :data:`_BLOCK_ROWS` rows (:func:`_blocks`),
+and :func:`_fsum` sums a column block by block.
+
 The quadrature has one engine, :func:`_integrate`, which computes one
 integral from the edges of its first panels and can cap the nodes of each
 integrand call; :func:`integrate` is its public form.  The maximizer has
@@ -17,6 +20,7 @@ points and whose polish makes scalar calls, possibly of another function;
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -68,6 +72,25 @@ def _check_finite(name: str, value):
     if bad.size:
         raise DomainError(f"{name!r} must be finite, got {float(bad[0])!r}")
     return arr
+
+
+# the one row budget of every replicate run: its engine calls, its sums and
+# its records.csv chunks, so a run's peak memory is its columns plus one
+# block whatever nsim
+_BLOCK_ROWS = 2048
+
+
+def _blocks(n: int):
+    """Slices covering rows 0..n-1 in order, :data:`_BLOCK_ROWS` at a time."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, n))
+            for lo in range(0, n, _BLOCK_ROWS))
+
+
+def _fsum(col) -> float:
+    """``math.fsum`` of a 1-D array, its entries made Python floats one
+    block at a time; the same correctly rounded sum as one whole list."""
+    return math.fsum(itertools.chain.from_iterable(
+        col[rows].tolist() for rows in _blocks(len(col))))
 
 
 @dataclass(frozen=True)

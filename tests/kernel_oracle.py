@@ -12,18 +12,25 @@ then both halves of each split, in one integrand call; the inner rule of
 ``borrowoc.oc_twoarm`` takes all segments of many external means at once.
 They do the same floating-point operations in fewer NumPy calls, so they
 must agree with these loops exactly, not to a tolerance.
+
+The replicate runs work in row blocks and offset by offset; the last
+section keeps their whole-array forms: ``literal_onearm_arrays`` draws
+and decides all replicates of the literal one-arm audit at once, and
+``mc_grids`` stacks the two-arm Monte Carlo rows of every offset.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from unittest import mock
 
 import numpy as np
 from scipy.special import ndtr
 
-from borrowoc import DomainError, Interval, NonConvergenceError, norm_quantile
-from borrowoc.borrow import EMPIRICAL_BAYES, posterior_arrays
+from borrowoc import (DomainError, Interval, NonConvergenceError, RngStream,
+                      norm_quantile, oc_twoarm)
+from borrowoc.borrow import EMPIRICAL_BAYES, posterior_arrays, tail_arrays
 from borrowoc.statmath import _GAUSS_TRUNC, _MAX_PANELS, _WG, _WGK, _XGK
 
 GL_X, GL_W = np.polynomial.legendre.leggauss(40)
@@ -215,3 +222,53 @@ def profile(scen, reject, offsets):
         if v > amax:
             amax, xstar = v, x
     return t1e, amax, xstar, [reject(x, scen.theta1) for x in offs]
+
+
+# ---------------------------------------------------------------------------
+# whole-array replicate runs
+
+def literal_onearm_arrays(scen, thetaE: float, method, nsim: int, seed: int):
+    """``(de, t1e_j, power_j)`` of the literal one-arm random-external audit
+    from whole draws: all external means, then all current means under
+    theta0, then under theta1, from stream (seed, 0)."""
+    gen = RngStream(seed, 0).generator()
+    de = gen.normal(thetaE, scen.seE, nsim)
+    d0 = gen.normal(scen.theta0, scen.se, nsim)
+    d1 = gen.normal(scen.theta1, scen.se, nsim)
+    args = (scen.n, scen.sigma, scen.nE, scen.sigmaE, method, scen.theta0)
+    return (de, (tail_arrays(d0, de, *args) > scen.c).astype(float),
+            (tail_arrays(d1, de, *args) > scen.c).astype(float))
+
+
+def stack_rows(pairs):
+    """``(T, P)``: the null and power rows of (null, power) row pairs, one
+    row per pair."""
+    T, P = zip(*pairs)
+    return np.array(T), np.array(P)
+
+
+def mc_grids(scen, thetaE: float, method, offsets, nsim: int, seed: int,
+             literal: bool = False):
+    """``(e, T, P)`` of one ``oc_twoarm._random_two_arm_mc_grids`` call:
+    its draws and the (offset, replicate) null and power rows it reduced,
+    recorded as they streamed.  Checks the call's means against
+    ``math.fsum`` of each stacked row and its rows against the first
+    maximizing offset's."""
+    name = "_literal_mc_rows" if literal else "_mc_conditional_rows"
+    source = getattr(oc_twoarm, name)
+    seen = []
+
+    def recording(*args):
+        for pair in source(*args):
+            seen.append(pair)
+            yield pair
+
+    with mock.patch.object(oc_twoarm, name, recording):
+        e, t1e, power, k, Tk, Pk = oc_twoarm._random_two_arm_mc_grids(
+            scen, thetaE, method, offsets, nsim, seed, literal)
+    T, P = stack_rows(seen)
+    assert t1e == [math.fsum(row) / nsim for row in T]
+    assert power == [math.fsum(row) / nsim for row in P]
+    assert k == int(np.argmax(t1e))
+    assert np.array_equal(Tk, T[k]) and np.array_equal(Pk, P[k])
+    return e, T, P

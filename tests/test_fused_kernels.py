@@ -23,8 +23,7 @@ from borrowoc import (
     reject_prob_two_arm,
 )
 from borrowoc import oc_twoarm
-from borrowoc.oc_twoarm import (_inner_reject_gl, _mc_conditional_rows,
-                                _random_two_arm_mc_grids)
+from borrowoc.oc_twoarm import _inner_reject_gl, _mc_conditional_rows
 from borrowoc.statmath import _cuts, _integrate
 
 METHODS = (BorrowingMethod.none(), BorrowingMethod.fixed_power_prior(0.5),
@@ -186,12 +185,12 @@ class TestFusedMonteCarloRows:
     def test_null_and_power_rows_match_single_mean_calls(self, method):
         offsets = (-0.5, 0.7)
         nsim = 549
-        e, T, P = _random_two_arm_mc_grids(SCEN, 0.1, method, offsets, nsim,
-                                           seed=11)
+        e, T, P = oracle.mc_grids(SCEN, 0.1, method, offsets, nsim, seed=11)
         zc = norm_quantile(SCEN.c)
         for o, x in enumerate(offsets):
             thc = 0.1 + x * SCEN.sigma
-            null, alt = _mc_conditional_rows(SCEN, e, (thc,), method, zc)
+            null, alt = oracle.stack_rows(_mc_conditional_rows(
+                SCEN, e, (thc,), method, zc))
             assert np.array_equal(T[o], null[0])
             assert np.array_equal(P[o], alt[0])
             if method is EB:

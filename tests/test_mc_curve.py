@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import kernel_oracle as oracle
 from borrowoc import (
     BorrowingMethod,
     RngStream,
@@ -60,8 +61,7 @@ class TestInnerRuleLargeTreatmentArm:
     def test_monte_carlo_rows_match_adaptive_quadrature(self):
         scen = ScenarioTwoArm(nc=4, nt=189, nE=10, sigma=1.0, theta1=1.0,
                               alpha=0.025)
-        e, T, P = _random_two_arm_mc_grids(scen, 0.0, EB, (-1.0, 1.5), 6,
-                                           seed=4)
+        e, T, P = oracle.mc_grids(scen, 0.0, EB, (-1.0, 1.5), 6, seed=4)
         for o, x in enumerate((-1.0, 1.5)):
             for rows, effect in ((T, 0.0), (P, scen.theta1)):
                 adaptive = [reject_prob_two_arm(scen, x, x + effect,
@@ -75,8 +75,8 @@ class TestInnerRuleLargeTreatmentArm:
         exact = oc_random_external_two_arm(scen, 0.0, EB, (0.7,))
         nsim = 20_000
         for literal in (False, True):
-            _, T, P = _random_two_arm_mc_grids(scen, 0.0, EB, (0.7,), nsim,
-                                               seed=8, literal=literal)
+            _, T, P = oracle.mc_grids(scen, 0.0, EB, (0.7,), nsim, seed=8,
+                                      literal=literal)
             for rows, value in ((T[0], exact.t1e[0]),
                                 (P[0], exact.power_borrow[0])):
                 se = rows.std(ddof=1) / math.sqrt(nsim)
@@ -111,7 +111,8 @@ class TestConditionalCurve:
             thetaE = float(rng.normal(0.0, 2.0))
             e = rng.normal(thetaE, scen.seE * rng.uniform(0.5, 30.0), 300)
             thcs = thetaE + scen.sigma * rng.uniform(-4.0, 4.0, 3)
-            T, P = _mc_conditional_rows(scen, e, thcs, EB, zc)
+            T, P = oracle.stack_rows(_mc_conditional_rows(scen, e, thcs, EB,
+                                                          zc))
             for o, thc in enumerate(thcs):
                 ref = _direct_rows(scen, e, thc, zc)
                 worst = max(worst, np.abs(T[o] - ref[0]).max(),
@@ -126,7 +127,8 @@ class TestConditionalCurve:
         edges = _width(scen) * np.arange(-12.0, 13.0)
         d = np.concatenate([edges, np.nextafter(edges, -np.inf),
                             np.nextafter(edges, np.inf)])
-        T, P = _mc_conditional_rows(scen, -d, (0.0,), EB, zc)
+        T, P = oracle.stack_rows(_mc_conditional_rows(scen, -d, (0.0,), EB,
+                                                      zc))
         ref = _direct_rows(scen, -d, 0.0, zc)
         assert np.abs(T[0] - ref[0]).max() <= 1e-11
         assert np.abs(P[0] - ref[1]).max() <= 1e-11
@@ -138,18 +140,20 @@ class TestConditionalCurve:
     def test_row_depends_only_on_its_own_offset(self):
         zc = norm_quantile(SCEN.c)
         e = RngStream(3, 0).generator().normal(0.2, SCEN.seE, 500)
-        T, P = _mc_conditional_rows(SCEN, e, (-0.5, 0.3, 1.9), EB, zc)
+        T, P = oracle.stack_rows(_mc_conditional_rows(SCEN, e,
+                                                      (-0.5, 0.3, 1.9), EB,
+                                                      zc))
         other = np.concatenate([e[:200], [-40.0, 7.5, 0.21]])
-        T2, P2 = _mc_conditional_rows(SCEN, other, (0.3, 25.0), EB, zc)
+        T2, P2 = oracle.stack_rows(_mc_conditional_rows(SCEN, other,
+                                                        (0.3, 25.0), EB, zc))
         assert np.array_equal(T2[0, :200], T[1, :200])
         assert np.array_equal(P2[0, :200], P[1, :200])
 
     def test_rows_do_not_depend_on_nsim(self):
         offsets = (-1.0, 0.25, 2.0)
-        e1, T1, P1 = _random_two_arm_mc_grids(SCEN, 0.3, EB, offsets, 400,
-                                              seed=21)
-        e2, T2, P2 = _random_two_arm_mc_grids(SCEN, 0.3, EB, offsets[1:],
-                                              3000, seed=21)
+        e1, T1, P1 = oracle.mc_grids(SCEN, 0.3, EB, offsets, 400, seed=21)
+        e2, T2, P2 = oracle.mc_grids(SCEN, 0.3, EB, offsets[1:], 3000,
+                                     seed=21)
         assert np.array_equal(e2[:400], e1)
         assert np.array_equal(T2[:, :400], T1[1:])
         assert np.array_equal(P2[:, :400], P1[1:])
@@ -158,11 +162,12 @@ class TestConditionalCurve:
         zc = norm_quantile(SCEN.c)
         e = RngStream(6, 0).generator().normal(0.0, SCEN.seE, 300)
         thcs = (-3.0, 0.0, 2.5)
-        whole = _mc_conditional_rows(SCEN, e, thcs, EB, zc)
+        whole = oracle.stack_rows(_mc_conditional_rows(SCEN, e, thcs, EB, zc))
         # 50 curve nodes per inner-rule call
         monkeypatch.setattr(oc_twoarm, "_BATCH_NODES",
                             50 * 3 * oc_twoarm._INNER_GL_NODES)
-        batched = _mc_conditional_rows(SCEN, e, thcs, EB, zc)
+        batched = oracle.stack_rows(_mc_conditional_rows(SCEN, e, thcs, EB,
+                                                         zc))
         assert all(np.array_equal(a, b) for a, b in zip(whole, batched))
 
     def test_node_budget_bounds_every_inner_rule_call(self, monkeypatch):
@@ -191,8 +196,8 @@ class TestConditionalCurve:
             return _inner_reject_gl(scen, e, theta_c, theta_ts, method, zc)
 
         monkeypatch.setattr(oc_twoarm, "_inner_reject_gl", counting)
-        e, T, P = _random_two_arm_mc_grids(SCEN, 0.0, EB, (-500.0, 500.0),
-                                           2000, seed=5)
+        e, T, P = oracle.mc_grids(SCEN, 0.0, EB, (-500.0, 500.0), 2000,
+                                  seed=5)
         w = _width(SCEN)
         hit = set()
         for thc in (-500.0, 500.0):
@@ -231,8 +236,7 @@ class TestOtherRowsUnchanged:
                              ids=["none", "fixed"])
     def test_fixed_weight_rows_are_the_closed_form(self, method):
         offsets = (-0.5, 0.0, 1.25)
-        e, T, P = _random_two_arm_mc_grids(SCEN, -0.2, method, offsets, 700,
-                                           seed=2)
+        e, T, P = oracle.mc_grids(SCEN, -0.2, method, offsets, 700, seed=2)
         delta = method.delta if method is FIXED_HALF else 0.0
         for o, x in enumerate(offsets):
             thc = -0.2 + x * SCEN.sigma
@@ -245,8 +249,8 @@ class TestOtherRowsUnchanged:
                              ids=["none", "fixed", "eb"])
     def test_literal_rows_are_the_raw_decisions(self, method):
         offsets = (-0.5, 0.0, 1.25)
-        got = _random_two_arm_mc_grids(SCEN, -0.2, method, offsets, 700,
-                                       seed=2, literal=True)
+        got = oracle.mc_grids(SCEN, -0.2, method, offsets, 700, seed=2,
+                              literal=True)
         ref = _literal_rows(SCEN, -0.2, method, offsets, 700, seed=2)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)

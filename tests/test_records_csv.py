@@ -13,6 +13,7 @@ from borrowoc import (BorrowingMethod, ReplicateRecord, ScenarioTwoArm,
                       run_grid, summarize)
 from borrowoc import cli
 from borrowoc.runner import COLUMNS
+from borrowoc.statmath import _BLOCK_ROWS
 
 ONE_ARM = {"design": "one-arm", "n": 25, "nE": 20, "sigma": 1.0,
            "theta0": 0.0, "theta1": 0.5, "alpha": 0.025}
@@ -27,7 +28,7 @@ GRID = {"grid": {"start": -1.0, "stop": 2.0, "step": 0.01}}
 CASES = {
     "random-none-seam": ("one-arm-random",
                          {**ONE_ARM, **RUN, "method": "none",
-                          "nsim": cli.CSV_CHUNK_ROWS + 1}, ()),
+                          "nsim": _BLOCK_ROWS + 1}, ()),
     "random-fixedpp": ("one-arm-random", {**ONE_ARM, **RUN, **FIXED_PP,
                                           "nsim": 3000}, ()),
     "random-eb": ("one-arm-random", {**ONE_ARM, **RUN, **EB, "nsim": 1500},
