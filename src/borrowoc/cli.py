@@ -467,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "runs and two-arm algorithm2 sample raw "
                             "accept/reject decisions; two-arm-random runs "
                             "the conditional Monte Carlo over external "
-                            "draws with the same inner rule; two-arm "
+                            "draws on the u-line kernel's curve; two-arm "
                             "algorithm1 only draws the external mean from "
                             "nE raw observations (not allowed for "
                             + ", ".join(no_audit) + ")")

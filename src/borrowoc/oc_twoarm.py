@@ -21,21 +21,19 @@ Exact engines:
   closed-form again for fixed weights, an outer adaptive quadrature (one
   per entry) with a vectorized inner Gauss-Legendre rule for Empirical
   Bayes, and a seeded Monte Carlo variant for audit.  The inner rule is
-  one fused pass over its three segments per batch of external means; it
-  skips segments clipped to zero width and serves the null and the
-  alternative treatment means from the same nodes, density and threshold.
-  When nt > nc it cuts each segment into ceil(se_c/se_t) equal pieces,
-  because the treatment-arm factor is then a step narrower than the
-  control mean's spread.  The Monte Carlo rows do not integrate per draw:
-  a draw's conditional rejection probability depends only on
-  d = theta_c - e, so each run tabulates one curve R(d) as Chebyshev
-  panels from inner-rule nodes and evaluates it at the draws one offset at
-  a time.  Each offset's rows are reduced to their means as they come, so
-  a run holds the rows of two offsets, not of all of them.
+  one fused pass over its three segments per batch of external means that
+  skips segments clipped to zero width.  When nt > nc it cuts each segment
+  into ceil(se_c/se_t) equal pieces, because the treatment-arm factor is
+  then a step narrower than the control mean's spread.  The Monte Carlo
+  rows do not integrate per draw: a draw's conditional rejection
+  probability depends only on d = theta_c - e, so each run tabulates one
+  curve R(d) as Chebyshev panels from one u-line kernel call and evaluates
+  it at the draws one offset at a time.  Each offset's rows are reduced to
+  their means as they come, so a run holds the rows of two offsets, not of
+  all of them.
 
 ``_BATCH_NODES`` is the one node budget of the u-line kernel's node
-arrays, the nested quadrature's integrand calls and the curve's inner-rule
-calls.
+arrays and the nested quadrature's integrand calls.
 
 The reported level is the maximum of the null profile over the offset: a
 401-point scan brackets it and a golden-section polish refines it.  Under
@@ -75,8 +73,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
 _SATURATION = 1.0 - 1e-9
 _SLOPE_PROBE = 1e-3
 _MAX_DOMAIN = 1536.0
-# the one node budget of the two-arm arrays (module docstring): the
-# inner-rule nodes of 256 external means (3 segments of 40) when nc >= nt
+# the one node budget of the two-arm arrays (module docstring), sized as
+# the inner-rule nodes of 256 external means (3 segments of 40)
 _BATCH_NODES = 256 * 3 * _INNER_GL_NODES
 _WHOLE_LINE = Interval(-math.inf, math.inf)
 # quadrature tolerance of the fixed-external profiles
@@ -258,7 +256,11 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     """Empirical Bayes rejection probabilities at the control and treatment
     means ``theta_c`` and ``theta_t`` (same-shape arrays) with the external
     mean N(e_mean, e_var) (``e_var`` = 0: fixed at e_mean), as one integral
-    each over u = control mean - external mean.
+    each over u = control mean - external mean.  ``theta_t`` may also stack
+    several such arrays on a leading axis, one row of results each: the
+    rows share the nodes, density and threshold, and each equals its own
+    call bit for bit.  Besides every EB profile value, the kernel gives the
+    node values of the Monte Carlo curve (:func:`_mc_conditional_rows`).
 
     The test rejects when S = treatment mean - external mean exceeds h(u),
     the threshold from ``posterior_arrays(u, 0, ...)``, because the fitted
@@ -294,8 +296,9 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     rows = max(1, _BATCH_NODES // (_INNER_GL_NODES * panels))
     step = min(panels, _BATCH_NODES // _INNER_GL_NODES)
     mu = np.ravel(theta_c) - e_mean
-    m0 = np.ravel(theta_t) - e_mean
-    out = np.zeros(mu.shape)
+    lead = np.shape(theta_t)[:np.ndim(theta_t) - np.ndim(theta_c)]
+    m0 = np.reshape(theta_t, (math.prod(lead), mu.size)) - e_mean
+    out = np.zeros(m0.shape)
     for start in range(0, mu.size, rows):
         sl = slice(start, start + rows)
         mid = mu[sl, None]
@@ -309,12 +312,13 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
             mc, sc = posterior_arrays(u, 0.0, scen.nc, scen.sigma, scen.nE,
                                       scen.sigmaE, method)
             z = (u - mid[..., None]) / s_u
-            m = m0[sl, None, None] + gain * s_u * z
-            vals = np.exp(-0.5 * z * z) * ndtr(
-                (m - _threshold(mc, sc, zc, se_t)) / s)
-            out[sl] += (half[:, ps] * (vals @ _GL_W)).sum(axis=1)
+            tau = _threshold(mc, sc, zc, se_t)
+            pdf, slope = np.exp(-0.5 * z * z), gain * s_u * z
+            for k, row in enumerate(m0):
+                vals = pdf * ndtr((row[sl, None, None] + slope - tau) / s)
+                out[k, sl] += (half[:, ps] * (vals @ _GL_W)).sum(axis=1)
     out /= s_u * math.sqrt(2.0 * math.pi)
-    return np.clip(out, 0.0, 1.0).reshape(np.shape(theta_c))
+    return np.clip(out, 0.0, 1.0).reshape(np.shape(theta_t))
 
 
 def _offset_engines(scen: ScenarioTwoArm, e_mean: float, e_var: float,
@@ -458,13 +462,13 @@ def _inner_rows(scen: ScenarioTwoArm) -> int:
 
 
 def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
-                     theta_ts, method: BorrowingMethod,
+                     theta_t, method: BorrowingMethod,
                      zc: float) -> np.ndarray:
     """Conditional rejection probabilities given each external mean in the
-    1-D array ``e``, one row per treatment mean in ``theta_ts``,
-    integrating over the control mean with a segmented Gauss-Legendre rule.
-    The control mean ``theta_c`` and each treatment mean are a float or an
-    array with one entry per external mean.
+    1-D array ``e``, integrating over the control mean with a segmented
+    Gauss-Legendre rule: the inner rule of :func:`_random_reject`.  The
+    control mean ``theta_c`` and the treatment mean ``theta_t`` are each a
+    float or an array with one entry per external mean.
 
     Segment boundaries sit at e +- r (where the fitted weight stops
     saturating), clipped to the 8.5-sigma truncation window around the
@@ -477,9 +481,8 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
     nc >= nt; the worst rows have e more than 8.5 se_c + r from theta_c,
     where one 40-node segment spans the whole window.  All segments of all
     rows are evaluated in one pass; a segment clipped to zero width
-    contributes exactly +0.0 and is skipped.
-    The treatment means share the nodes, density and threshold.  ``zc`` is
-    the normal quantile of c.
+    contributes exactly +0.0 and is skipped.  ``zc`` is the normal
+    quantile of c.
     """
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
@@ -504,14 +507,12 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
     x = mid[live][:, None] + h[:, None] * gl_x
     mc, sc = posterior_arrays(x, per_segment(e), scen.nc, scen.sigma, scen.nE,
                               scen.sigmaE, method)
-    pdf = _norm_pdf(x, per_segment(theta_c), se_c)
-    tau = _threshold(mc, sc, zc, se_t)
-    seg = np.zeros((len(theta_ts),) + live.shape)
-    for k, theta_t in enumerate(theta_ts):
-        vals = pdf * ndtr((per_segment(theta_t) - tau) / se_t)
-        seg[k][live] = h * (vals * gl_w).sum(axis=-1)
+    vals = _norm_pdf(x, per_segment(theta_c), se_c) * ndtr(
+        (per_segment(theta_t) - _threshold(mc, sc, zc, se_t)) / se_t)
+    seg = np.zeros(live.shape)
+    seg[live] = h * (vals * gl_w).sum(axis=-1)
     # segment sums onto a zero total, lower, middle, upper
-    return 0.0 + seg[..., 0] + seg[..., 1] + seg[..., 2]
+    return 0.0 + seg[:, 0] + seg[:, 1] + seg[:, 2]
 
 
 def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
@@ -529,7 +530,7 @@ def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
     def reject(c, t):
         def g(e):
             return (_norm_pdf(e, thetaE, seE)
-                    * _inner_reject_gl(scen, e, c, (t,), method, zc)[0])
+                    * _inner_reject_gl(scen, e, c, t, method, zc))
         return _integrate(g, cuts, tol, _inner_rows(scen))
 
     vals = [reject(c, t) for c, t in zip(np.ravel(theta_c).tolist(),
@@ -583,7 +584,7 @@ def _clenshaw(coef: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
-                         method: BorrowingMethod, zc: float):
+                         method: BorrowingMethod):
     """Exact conditional rejection probabilities given each drawn external
     mean (the current-arm sampling replaced by its expectation): yields,
     for each control mean in ``theta_cs`` in turn, the pair of rows
@@ -592,11 +593,11 @@ def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
 
     Under Empirical Bayes the probability depends on d = theta_c - e only,
     so every entry lies on one curve R(d).  It is tabulated once, before
-    the first pair, on the panels [k w, (k+1) w), w = min(se_c, se_t),
+    the first pair, on the panels [k w, (k+1) w), w = 2 min(se_c, se_t),
     that some d falls in, as a degree-16 Chebyshev interpolant on 17
-    nodes; the nodes go through the inner rule at theta_c = 0, e = -d, in
-    calls within ``_BATCH_NODES`` nodes, which serve the null and the
-    alternative together.  An entry depends only on its own d: not on the
+    nodes; the node values are one u-line kernel call at control mean d
+    and external mean 0, which serves the null and the alternative from
+    one threshold pass.  An entry depends only on its own d: not on the
     other draws, the other control means or the number of draws.
     """
     thcs = [float(thc) for thc in theta_cs]
@@ -606,14 +607,12 @@ def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
             yield (_closed_fixed(scen, thc, thc, e, delta),
                    _closed_fixed(scen, thc, thc + scen.theta1, e, delta))
         return
-    w = min(scen.sigma / math.sqrt(scen.nc), scen.sigma / math.sqrt(scen.nt))
+    w = 2.0 * scen.sigma / math.sqrt(max(scen.nc, scen.nt))
     panels = np.unique(np.concatenate(
         [np.unique(np.floor((thc - e) / w)) for thc in thcs]))
     d = (w * (panels[:, None] + 0.5 + 0.5 * _CHEB_X)).ravel()
-    rows = _inner_rows(scen)
-    vals = np.concatenate([_inner_reject_gl(scen, -d[i:i + rows], 0.0,
-                                            (0.0, scen.theta1), method, zc)
-                           for i in range(0, d.size, rows)], axis=1)
+    vals = _uline_reject(scen, d, np.stack([d, d + scen.theta1]), 0.0, 0.0,
+                         method)
     # per-panel sums, not a matrix product: a panel's coefficients must not
     # depend on how many other panels there are
     coef = [(v.reshape(-1, 1, _CURVE_NODES) * _CHEB_FIT).sum(axis=-1).T
@@ -628,7 +627,7 @@ def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
 
 
 def _literal_mc_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
-                     method: BorrowingMethod, zc: float, seed: int):
+                     method: BorrowingMethod, seed: int):
     """Raw 0/1 decisions of the literal Monte Carlo: yields the
     ``(null, power)`` rows of each control mean in ``theta_cs`` in turn,
     the o-th drawn from stream (seed, o+1): control and treatment means
@@ -636,6 +635,7 @@ def _literal_mc_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
     nsim = e.shape[0]
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
+    zc = norm_quantile(scen.c)
     for o, thc in enumerate(theta_cs):
         gen = RngStream(seed, o + 1).generator()
         draws = [gen.normal(mu, se, nsim) for mu, se in
@@ -669,9 +669,8 @@ def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
     offs = _check_finite("offsets", [float(x) for x in offsets]).tolist()
     e = RngStream(seed, 0).generator().normal(thetaE, scen.seE, nsim)
     thcs = [float(thetaE) + x * scen.sigma for x in offs]
-    zc = norm_quantile(scen.c)
-    rows = (_literal_mc_rows(scen, e, thcs, method, zc, seed) if literal
-            else _mc_conditional_rows(scen, e, thcs, method, zc))
+    rows = (_literal_mc_rows(scen, e, thcs, method, seed) if literal
+            else _mc_conditional_rows(scen, e, thcs, method))
     t1e, power, k, best = [], [], 0, ()
     for o, (T, P) in enumerate(rows):
         t1e.append(_fsum(T) / nsim)

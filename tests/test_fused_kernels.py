@@ -3,8 +3,9 @@
 ``tests/kernel_oracle.py`` keeps the one-panel-per-call ``integrate`` and
 the segment-by-segment two-arm inner rule.  The engines evaluate the panels
 of one integral and the segments of many external means in fewer NumPy
-calls with the same floating-point operations, so every comparison here is
-exact equality.
+calls with the same floating-point operations, and the u-line kernel
+serves several treatment means from one threshold pass, so every
+comparison here is exact equality.
 """
 
 import math
@@ -23,7 +24,8 @@ from borrowoc import (
     reject_prob_two_arm,
 )
 from borrowoc import oc_twoarm
-from borrowoc.oc_twoarm import _inner_reject_gl, _mc_conditional_rows
+from borrowoc.oc_twoarm import (_inner_reject_gl, _mc_conditional_rows,
+                                _uline_reject)
 from borrowoc.statmath import _cuts, _integrate
 
 METHODS = (BorrowingMethod.none(), BorrowingMethod.fixed_power_prior(0.5),
@@ -71,16 +73,34 @@ class TestInnerRuleMatchesSegmentLoop:
         for scen, method, thc, rng in _fuzz_scenarios(60):
             e = _external_means(scen, thc, rng)
             empty.update(_empty_segments(scen, e, thc).tolist())
-            means = (thc, thc + scen.theta1)
             zc = norm_quantile(scen.c)
-            both = _inner_reject_gl(scen, e, thc, means, method, zc)
-            assert both.shape == (2, e.size)
-            for k, theta_t in enumerate(means):
+            for theta_t in (thc, thc + scen.theta1):
                 ref = oracle.inner_reject_gl(scen, e, thc, theta_t, method)
-                single = _inner_reject_gl(scen, e, thc, (theta_t,), method, zc)
-                assert np.array_equal(both[k], ref)
-                assert np.array_equal(single[0], ref)
+                got = _inner_reject_gl(scen, e, thc, theta_t, method, zc)
+                assert np.array_equal(got, ref)
         assert empty == {0, 1, 2}
+
+
+class TestKernelRowsMatchSingleMeanCalls:
+    @pytest.mark.parametrize("random", [False, True], ids=["fixed", "random"])
+    def test_scenario_fuzz(self, random):
+        for scen, _, thetaE, rng in _fuzz_scenarios(30):
+            var = scen.seE**2 if random else 0.0
+            thc = thetaE + scen.sigma * rng.uniform(-6.0, 6.0, 41)
+            means = np.stack([thc, thc + scen.theta1, thc - 0.5])
+            rows = _uline_reject(scen, thc, means, thetaE, var, EB)
+            assert rows.shape == means.shape
+            for k in range(3):
+                single = _uline_reject(scen, thc, means[k], thetaE, var, EB)
+                assert np.array_equal(rows[k], single)
+
+    @pytest.mark.parametrize("var", [0.0, SCEN.seE**2],
+                             ids=["fixed", "random"])
+    def test_no_control_means(self, var):
+        none = np.empty(0)
+        assert _uline_reject(SCEN, none, none, 0.2, var, EB).shape == (0,)
+        assert _uline_reject(SCEN, none, np.empty((2, 0)), 0.2, var,
+                             EB).shape == (2, 0)
 
 
 class TestIntegrateMatchesPanelLoop:
@@ -178,24 +198,23 @@ class TestIntegrateMatchesPanelLoop:
 class TestFusedMonteCarloRows:
     """The Monte Carlo rows of all offsets at once equal single-offset calls
     exactly.  Empirical Bayes rows come from an interpolated curve, so they
-    match the inner rule to a tolerance (``tests/test_mc_curve.py`` checks
-    the fixed-weight rows against the closed form)."""
+    match the u-line kernel to a tolerance (``tests/test_mc_curve.py``
+    checks the fixed-weight rows against the closed form)."""
 
     @pytest.mark.parametrize("method", METHODS, ids=["none", "fixed", "eb"])
     def test_null_and_power_rows_match_single_mean_calls(self, method):
         offsets = (-0.5, 0.7)
         nsim = 549
         e, T, P = oracle.mc_grids(SCEN, 0.1, method, offsets, nsim, seed=11)
-        zc = norm_quantile(SCEN.c)
         for o, x in enumerate(offsets):
             thc = 0.1 + x * SCEN.sigma
             null, alt = oracle.stack_rows(_mc_conditional_rows(
-                SCEN, e, (thc,), method, zc))
+                SCEN, e, (thc,), method))
             assert np.array_equal(T[o], null[0])
             assert np.array_equal(P[o], alt[0])
             if method is EB:
-                ref = oracle.inner_reject_gl(SCEN, e, thc, thc, method)
-                assert np.abs(T[o] - np.clip(ref, 0.0, 1.0)).max() <= 1e-11
-                ref = oracle.inner_reject_gl(SCEN, e, thc, thc + SCEN.theta1,
-                                             method)
-                assert np.abs(P[o] - np.clip(ref, 0.0, 1.0)).max() <= 1e-11
+                d = thc - e
+                ref = _uline_reject(SCEN, d, np.stack([d, d + SCEN.theta1]),
+                                    0.0, 0.0, method)
+                assert np.abs(T[o] - ref[0]).max() <= 1e-11
+                assert np.abs(P[o] - ref[1]).max() <= 1e-11

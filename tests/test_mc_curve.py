@@ -1,10 +1,11 @@
 """The conditional rejection curve behind the two-arm Monte Carlo rows, and
-the inner rule it is tabulated from when the treatment arm is the larger.
+the nested engine's inner rule when the treatment arm is the larger.
 
 Under Empirical Bayes each Monte Carlo row is the conditional rejection
 probability given one drawn external mean, a function of d = theta_c - e
-alone.  ``_mc_conditional_rows`` interpolates it on Chebyshev panels; the
-direct inner rule at each (theta_c, e) is the reference.
+alone.  ``_mc_conditional_rows`` interpolates it on Chebyshev panels
+tabulated from the u-line kernel; the direct kernel at each d is the
+reference.
 """
 
 import math
@@ -25,7 +26,8 @@ from borrowoc import oc_twoarm
 from borrowoc.borrow import posterior_arrays
 from borrowoc.oc_twoarm import (_closed_fixed, _inner_reject_gl,
                                 _mc_conditional_rows,
-                                _random_two_arm_mc_grids, _threshold)
+                                _random_two_arm_mc_grids, _threshold,
+                                _uline_reject)
 
 EB = BorrowingMethod.empirical_bayes()
 NONE = BorrowingMethod.none()
@@ -34,15 +36,19 @@ SCEN = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0, alpha=0.025)
 # treatment arm larger than the control arm: one 40-node piece per segment
 # erred by up to 1e-3 on the last two
 LARGE_TREATMENT = ((20, 40), (20, 60), (10, 100), (11, 178), (4, 189))
+# the threshold's cusp past u = +-r is far narrower than se_c here
+CUSP = ScenarioTwoArm(nc=2, nt=234, nE=5000, sigma=2.0, theta1=1.0,
+                      alpha=0.025, c=0.999, sigmaE=0.7)
 
 
 def _width(scen):
-    return scen.sigma / math.sqrt(max(scen.nc, scen.nt))
+    return 2.0 * scen.sigma / math.sqrt(max(scen.nc, scen.nt))
 
 
-def _direct_rows(scen, e, thc, zc):
-    return np.clip(_inner_reject_gl(scen, e, thc, (thc, thc + scen.theta1),
-                                    EB, zc), 0.0, 1.0)
+def _direct_rows(scen, e, thc):
+    d = thc - e
+    return _uline_reject(scen, d, np.stack([d, d + scen.theta1]), 0.0, 0.0,
+                         EB)
 
 
 class TestInnerRuleLargeTreatmentArm:
@@ -52,11 +58,11 @@ class TestInnerRuleLargeTreatmentArm:
                               alpha=0.025)
         zc = norm_quantile(scen.c)
         e = np.linspace(-2.0, 2.0, 9)
-        rule = _inner_reject_gl(scen, e, 0.0, (0.0, scen.theta1), EB, zc)
-        for k, theta_t in enumerate((0.0, scen.theta1)):
+        for theta_t in (0.0, scen.theta1):
+            rule = _inner_reject_gl(scen, e, 0.0, theta_t, EB, zc)
             adaptive = [reject_prob_two_arm(scen, 0.0, theta_t, float(de), EB,
                                             tol=1e-12) for de in e]
-            assert np.abs(rule[k] - adaptive).max() <= 1e-10
+            assert np.abs(rule - adaptive).max() <= 1e-10
 
     def test_monte_carlo_rows_match_adaptive_quadrature(self):
         scen = ScenarioTwoArm(nc=4, nt=189, nE=10, sigma=1.0, theta1=1.0,
@@ -104,32 +110,38 @@ def _fuzz_scenarios(n, seed=8080):
 
 
 class TestConditionalCurve:
-    def test_matches_inner_rule_over_fuzz(self):
+    def test_matches_kernel_over_fuzz(self):
         worst = 0.0
         for scen, rng in _fuzz_scenarios(40):
-            zc = norm_quantile(scen.c)
             thetaE = float(rng.normal(0.0, 2.0))
             e = rng.normal(thetaE, scen.seE * rng.uniform(0.5, 30.0), 300)
             thcs = thetaE + scen.sigma * rng.uniform(-4.0, 4.0, 3)
-            T, P = oracle.stack_rows(_mc_conditional_rows(scen, e, thcs, EB,
-                                                          zc))
+            T, P = oracle.stack_rows(_mc_conditional_rows(scen, e, thcs, EB))
             for o, thc in enumerate(thcs):
-                ref = _direct_rows(scen, e, thc, zc)
+                ref = _direct_rows(scen, e, thc)
                 worst = max(worst, np.abs(T[o] - ref[0]).max(),
                             np.abs(P[o] - ref[1]).max())
         assert worst <= 1e-11
+
+    def test_cusp_rows_match_kernel(self):
+        # tabulated from the inner rule, which misses the cusp, the rows
+        # were up to 1.8e-6 off the kernel at these offsets
+        offsets = np.arange(-3.0, 3.125, 0.25)
+        e, T, P = oracle.mc_grids(CUSP, 0.3, EB, offsets, 500, seed=1)
+        for o, x in enumerate(offsets):
+            ref = _direct_rows(CUSP, e, 0.3 + x * CUSP.sigma)
+            assert np.abs(T[o] - ref[0]).max() <= 1e-12
+            assert np.abs(P[o] - ref[1]).max() <= 1e-12
 
     @pytest.mark.parametrize("nc, nt", [(15, 15), (20, 60), (60, 20)])
     def test_panel_edges(self, nc, nt):
         scen = ScenarioTwoArm(nc=nc, nt=nt, nE=10, sigma=1.0, theta1=1.0,
                               alpha=0.025)
-        zc = norm_quantile(scen.c)
         edges = _width(scen) * np.arange(-12.0, 13.0)
         d = np.concatenate([edges, np.nextafter(edges, -np.inf),
                             np.nextafter(edges, np.inf)])
-        T, P = oracle.stack_rows(_mc_conditional_rows(scen, -d, (0.0,), EB,
-                                                      zc))
-        ref = _direct_rows(scen, -d, 0.0, zc)
+        T, P = oracle.stack_rows(_mc_conditional_rows(scen, -d, (0.0,), EB))
+        ref = _direct_rows(scen, -d, 0.0)
         assert np.abs(T[0] - ref[0]).max() <= 1e-11
         assert np.abs(P[0] - ref[1]).max() <= 1e-11
         # both panels meeting at an edge give the same value there
@@ -138,14 +150,12 @@ class TestConditionalCurve:
             assert np.abs(rows[n:2 * n] - rows[2 * n:]).max() <= 1e-11
 
     def test_row_depends_only_on_its_own_offset(self):
-        zc = norm_quantile(SCEN.c)
         e = RngStream(3, 0).generator().normal(0.2, SCEN.seE, 500)
         T, P = oracle.stack_rows(_mc_conditional_rows(SCEN, e,
-                                                      (-0.5, 0.3, 1.9), EB,
-                                                      zc))
+                                                      (-0.5, 0.3, 1.9), EB))
         other = np.concatenate([e[:200], [-40.0, 7.5, 0.21]])
         T2, P2 = oracle.stack_rows(_mc_conditional_rows(SCEN, other,
-                                                        (0.3, 25.0), EB, zc))
+                                                        (0.3, 25.0), EB))
         assert np.array_equal(T2[0, :200], T[1, :200])
         assert np.array_equal(P2[0, :200], P[1, :200])
 
@@ -159,30 +169,28 @@ class TestConditionalCurve:
         assert np.array_equal(P2[:, :400], P1[1:])
 
     def test_node_batches_do_not_change_rows(self, monkeypatch):
-        zc = norm_quantile(SCEN.c)
         e = RngStream(6, 0).generator().normal(0.0, SCEN.seE, 300)
         thcs = (-3.0, 0.0, 2.5)
-        whole = oracle.stack_rows(_mc_conditional_rows(SCEN, e, thcs, EB, zc))
-        # 50 curve nodes per inner-rule call
+        whole = oracle.stack_rows(_mc_conditional_rows(SCEN, e, thcs, EB))
+        # 6,000 nodes per kernel chunk: 16 curve nodes of 9 panels each
         monkeypatch.setattr(oc_twoarm, "_BATCH_NODES",
                             50 * 3 * oc_twoarm._INNER_GL_NODES)
-        batched = oracle.stack_rows(_mc_conditional_rows(SCEN, e, thcs, EB,
-                                                         zc))
+        batched = oracle.stack_rows(_mc_conditional_rows(SCEN, e, thcs, EB))
         assert all(np.array_equal(a, b) for a, b in zip(whole, batched))
 
-    def test_node_budget_bounds_every_inner_rule_call(self, monkeypatch):
-        # at nc/nt = 4/189 the curve's panels are se_t wide and each row
-        # costs the inner rule 3 x 7 pieces of 40 nodes
+    def test_node_budget_bounds_every_kernel_node_array(self, monkeypatch):
+        # at nc/nt = 4/189 the curve's panels are 2 se_t wide and the
+        # kernel's own panels are narrow: its node arrays come in chunks
         scen = ScenarioTwoArm(nc=4, nt=189, nE=10, sigma=1.0, theta1=1.0,
                               alpha=0.025)
-        pieces = math.ceil(math.sqrt(189 / 4))
         nodes = []
+        posterior = oc_twoarm.posterior_arrays
 
-        def counting(scen, e, *args):
-            nodes.append(e.size * 3 * pieces * oc_twoarm._INNER_GL_NODES)
-            return _inner_reject_gl(scen, e, *args)
+        def counting(x, *args):
+            nodes.append(np.size(x))
+            return posterior(x, *args)
 
-        monkeypatch.setattr(oc_twoarm, "_inner_reject_gl", counting)
+        monkeypatch.setattr(oc_twoarm, "posterior_arrays", counting)
         _random_two_arm_mc_grids(scen, 0.3, EB, (-1.0, 0.0, 1.0), 2500, seed=1)
         assert len(nodes) > 1
         assert max(nodes) <= oc_twoarm._BATCH_NODES
@@ -191,11 +199,11 @@ class TestConditionalCurve:
             self, monkeypatch):
         rows = []
 
-        def counting(scen, e, theta_c, theta_ts, method, zc):
-            rows.append(e.size)
-            return _inner_reject_gl(scen, e, theta_c, theta_ts, method, zc)
+        def counting(scen, theta_c, *args):
+            rows.append(theta_c.size)
+            return _uline_reject(scen, theta_c, *args)
 
-        monkeypatch.setattr(oc_twoarm, "_inner_reject_gl", counting)
+        monkeypatch.setattr(oc_twoarm, "_uline_reject", counting)
         e, T, P = oracle.mc_grids(SCEN, 0.0, EB, (-500.0, 500.0), 2000,
                                   seed=5)
         w = _width(SCEN)
@@ -203,10 +211,9 @@ class TestConditionalCurve:
         for thc in (-500.0, 500.0):
             hit.update(np.floor((thc - e) / w).tolist())
         assert sum(rows) == 17 * len(hit)
-        assert len(hit) < 40            # against 3,900 panels from -500 to 500
-        zc = norm_quantile(SCEN.c)
+        assert len(hit) < 40            # against 1,950 panels from -500 to 500
         for o, thc in enumerate((-500.0, 500.0)):
-            ref = _direct_rows(SCEN, e, thc, zc)
+            ref = _direct_rows(SCEN, e, thc)
             assert np.abs(T[o] - ref[0]).max() <= 1e-11
             assert np.abs(P[o] - ref[1]).max() <= 1e-11
 
