@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvtext import csv_rows as _csv_rows
 from .borrow import _KINDS, BorrowingMethod, NO_BORROWING
 from .oc_twoarm import (oc_random_external_two_arm,
                         oc_random_external_two_arm_mc, power_profile)
@@ -252,11 +253,6 @@ def parse_config(document) -> ScenarioConfig:
 # serialization
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal; infinities as inf/-inf."""
-    return repr(float(v))
-
-
 def _fmt17(v) -> str:
     return format(float(v), ".17g")
 
@@ -287,12 +283,12 @@ def _provenance_line(prov: dict) -> str:
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the strings of ``chunks`` to a temp file beside ``path``, then
+    """Write the bytes of ``chunks`` to a temp file beside ``path``, then
     rename it over ``path``; on any failure the temp file is removed."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -301,34 +297,27 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
-def _column_fields(col) -> list:
-    """``repr`` of every entry of a column chunk; a column whose entries
-    are bit-identical is formatted once."""
-    bits = col.view(np.uint64)
-    if np.all(bits == bits[0]):
-        return [repr(col[0].item())] * len(col)
-    return list(map(repr, col.tolist()))
-
-
-def _write_records_csv(path: Path, prov: dict, report: RunReport) -> None:
-    """records.csv straight from the report's columns, formatted and
-    written one block of ``statmath._BLOCK_ROWS`` rows at a time."""
-    cols = report.records
-
+def _write_table(path: Path, prov: dict, names, cols) -> None:
+    """A CSV of the columns ``cols`` (their entries' ``repr`` text) under the
+    provenance line and ``names``, ``statmath._BLOCK_ROWS`` rows at a time."""
     def chunks():
-        yield f"{_provenance_line(prov)}\n{','.join(COLUMNS)}\n"
-        for rows in _blocks(len(cols)):
-            fields = [_column_fields(getattr(cols, name)[rows])
-                      for name in COLUMNS]
-            yield "\n".join(map(",".join, zip(*fields))) + "\n"
+        yield f"{_provenance_line(prov)}\n{','.join(names)}\n".encode()
+        for rows in _blocks(len(cols[0])):
+            yield _csv_rows([col[rows] for col in cols])
 
     _atomic_write(path, chunks())
 
 
+def _write_records_csv(path: Path, prov: dict, report: RunReport) -> None:
+    """records.csv straight from the report's columns."""
+    _write_table(path, prov, COLUMNS,
+                 [getattr(report.records, name) for name in COLUMNS])
+
+
 def _write_summary(out_dir: Path, prov: dict, **parts) -> None:
     """summary.json: the provenance object first, then ``parts``."""
-    _atomic_write(out_dir / "summary.json",
-                  [json.dumps({"provenance": prov, **parts}, indent=2) + "\n"])
+    _atomic_write(out_dir / "summary.json", [
+        (json.dumps({"provenance": prov, **parts}, indent=2) + "\n").encode()])
 
 
 def _write_report(out_dir: Path, prov: dict, report: RunReport) -> None:
@@ -346,7 +335,8 @@ def _write_profile(out_dir: Path, prov: dict, profile) -> None:
                      f"{_fmt17(profile.power_borrow[i])},"
                      f"{_fmt17(profile.power_calibrated)},"
                      f"{_fmt17(profile.power_diff[i])}")
-    _atomic_write(out_dir / "profile.csv", ["\n".join(lines) + "\n"])
+    _atomic_write(out_dir / "profile.csv",
+                  [("\n".join(lines) + "\n").encode()])
     _write_summary(out_dir, prov,
                    profile={"alphaB_max": profile.alphaB_max,
                             "argmax_offset": profile.argmax_offset,
@@ -354,11 +344,12 @@ def _write_profile(out_dir: Path, prov: dict, profile) -> None:
 
 
 def _write_region(out_dir: Path, prov: dict, points, regions) -> None:
-    lines = [_provenance_line(prov), "dE_mean,interval_index,lo,hi"]
-    for de, reg in zip(points, regions):
-        lines.extend(f"{_fmt(de)},{i},{_fmt(iv.lo)},{_fmt(iv.hi)}"
-                     for i, iv in enumerate(reg.intervals))
-    _atomic_write(out_dir / "region.csv", ["\n".join(lines) + "\n"])
+    table = np.array([(de, i, iv.lo, iv.hi) for de, reg in zip(points, regions)
+                      for i, iv in enumerate(reg.intervals)],
+                     dtype=np.float64).reshape(-1, 4).T.copy()
+    _write_table(out_dir / "region.csv", prov,
+                 ("dE_mean", "interval_index", "lo", "hi"),
+                 [table[0], table[1].astype(np.int64), table[2], table[3]])
     _write_summary(out_dir, prov, regions=[
         {"dE_mean": de, "interval_count": interval_count(reg),
          "flagged": reg.flagged} for de, reg in zip(points, regions)])

@@ -12,7 +12,7 @@ import pytest
 from borrowoc import (BorrowingMethod, ReplicateRecord, ScenarioTwoArm,
                       run_grid, summarize)
 from borrowoc import cli
-from borrowoc.runner import COLUMNS
+from borrowoc.runner import COLUMNS, ReplicateColumns
 from borrowoc.statmath import _BLOCK_ROWS
 
 ONE_ARM = {"design": "one-arm", "n": 25, "nE": 20, "sigma": 1.0,
@@ -105,11 +105,16 @@ def test_records_csv_equals_rowwise_format(case, tmp_path, monkeypatch):
 def test_constant_columns_are_bit_identical_runs():
     # formatting a column once is only right when every entry has the
     # same bits: 0.0 and -0.0 compare equal but print differently
-    assert cli._column_fields(np.array([0.25, 0.25, 0.25])) == ["0.25"] * 3
-    assert cli._column_fields(np.array([0.0, -0.0])) == ["0.0", "-0.0"]
-    assert cli._column_fields(np.array([-0.0, -0.0])) == ["-0.0", "-0.0"]
-    assert cli._column_fields(np.array([math.nan] * 2)) == ["nan", "nan"]
-    assert cli._column_fields(np.array([7, 7])) == ["7", "7"]
+    def rows(*cols):
+        return cli._csv_rows([np.array(c) for c in cols]).decode()
+
+    assert rows([0.25, 0.25, 0.25]) == "0.25\n" * 3
+    assert rows([0.0, -0.0]) == "0.0\n-0.0\n"
+    assert rows([-0.0, -0.0]) == "-0.0\n-0.0\n"
+    assert rows([math.nan] * 2) == "nan\nnan\n"
+    assert rows([7, 7]) == "7\n7\n"
+    assert rows([7, 8], [0.0, -0.0], [math.nan] * 2) \
+        == "7,0.0,nan\n8,-0.0,nan\n"
 
 
 def test_two_arm_grid_records_csv(tmp_path):
@@ -124,14 +129,36 @@ def test_two_arm_grid_records_csv(tmp_path):
     check_report(report)
 
 
+def test_block_mixing_kernel_and_repr_rows(tmp_path):
+    # one block in which exponent-notation t1e, exact 0.0/1.0, -0.0 and
+    # nan sit beside rows of fixed-notation text
+    rng = np.random.default_rng(3)
+    n = _BLOCK_ROWS
+    t1e = rng.uniform(0.0, 0.05, n)
+    t1e[::7] = 10.0 ** -rng.integers(5, 300, len(t1e[::7]))
+    t1e[3::11] = 0.0
+    power = rng.uniform(size=n)
+    power[::5] = 1.0
+    power[1::13] = -0.0
+    calibrated = rng.uniform(size=n)
+    calibrated[2::17] = math.nan
+    cols = ReplicateColumns(np.arange(n), rng.normal(size=n), t1e, power,
+                            calibrated, power - calibrated)
+    report = summarize(cols, None, n, {"method": "none"})
+    prov = provenance(report)
+    path = tmp_path / "records.csv"
+    cli._write_records_csv(path, prov, report)
+    assert path.read_text(encoding="utf-8") == rowwise_csv(prov, report)
+
+
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     report = run_grid(cli.parse_config({**ONE_ARM, **EB}).scenario(),
                       (0.0, 0.1), BorrowingMethod.empirical_bayes())
 
-    def boom(col):
+    def boom(cols):
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "_column_fields", boom)
+    monkeypatch.setattr(cli, "_csv_rows", boom)
     with pytest.raises(OSError, match="disk full"):
         cli._write_records_csv(tmp_path / "records.csv", provenance(report),
                                report)
