@@ -253,10 +253,6 @@ def parse_config(document) -> ScenarioConfig:
 # serialization
 
 
-def _fmt17(v) -> str:
-    return format(float(v), ".17g")
-
-
 def _config_sha256(cfg: ScenarioConfig) -> str:
     """Hash of the effective config, seed excluded (the seed is reported
     separately and may be freshly randomized for deterministic runs)."""
@@ -328,15 +324,14 @@ def _write_report(out_dir: Path, prov: dict, report: RunReport) -> None:
 
 
 def _write_profile(out_dir: Path, prov: dict, profile) -> None:
-    lines = [_provenance_line(prov),
-             "offset,t1e,power_borrow,power_calibrated,power_diff"]
-    for i, x in enumerate(profile.grid):
-        lines.append(f"{_fmt17(x)},{_fmt17(profile.t1e[i])},"
-                     f"{_fmt17(profile.power_borrow[i])},"
-                     f"{_fmt17(profile.power_calibrated)},"
-                     f"{_fmt17(profile.power_diff[i])}")
-    _atomic_write(out_dir / "profile.csv",
-                  [("\n".join(lines) + "\n").encode()])
+    """profile.csv, one row per offset; the comparator's power is the same
+    in every row."""
+    cols = np.array([profile.grid, profile.t1e, profile.power_borrow,
+                     [profile.power_calibrated] * len(profile.grid),
+                     profile.power_diff], dtype=np.float64)
+    _write_table(out_dir / "profile.csv", prov,
+                 ("offset", "t1e", "power_borrow", "power_calibrated",
+                  "power_diff"), cols)
     _write_summary(out_dir, prov,
                    profile={"alphaB_max": profile.alphaB_max,
                             "argmax_offset": profile.argmax_offset,

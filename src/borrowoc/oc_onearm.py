@@ -31,8 +31,8 @@ from .borrow import BorrowingMethod, tail_arrays
 # oc_onearm.maximize_1d
 from .region import boundary_arrays, rejection_region  # noqa: F401
 from .scenarios import ScenarioOneArm
-from .statmath import (DomainError, RngStream, _blocks, _check_count,
-                       _check_finite, _fsum, maximize_1d, norm_cdf,
+from .statmath import (RngStream, _blocks, _check_count, _check_finite,
+                       _check_probability, _fsum, maximize_1d, norm_cdf,
                        norm_quantile)  # noqa: F401
 
 
@@ -51,15 +51,11 @@ class OCPoint:
 
     def __post_init__(self) -> None:
         for name in ("t1e_borrow", "power_borrow", "power_calibrated"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be a probability, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.power_diff is None:
-            object.__setattr__(self, "power_diff",
-                               self.power_borrow - self.power_calibrated)
-        else:
-            object.__setattr__(self, "power_diff", float(self.power_diff))
+            object.__setattr__(self, name,
+                               _check_probability(name, getattr(self, name)))
+        diff = (self.power_borrow - self.power_calibrated
+                if self.power_diff is None else self.power_diff)
+        object.__setattr__(self, "power_diff", float(diff))
 
 
 def power_calibrated(alphaB, scen: ScenarioOneArm):
@@ -71,12 +67,13 @@ def power_calibrated(alphaB, scen: ScenarioOneArm):
     that a tiny alphaB keeps its relative precision; degenerate levels
     return the limits (0 -> 0, 1 -> 1).
     """
-    levels = np.asarray(alphaB, dtype=float)
-    bad = ~((levels >= 0.0) & (levels <= 1.0))
-    if bad.any():
-        raise DomainError(f"alphaB must lie in [0, 1], got "
-                          f"{float(levels[bad][0])!r}")
-    shift = (scen.theta1 - scen.theta0) / scen.se
+    return _z_power((scen.theta1 - scen.theta0) / scen.se, alphaB)
+
+
+def _z_power(shift: float, alphaB):
+    """Phi(shift + quantile(alphaB)): power of the z-test at level alphaB
+    whose effect is ``shift`` standard errors."""
+    levels = _check_probability("alphaB", alphaB)
     return norm_cdf(shift + norm_quantile(levels))
 
 

@@ -58,15 +58,15 @@ from scipy.special import ndtr
 
 from .borrow import (BorrowingMethod, EMPIRICAL_BAYES, FIXED_POWER_PRIOR,
                      NO_BORROWING, posterior_arrays)
-from .oc_onearm import OCPoint
+from .oc_onearm import OCPoint, _z_power
 from .scenarios import ScenarioTwoArm
 # integrate and maximize_1d are no longer called here; the names stay for
 # bench/tracing.py, which wraps oc_twoarm.integrate and oc_twoarm.maximize_1d
 from .statmath import (_GAUSS_TRUNC, DomainError, Interval,
                        NonConvergenceError, RngStream, _check_count,
-                       _check_finite, _check_positive, _cuts, _fsum,
-                       _integrate, _maximize, integrate, maximize_1d, norm_cdf,
-                       norm_quantile)  # noqa: F401
+                       _check_finite, _check_positive, _check_probability,
+                       _cuts, _fsum, _integrate, _maximize, integrate,
+                       maximize_1d, norm_cdf, norm_quantile)  # noqa: F401
 
 _INNER_GL_NODES = 40
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
@@ -102,49 +102,33 @@ class OCProfile:
 
     def __post_init__(self) -> None:
         grid = tuple(float(x) for x in self.grid)
-        t1e = tuple(float(v) for v in self.t1e)
+        t1e = tuple(_check_probability("t1e", list(self.t1e)).tolist())
         if len(grid) != len(t1e):
             raise DomainError("grid and t1e must have equal length")
-        for v in t1e:
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"t1e entry out of [0, 1]: {v!r}")
-        amax = float(self.alphaB_max)
-        if not 0.0 <= amax <= 1.0:
-            raise DomainError(f"alphaB_max out of [0, 1]: {amax!r}")
+        amax = _check_probability("alphaB_max", self.alphaB_max)
         if t1e and amax < max(t1e) - 1e-12:
             raise DomainError("alphaB_max below a grid t1e value")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "t1e", t1e)
-        object.__setattr__(self, "alphaB_max", amax)
-        object.__setattr__(self, "argmax_offset", float(self.argmax_offset))
+        checked = {"grid": grid, "t1e": t1e, "alphaB_max": amax,
+                   "argmax_offset": float(self.argmax_offset)}
         if self.power_borrow is not None:
-            pb = tuple(float(v) for v in self.power_borrow)
+            pb = tuple(_check_probability("power_borrow",
+                                          list(self.power_borrow)).tolist())
             if len(pb) != len(grid):
                 raise DomainError("power_borrow length must match grid")
-            for v in pb:
-                if not 0.0 <= v <= 1.0:
-                    raise DomainError(f"power_borrow entry out of [0, 1]: {v!r}")
-            pc = float(self.power_calibrated)
-            if not 0.0 <= pc <= 1.0:
-                raise DomainError(f"power_calibrated out of [0, 1]: {pc!r}")
-            object.__setattr__(self, "power_borrow", pb)
-            object.__setattr__(self, "power_calibrated", pc)
-            if self.power_diff is None:
-                object.__setattr__(self, "power_diff",
-                                   tuple(v - pc for v in pb))
-            else:
-                object.__setattr__(self, "power_diff",
-                                   tuple(float(v) for v in self.power_diff))
+            pc = _check_probability("power_calibrated", self.power_calibrated)
+            diff = ((v - pc for v in pb) if self.power_diff is None
+                    else self.power_diff)
+            checked.update(power_borrow=pb, power_calibrated=pc,
+                           power_diff=tuple(float(v) for v in diff))
+        for name, v in checked.items():
+            object.__setattr__(self, name, v)
 
 
 def power_calibrated_two_arm(alphaB: float, scen: ScenarioTwoArm) -> float:
     """Power at effect theta1 of the two-sample z-test run at level alphaB
     (no borrowing); independent of the control mean."""
-    alphaB = float(alphaB)
-    if not 0.0 <= alphaB <= 1.0:
-        raise DomainError(f"alphaB must lie in [0, 1], got {alphaB!r}")
     ses = scen.sigma * math.sqrt(1.0 / scen.nt + 1.0 / scen.nc)
-    return norm_cdf(scen.theta1 / ses + norm_quantile(alphaB))
+    return _z_power(scen.theta1 / ses, alphaB)
 
 
 def _method_delta(method: BorrowingMethod) -> float:
@@ -183,6 +167,15 @@ def _threshold(mc, sc, zc: float, se_t: float):
     return mc + zc * np.sqrt(se_t**2 + sc**2)
 
 
+def _check_engine(engine: str, tol) -> float:
+    """``tol`` checked finite and positive; ``engine`` must be "auto" or
+    "quadrature"."""
+    tol = _check_positive("tol", tol)
+    if engine not in ("auto", "quadrature"):
+        raise DomainError(f"unknown engine {engine!r}")
+    return tol
+
+
 def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
                         dE_mean: float, method: BorrowingMethod, *,
                         engine: str = "auto",
@@ -198,9 +191,7 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
     its scalar call; scalars give a float.  ``tol`` must be finite and
     positive whichever engine runs.
     """
-    tol = _check_positive("tol", tol)
-    if engine not in ("auto", "quadrature"):
-        raise DomainError(f"unknown engine {engine!r}")
+    tol = _check_engine(engine, tol)
     means = [_check_finite(name, v) for name, v in
              (("theta_c", theta_c), ("theta_t", theta_t), ("dE_mean", dE_mean))]
     scalar = all(np.ndim(v) == 0 for v in means)
@@ -553,9 +544,7 @@ def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
     which polishes the maximum and, with ``engine="quadrature"``, gives
     every value (see :func:`_offset_engines`).
     """
-    tol = _check_positive("tol", tol)
-    if engine not in ("auto", "quadrature"):
-        raise DomainError(f"unknown engine {engine!r}")
+    tol = _check_engine(engine, tol)
     thetaE = _check_finite("thetaE", thetaE)
     return _profile(scen, _offset_engines(scen, thetaE, scen.seE**2, method,
                                           engine, tol), offsets)
@@ -662,11 +651,14 @@ def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
     offsets' rows are held at once, whatever the number of offsets.
     External means come from stream (seed, 0); the rows are exact
     conditional probabilities (:func:`_mc_conditional_rows`) or, in
-    literal mode, raw decisions (:func:`_literal_mc_rows`).
+    literal mode, raw decisions (:func:`_literal_mc_rows`).  Refuses an
+    invalid ``nsim`` or ``thetaE`` and empty or non-finite offsets.
     """
     nsim = _check_count("nsim", nsim)
     thetaE = _check_finite("thetaE", thetaE)
     offs = _check_finite("offsets", [float(x) for x in offsets]).tolist()
+    if not offs:
+        raise DomainError("offsets must be non-empty")
     e = RngStream(seed, 0).generator().normal(thetaE, scen.seE, nsim)
     thcs = [float(thetaE) + x * scen.sigma for x in offs]
     rows = (_literal_mc_rows(scen, e, thcs, method, seed) if literal
@@ -691,8 +683,6 @@ def oc_random_external_two_arm_mc(scen: ScenarioTwoArm, thetaE: float,
     meaningful.  Deterministic for a given seed.
     """
     offs = tuple(float(x) for x in offsets)
-    if not offs:
-        raise DomainError("offsets must be non-empty")
     _, t1e, power, k, _, _ = _random_two_arm_mc_grids(
         scen, thetaE, method, offs, nsim, seed, literal)
     return OCProfile(offs, t1e, t1e[k], offs[k], power_borrow=power,

@@ -25,7 +25,6 @@ when a caller indexes or iterates ``RunReport.records``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -68,11 +67,9 @@ class ReplicateRecord:
             raise DomainError(f"replicate index must be >= 0, got {self.replicate!r}")
         for name in ("dE_mean", "t1e_borrow", "power_borrow", "power_calibrated"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.power_diff is None:
-            object.__setattr__(self, "power_diff",
-                               self.power_borrow - self.power_calibrated)
-        else:
-            object.__setattr__(self, "power_diff", float(self.power_diff))
+        diff = (self.power_borrow - self.power_calibrated
+                if self.power_diff is None else self.power_diff)
+        object.__setattr__(self, "power_diff", float(diff))
 
 
 class ReplicateColumns(Sequence):
@@ -230,12 +227,6 @@ def scenario_echo(scen, method: BorrowingMethod, thetaE: float | None = None,
     return d
 
 
-def _check_run_args(thetaE: float, nsim: int) -> float:
-    thetaE = _check_finite("thetaE", thetaE)
-    _check_count("nsim", nsim)
-    return thetaE
-
-
 def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
                    nsim: int = DEFAULT_NSIM_FIXED, seed: int = 0, *,
                    literal: bool = False,
@@ -256,7 +247,9 @@ def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
     decisions (``audit_inner_nsim`` current-data draws per hypothesis)
     instead of the exact engine.
     """
-    thetaE = _check_run_args(thetaE, nsim)
+    # checked here: the replicate loop draws with them before any engine runs
+    thetaE = _check_finite("thetaE", thetaE)
+    _check_count("nsim", nsim)
     two_arm = isinstance(scen, ScenarioTwoArm)
     de, t1e, power = [], [], []
     for j in range(nsim):
@@ -296,14 +289,12 @@ def run_algorithm2(scen, thetaE: float, method: BorrowingMethod,
     offsets (``offsets``; default -3..3 in steps of 0.25), the offset with
     the largest averaged rate is selected, and records carry each
     replicate's conditional rates at that offset — so the report's mean
-    t1e is the maximized averaged level.
+    t1e is the maximized averaged level.  The engines check ``thetaE``,
+    ``nsim`` and ``offsets``.
     """
-    thetaE = _check_run_args(thetaE, nsim)
     if isinstance(scen, ScenarioTwoArm):
         offs = DEFAULT_TWO_ARM_OFFSETS if offsets is None \
             else tuple(float(x) for x in offsets)
-        if not offs:
-            raise DomainError("offsets must be non-empty")
         e, t1e, _, k, T, P = _random_two_arm_mc_grids(
             scen, thetaE, method, offs, nsim, seed, literal)
         cols = _replicate_columns(e, T, P,
@@ -325,14 +316,12 @@ def run_grid(scen, dE_means, method: BorrowingMethod) -> RunReport:
     One-arm grids sweep the external mean itself.  Two-arm grids sweep the
     standardized control offset (recorded in the dE_mean column); power is
     evaluated at effect theta1 and the comparator is calibrated to the
-    profile's maximized null rejection rate.
+    profile's maximized null rejection rate.  The engines refuse
+    non-finite grid values.
     """
     pts = tuple(float(x) for x in dE_means)
     if not pts:
         raise DomainError("grid must be non-empty")
-    for x in pts:
-        if not math.isfinite(x):
-            raise DomainError(f"grid values must be finite, got {x!r}")
     if isinstance(scen, ScenarioTwoArm):
         prof = power_profile(scen, 0.0, method, pts)
         cols = _replicate_columns(pts, prof.t1e, prof.power_borrow,

@@ -59,19 +59,29 @@ def _check_positive(name: str, value) -> float:
     return v
 
 
-def _check_finite(name: str, value):
+def _check_entries(value, ok, rule: str):
     """``value`` as a float, or as a float array when it has dimensions;
-    raises :class:`DomainError` naming the first NaN or infinite entry."""
+    raises :class:`DomainError` ``rule`` naming the first entry not ``ok``."""
     if np.ndim(value) == 0:
         v = float(value)
-        if not math.isfinite(v):
-            raise DomainError(f"{name!r} must be finite, got {value!r}")
-        return v
-    arr = np.asarray(value, dtype=float)
-    bad = arr[~np.isfinite(arr)]
-    if bad.size:
-        raise DomainError(f"{name!r} must be finite, got {float(bad[0])!r}")
-    return arr
+        bad = () if ok(v) else (v,)
+    else:
+        v = np.asarray(value, dtype=float)
+        bad = v[~ok(v)]
+    if len(bad):
+        raise DomainError(f"{rule}, got {float(bad[0])!r}")
+    return v
+
+
+def _check_finite(name: str, value):
+    """:func:`_check_entries`: NaN and infinities are refused."""
+    return _check_entries(value, np.isfinite, f"{name!r} must be finite")
+
+
+def _check_probability(name: str, value):
+    """:func:`_check_entries`: entries outside [0, 1] and NaN are refused."""
+    return _check_entries(value, lambda a: (a >= 0.0) & (a <= 1.0),
+                          f"{name} must lie in [0, 1]")
 
 
 # the one row budget of every replicate run: its engine calls, its sums and
@@ -168,10 +178,7 @@ def norm_quantile(p):
     p=0 and p=1 return -inf/+inf sentinels; p outside [0, 1] raises
     :class:`DomainError`.
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
-        raise DomainError(f"quantile argument must lie in [0, 1], got {p}")
-    out = ndtri(arr)
+    out = ndtri(_check_probability("quantile argument", p))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -3,14 +3,21 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import borrowoc
 from borrowoc import ConfigError, parse_config
 from borrowoc import cli
 from borrowoc.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICS, EXIT_OK,
                           ScenarioConfig, dispatch, main)
+from borrowoc.oc_twoarm import (oc_random_external_two_arm,
+                                oc_random_external_two_arm_mc, power_profile)
 from borrowoc.statmath import NonConvergenceError
 
 ONE_ARM = {
@@ -355,6 +362,43 @@ class TestOutputs:
         assert "seed=7" in first
         assert "nsim=50" in first
 
+    @pytest.mark.parametrize("subcommand, flags", [
+        ("two-arm-profile", []), ("two-arm-random", []),
+        ("two-arm-random", ["--mc-audit"])])
+    def test_profile_csv_cells_are_exact_repr(self, tmp_path, subcommand,
+                                              flags):
+        doc = two_arm(seed=7, nsim=50,
+                      grid={"start": -3.0, "stop": 0.5, "step": 0.5})
+        if subcommand == "two-arm-random":
+            doc["thetaE"] = 0.25
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_config(tmp_path, doc),
+                     "--out", str(out), *flags]) == EXIT_OK
+        cfg = parse_config(doc)
+        scen, method = cfg.scenario(), cfg.borrowing_method()
+        offsets = cfg.grid_points()
+        if subcommand == "two-arm-profile":
+            prof = power_profile(scen, 0.0, method, offsets)
+        elif flags:
+            prof = oc_random_external_two_arm_mc(scen, 0.25, method, offsets,
+                                                 50, 7)
+        else:
+            prof = oc_random_external_two_arm(scen, 0.25, method, offsets)
+        lines = (out / "profile.csv").read_text().splitlines()
+        summary = json.loads((out / "summary.json").read_text())
+        assert lines[0] == cli._provenance_line(summary["provenance"])
+        assert lines[1] == "offset,t1e,power_borrow,power_calibrated,power_diff"
+        rows = [line.split(",") for line in lines[2:]]
+        want = list(zip(prof.grid, prof.t1e, prof.power_borrow,
+                        [prof.power_calibrated] * len(prof.grid),
+                        prof.power_diff))
+        assert len(rows) == len(want) == 8
+        for row, values in zip(rows, want):
+            assert row == [repr(v) for v in values]
+            assert [float(cell).hex() for cell in row] == [
+                v.hex() for v in values]
+        assert rows[0][0] == "-3.0"         # integral offsets keep their ".0"
+
     def test_region_table(self, tmp_path):
         path = write_config(tmp_path, one_arm(
             grid={"start": -0.2, "stop": 0.2, "step": 0.2}))
@@ -568,3 +612,20 @@ def test_config_fault_message(doc, message):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
     assert str(info.value) == message
+
+
+def test_cli_import_loads_no_scipy_module_but_special(tmp_path):
+    """Loading the CLI costs scipy.special only: scipy.optimize is imported
+    by find_root when called, and nothing loads scipy.stats or the like."""
+    code = ("import sys, borrowoc.cli; "
+            "print('\\n'.join(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(borrowoc.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            cwd=tmp_path, capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "scipy.special" in loaded
+    extra = [m for m in loaded if m != "scipy" and not (
+        m.split(".")[1] in ("special", "version") or m.split(".")[1][0] == "_")]
+    assert extra == []

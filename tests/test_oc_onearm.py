@@ -48,6 +48,16 @@ class TestOCPoint:
         with pytest.raises(DomainError):
             OCPoint(0.02, 1.2, 0.7)
 
+    @pytest.mark.parametrize("bad", [-1e-300, 1.5, math.nan])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_refusal_names_the_field(self, field, bad):
+        names = ("t1e_borrow", "power_borrow", "power_calibrated")
+        values = [0.02, 0.6, 0.7]
+        values[field] = bad
+        with pytest.raises(DomainError,
+                           match=rf"^{names[field]} must lie in \[0, 1\]"):
+            OCPoint(*values)
+
 
 class TestPowerCalibrated:
     def test_golden(self):
@@ -78,7 +88,7 @@ class TestPowerCalibrated:
         grid = power_calibrated(np.array(self.LEVELS).reshape(2, 4), SCEN)
         assert grid.ravel().tolist() == want
 
-    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.3])
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.3, 1.5])
     @pytest.mark.parametrize("where", [0, 3, 7])
     def test_array_domain_covers_every_entry(self, bad, where):
         levels = np.array(self.LEVELS)

@@ -10,6 +10,7 @@ from borrowoc import (
     DomainError,
     OCProfile,
     ScenarioTwoArm,
+    norm_cdf,
     norm_quantile,
     oc_fixed_external_two_arm,
     oc_random_external_two_arm,
@@ -38,6 +39,17 @@ class TestPowerCalibratedTwoArm:
         assert power_calibrated_two_arm(1.0, SCEN) == 1.0
         with pytest.raises(DomainError):
             power_calibrated_two_arm(-0.2, SCEN)
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan])
+    def test_refusal_names_alphaB(self, bad):
+        with pytest.raises(DomainError, match=r"^alphaB must lie in \[0, 1\]"):
+            power_calibrated_two_arm(bad, SCEN)
+
+    def test_is_phi_of_shift_plus_quantile_bit_for_bit(self):
+        ses = SCEN.sigma * math.sqrt(1.0 / SCEN.nt + 1.0 / SCEN.nc)
+        for a in (0.0, 1e-300, 0.0171, 0.025, 0.5, 1.0):
+            assert power_calibrated_two_arm(a, SCEN) == norm_cdf(
+                SCEN.theta1 / ses + norm_quantile(a))
 
 
 class TestClosedFormFixedWeights:
@@ -192,6 +204,21 @@ class TestOCProfileValidation:
         with pytest.raises(DomainError):
             OCProfile((0.0, 1.0), (0.02, 0.05), 0.05, 1.0,
                       power_borrow=(0.5,), power_calibrated=0.7)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.5, math.nan])
+    @pytest.mark.parametrize("field", ["t1e", "alphaB_max", "power_borrow",
+                                       "power_calibrated"])
+    def test_refusal_names_the_field(self, field, bad):
+        args = {"grid": (0.0, 1.0), "t1e": (0.02, 0.05), "alphaB_max": 0.05,
+                "argmax_offset": 1.0, "power_borrow": (0.5, 0.6),
+                "power_calibrated": 0.7}
+        if field in ("t1e", "power_borrow"):
+            args[field] = (args[field][0], bad)
+        else:
+            args[field] = bad
+        with pytest.raises(DomainError,
+                           match=rf"^{field} must lie in \[0, 1\], got "):
+            OCProfile(**args)
 
     def test_power_diff_autofill(self):
         prof = OCProfile((0.0, 1.0), (0.02, 0.05), 0.05, 1.0,

@@ -11,6 +11,7 @@ from borrowoc import (
     ScenarioOneArm,
     ScenarioTwoArm,
     oc_fixed_external,
+    oc_random_external_two_arm_mc,
     power_calibrated,
     run_algorithm1,
     run_algorithm2,
@@ -211,6 +212,47 @@ class TestRunAlgorithm2:
     def test_two_arm_rejects_empty_offsets(self):
         with pytest.raises(DomainError):
             run_algorithm2(SCEN2, 0.0, FIXED_HALF, nsim=10, seed=0, offsets=())
+
+
+# (run, the engine that refuses its arguments, whether it takes offsets)
+_RANDOM_RUNS = {
+    "one-arm run_algorithm2": (
+        lambda thetaE, nsim, offsets: run_algorithm2(
+            SCEN, thetaE, FIXED_HALF, nsim, 0),
+        "_random_external_arrays", False),
+    "two-arm run_algorithm2": (
+        lambda thetaE, nsim, offsets: run_algorithm2(
+            SCEN2, thetaE, FIXED_HALF, nsim, 0, offsets=offsets),
+        "_random_two_arm_mc_grids", True),
+    "oc_random_external_two_arm_mc": (
+        lambda thetaE, nsim, offsets: oc_random_external_two_arm_mc(
+            SCEN2, thetaE, FIXED_HALF, offsets, nsim, 0),
+        "_random_two_arm_mc_grids", True),
+}
+
+
+_BAD_RUN_ARGS = [({"thetaE": math.nan}, "'thetaE' must be finite"),
+                 ({"nsim": 0}, "'nsim' must be a positive integer"),
+                 ({"offsets": ()}, "offsets must be non-empty")]
+
+
+@pytest.mark.parametrize("run, bad, match", [
+    (run, bad, match) for run, (_, _, takes_offsets) in _RANDOM_RUNS.items()
+    for bad, match in _BAD_RUN_ARGS if takes_offsets or "offsets" not in bad])
+def test_random_runs_refuse_in_the_engine(run, bad, match):
+    call, engine, _ = _RANDOM_RUNS[run]
+    args = {"thetaE": 0.0, "nsim": 10, "offsets": (-1.0, 0.0), **bad}
+    with pytest.raises(DomainError, match=match) as info:
+        call(**args)
+    assert engine in {entry.name for entry in info.traceback}
+
+
+@pytest.mark.parametrize("run", ["two-arm run_algorithm2",
+                                 "oc_random_external_two_arm_mc"])
+def test_offsets_may_be_a_generator(run):
+    call = _RANDOM_RUNS[run][0]
+    offs = (-1.0, 0.0, 0.5)
+    assert call(0.0, 20, (x for x in offs)) == call(0.0, 20, offs)
 
 
 class TestRunGrid:

@@ -18,6 +18,7 @@ from borrowoc import (
     norm_cdf,
     norm_quantile,
 )
+from borrowoc.statmath import _check_probability
 
 # Golden normal values frozen from a 50-digit mpmath erfc evaluation.
 PHI_1959964 = 0.9750000009035576
@@ -75,6 +76,40 @@ class TestNormQuantile:
         # beyond |z| ~ 5 the double-precision spacing of Phi(z) near 1 caps
         # the recoverable accuracy, so the property is stated on [-5, 5]
         assert norm_quantile(norm_cdf(z)) == pytest.approx(z, abs=1e-9)
+
+
+class TestCheckProbability:
+    @pytest.mark.parametrize("v", [0.0, 1.0, 0.025, 5e-324, 1.0 - 1e-16])
+    def test_scalar_inside_is_the_same_float(self, v):
+        got = _check_probability("p", v)
+        assert type(got) is float and got == v
+        assert type(_check_probability("p", np.float64(v))) is float
+
+    def test_array_inside_keeps_entries_and_shape(self):
+        levels = np.array([[0.0, 0.5], [1e-300, 1.0]])
+        got = _check_probability("p", levels)
+        assert isinstance(got, np.ndarray) and got.shape == (2, 2)
+        assert got.tolist() == levels.tolist()
+        assert _check_probability("p", [0.25, 0.75]).tolist() == [0.25, 0.75]
+        assert _check_probability("p", ()).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, 1.5, -math.inf,
+                                     math.nan])
+    def test_scalar_outside_names_field_and_value(self, bad):
+        with pytest.raises(DomainError,
+                           match=rf"^level must lie in \[0, 1\], got {bad!r}$"):
+            _check_probability("level", bad)
+
+    def test_one_plus_1e_16_rounds_to_one(self):
+        # 1 + 1e-16 is the double 1.0, which is a probability
+        assert _check_probability("p", 1 + 1e-16) == 1.0
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, math.nan])
+    def test_array_names_first_bad_entry(self, bad):
+        levels = np.array([0.5, bad, 2.0])
+        with pytest.raises(DomainError,
+                           match=rf"^level must lie in \[0, 1\], got {bad!r}$"):
+            _check_probability("level", levels)
 
 
 class TestIntegrate:
