@@ -110,16 +110,25 @@ class OCProfile:
             raise DomainError("alphaB_max below a grid t1e value")
         checked = {"grid": grid, "t1e": t1e, "alphaB_max": amax,
                    "argmax_offset": float(self.argmax_offset)}
-        if self.power_borrow is not None:
+        if self.power_borrow is None:
+            if (self.power_calibrated is not None
+                    or self.power_diff is not None):
+                raise DomainError("power_calibrated and power_diff require "
+                                  "power_borrow")
+        else:
             pb = tuple(_check_probability("power_borrow",
                                           list(self.power_borrow)).tolist())
             if len(pb) != len(grid):
                 raise DomainError("power_borrow length must match grid")
+            if self.power_calibrated is None:
+                raise DomainError("power_borrow requires power_calibrated")
             pc = _check_probability("power_calibrated", self.power_calibrated)
-            diff = ((v - pc for v in pb) if self.power_diff is None
-                    else self.power_diff)
+            diff = (tuple(v - pc for v in pb) if self.power_diff is None
+                    else tuple(float(v) for v in self.power_diff))
+            if len(diff) != len(grid):
+                raise DomainError("power_diff length must match grid")
             checked.update(power_borrow=pb, power_calibrated=pc,
-                           power_diff=tuple(float(v) for v in diff))
+                           power_diff=diff)
         for name, v in checked.items():
             object.__setattr__(self, name, v)
 

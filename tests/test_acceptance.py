@@ -17,12 +17,8 @@ import time
 import numpy as np
 
 from borrowoc import (
-    ArmSummary,
     BorrowingMethod,
-    RngStream,
     ScenarioOneArm,
-    ScenarioTwoArm,
-    decide_borrow,
     interval_count,
     oc_fixed_external,
     oc_random_external_fixed_pp,
@@ -39,15 +35,9 @@ from borrowoc import (
 from borrowoc.cli import main as cli_main
 from borrowoc.oc_onearm import region_oc_arrays
 
-ONE = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
-                     nE=20, theta1=0.5)
-ONE_BIG = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
-                         nE=1000, theta1=0.5)
-TWO = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0, alpha=0.025)
-
-NONE = BorrowingMethod.none()
-FIXED_HALF = BorrowingMethod.fixed_power_prior(0.5)
-EB = BorrowingMethod.empirical_bayes()
+import oracles
+from oracles import (EB, FIXED_HALF, NONE, ONE_ARM as ONE,
+                     ONE_ARM_BIG_EXT as ONE_BIG, TWO_ARM as TWO)
 
 OFFSETS_3 = tuple(round(-3.0 + 0.25 * k, 8) for k in range(25))
 
@@ -161,21 +151,6 @@ def test_random_external_eb_mc():
             f"{elapsed:.2f}s < 60s")
 
 
-def _mc_level_one_arm(scen: ScenarioOneArm, dE_mean: float,
-                      method: BorrowingMethod, nsim: int,
-                      stream_id: int) -> tuple[float, float]:
-    """Seeded Monte Carlo null rejection rate at one external mean, and its
-    standard error, through the scalar decision path (``decide_borrow``),
-    which shares no code with the vectorized region engine."""
-    gen = RngStream(0, stream_id).generator()
-    external = ArmSummary(dE_mean, scen.nE, scen.sigmaE)
-    hits = sum(decide_borrow(ArmSummary(float(d), scen.n, scen.sigma),
-                             external, method, scen.theta0, scen.c)
-               for d in gen.normal(scen.theta0, scen.se, nsim))
-    p = hits / nsim
-    return p, math.sqrt(p * (1.0 - p) / nsim)
-
-
 def test_eb_grid_t1e_argmax():
     t0 = time.perf_counter()
     grid = np.array([k * 0.01 for k in range(121)])      # 0.00 .. 1.20
@@ -187,7 +162,8 @@ def test_eb_grid_t1e_argmax():
     nsim = 200_000
     checks = []
     for stream_id, j in enumerate((k, 56)):
-        est, se = _mc_level_one_arm(ONE, float(grid[j]), EB, nsim, stream_id)
+        est, se = oracles.mc_level_one_arm(ONE, float(grid[j]), EB, nsim,
+                                           stream_id)
         checks.append((float(grid[j]), float(t1e[j]), est, se,
                        abs(est - t1e[j]) <= 4.0 * se))
     elapsed = time.perf_counter() - t0

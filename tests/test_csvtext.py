@@ -1,7 +1,7 @@
 """The CSV text kernel against ``repr``, bit for bit.
 
 Each family of doubles is written as one CSV column and compared with
-``repr`` of every entry, over more than 5 million doubles in all: the
+``repr`` of every entry, over more than 4 million doubles in all: the
 kernel's fixed-notation range, the entries it hands to ``repr()`` and the
 edges between the two.
 """
@@ -48,9 +48,12 @@ def families():
     powers = ([10.0 ** k for k in range(-5, 18)]
               + [2.0 ** k for k in range(-17, 57)])
     decimals = rng.integers(1, 10 ** 6, n) / 10.0 ** rng.integers(0, 10, n)
+    # about 100 per biased exponent: 97 % of them lie outside the kernel's
+    # exponent range, where both sides run repr().  All 1,200,000 are drawn,
+    # so that the families after this one keep their draws.
+    bits = rng.integers(0, 2 ** 64, 1_200_000, dtype=np.uint64)[:200_000]
     return {
-        "bit-patterns": rng.integers(0, 2 ** 64, 1_200_000,
-                                     dtype=np.uint64).view(np.float64),
+        "bit-patterns": bits.view(np.float64),
         "normal": rng.normal(size=n),
         "normal-scaled": rng.normal(size=n) * scale,
         "uniform": rng.uniform(size=n),
@@ -79,8 +82,8 @@ def families():
 FAMILIES = families()
 
 
-def test_families_cover_five_million_doubles():
-    assert sum(map(len, FAMILIES.values())) >= 5_000_000
+def test_families_cover_four_million_doubles():
+    assert sum(map(len, FAMILIES.values())) >= 4_000_000
 
 
 @pytest.mark.parametrize("family", FAMILIES)

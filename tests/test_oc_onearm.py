@@ -23,12 +23,8 @@ from borrowoc import (
 from borrowoc.oc_onearm import region_oc_arrays
 from borrowoc.region import boundary_arrays
 
-SCEN = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
-                      nE=20, theta1=0.5)
-SCEN_BIG_EXT = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
-                              nE=1000, theta1=0.5)
-FIXED_HALF = BorrowingMethod.fixed_power_prior(0.5)
-EB = BorrowingMethod.empirical_bayes()
+from oracles import (EB, FIXED_HALF, METHODS, NONE, ONE_ARM as SCEN,
+                     ONE_ARM_BIG_EXT as SCEN_BIG_EXT)
 
 
 class TestOCPoint:
@@ -123,7 +119,7 @@ class TestFixedExternalClosedForm:
                 oc_fixed_external(SCEN, de, FIXED_HALF).t1e_borrow, abs=1e-12)
 
     def test_no_borrow_reduces_to_design_z_test(self):
-        pt = oc_fixed_external(SCEN, 0.9, BorrowingMethod.none())
+        pt = oc_fixed_external(SCEN, 0.9, NONE)
         assert pt.t1e_borrow == pytest.approx(0.025, abs=1e-12)
         assert pt.power_borrow == pytest.approx(0.7054139024424571, abs=1e-9)
         assert abs(pt.power_diff) < 1e-12
@@ -174,11 +170,10 @@ class TestOneEngine:
     # the scalar, batch and grid paths are one computation: each row is
     # computed independently of the others, so they agree bit for bit
     DE = np.linspace(-1.0, 1.8, 281)
-    METHODS = (BorrowingMethod.none(), FIXED_HALF, EB)
 
     @pytest.mark.parametrize("scen", (SCEN, SCEN_BIG_EXT), ids=("nE20", "nE1000"))
     def test_fixed_external_is_its_batch_row(self, scen):
-        for method in self.METHODS:
+        for method in METHODS:
             t1e, power = region_oc_arrays(scen, self.DE, method)
             for k, d in enumerate(self.DE):
                 pt = oc_fixed_external(scen, float(d), method)
@@ -186,7 +181,7 @@ class TestOneEngine:
 
     @pytest.mark.parametrize("scen", (SCEN, SCEN_BIG_EXT), ids=("nE20", "nE1000"))
     def test_rows_do_not_depend_on_the_batch(self, scen):
-        for method in self.METHODS:
+        for method in METHODS:
             t1e, power = region_oc_arrays(scen, self.DE, method)
             t1e_far, power_far = region_oc_arrays(scen, np.append(self.DE, 20.0), method)
             assert np.array_equal(t1e_far[:-1], t1e)
@@ -207,7 +202,7 @@ class TestOneEngine:
             t1e_closed_form_fixed_pp(scen, de, 0.5), rel=1e-9)
 
     def test_rejects_non_finite_external_mean(self):
-        for method in self.METHODS:
+        for method in METHODS:
             with pytest.raises(ValueError):
                 region_oc_arrays(SCEN, [0.0, math.nan], method)
             with pytest.raises(ValueError):
@@ -227,7 +222,7 @@ class TestNeymanPearson:
         scen = ScenarioOneArm(n=n, sigma=1.0, theta0=0.0, alpha=0.025,
                               nE=nE, theta1=0.5)
         shift = (scen.theta1 - scen.theta0) / scen.se
-        for method in (BorrowingMethod.none(), FIXED_HALF, EB):
+        for method in METHODS:
             t1e, power = region_oc_arrays(scen, self.DE, method)
             # power_calibrated row by row, as one array expression
             power_diff = power - norm_cdf(shift + norm_quantile(t1e))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from borrowoc import (
-    BorrowingMethod,
     DomainError,
     OCProfile,
     ScenarioTwoArm,
@@ -21,10 +20,8 @@ from borrowoc import (
     t1e_profile,
 )
 
-SCEN = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0, alpha=0.025)
-NONE = BorrowingMethod.none()
-FIXED_HALF = BorrowingMethod.fixed_power_prior(0.5)
-EB = BorrowingMethod.empirical_bayes()
+from oracles import (EB, FIXED_HALF, METHOD_IDS, METHODS, NONE,
+                     TWO_ARM as SCEN)
 
 NO_BORROW_POWER = 0.7819066888284272
 
@@ -82,53 +79,12 @@ class TestClosedFormFixedWeights:
         assert reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, FIXED_HALF) == pytest.approx(
             expect, abs=1e-14)
 
-    def test_quadrature_cross_checks_closed_form(self):
-        for thc, tht, de in ((0.0, 0.0, 0.0), (0.3, 1.1, -0.4), (-0.5, 0.2, 0.6)):
-            closed = reject_prob_two_arm(SCEN, thc, tht, de, FIXED_HALF,
-                                         engine="auto")
-            quad = reject_prob_two_arm(SCEN, thc, tht, de, FIXED_HALF,
-                                       engine="quadrature")
-            assert quad == pytest.approx(closed, abs=1e-6)
-
     def test_engine_validation(self):
         for engine in ("closed", "series"):
             for method in (EB, FIXED_HALF, NONE):
                 with pytest.raises(DomainError, match="unknown engine"):
                     reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, method,
                                         engine=engine)
-
-
-class TestEmpiricalBayesQuadrature:
-    @pytest.mark.parametrize("offset", [-1.0, 0.7, 2.0])
-    def test_matches_dense_trapezoid_oracle(self, offset):
-        # brute-force integral over the control mean, built from scratch
-        thc = offset * SCEN.sigma
-        tht = thc        # null configuration
-        de = 0.0
-        se_c = 1.0 / math.sqrt(15.0)
-        se_t = 1.0 / math.sqrt(15.0)
-        zc = norm_quantile(0.975)
-        vc, vE = 1.0 / 15.0, 1.0 / 10.0
-
-        x = np.linspace(thc - 9.0 * se_c, thc + 9.0 * se_c, 400001)
-        q = (x - de) ** 2
-        delta = np.where(q <= vc + vE, 1.0,
-                         np.minimum(vE / np.maximum(q - vc, vE), 1.0))
-        prec = 15.0 + delta * 10.0
-        mean = (15.0 * x + delta * 10.0 * de) / prec
-        tau = mean + zc * np.sqrt(se_t**2 + 1.0 / prec)
-        cond = 0.5 * np.vectorize(math.erfc)((tau - tht) / se_t / math.sqrt(2.0))
-        dens = np.exp(-0.5 * ((x - thc) / se_c) ** 2) / (se_c * math.sqrt(2 * math.pi))
-        oracle = np.trapezoid(dens * cond, x)
-
-        engine = reject_prob_two_arm(SCEN, thc, tht, de, EB)
-        assert engine == pytest.approx(oracle, abs=1e-7)
-
-    def test_shift_invariance(self):
-        base = reject_prob_two_arm(SCEN, 0.4, 0.9, 0.1, EB)
-        for s in (-2.0, 1.5):
-            shifted = reject_prob_two_arm(SCEN, 0.4 + s, 0.9 + s, 0.1 + s, EB)
-            assert shifted == pytest.approx(base, abs=1e-9)
 
 
 class TestT1eProfile:
@@ -205,6 +161,17 @@ class TestOCProfileValidation:
             OCProfile((0.0, 1.0), (0.02, 0.05), 0.05, 1.0,
                       power_borrow=(0.5,), power_calibrated=0.7)
 
+    @pytest.mark.parametrize("power, match", [
+        ({"power_calibrated": 7.0}, "require power_borrow"),
+        ({"power_diff": (-0.2, -0.1)}, "require power_borrow"),
+        ({"power_borrow": (0.5, 0.6)}, "requires power_calibrated"),
+        ({"power_borrow": (0.5, 0.6), "power_calibrated": 0.7,
+          "power_diff": (-0.2,)}, "power_diff length must match grid"),
+    ], ids=["calibrated-alone", "diff-alone", "no-calibrated", "short-diff"])
+    def test_inconsistent_power_fields(self, power, match):
+        with pytest.raises(DomainError, match=match):
+            OCProfile((0.0, 1.0), (0.02, 0.05), 0.05, 1.0, **power)
+
     @pytest.mark.parametrize("bad", [-1e-300, 1.5, math.nan])
     @pytest.mark.parametrize("field", ["t1e", "alphaB_max", "power_borrow",
                                        "power_calibrated"])
@@ -248,13 +215,6 @@ class TestRandomExternal:
             for wi, g in zip(w, grid) if wi > 1e-12)
         prof = oc_random_external_two_arm(SCEN, thetaE, FIXED_HALF, offsets=[x])
         assert prof.t1e[0] == pytest.approx(mix, abs=1e-6)
-
-    def test_eb_attenuates_peak_versus_fixed_external(self):
-        rand = oc_random_external_two_arm(SCEN, 0.0, EB, offsets=[0.7])
-        fixed = t1e_profile(SCEN, 0.0, EB, offsets=[0.7])
-        # averaging over external draws smooths the conflict response,
-        # pulling the peak level down
-        assert rand.alphaB_max < fixed.alphaB_max
 
     def test_engine_validation(self):
         with pytest.raises(DomainError):
@@ -342,8 +302,7 @@ class TestNonFiniteInputs:
             with pytest.raises(DomainError, match=f"'{name}' must be finite"):
                 reject_prob_two_arm(SCEN, *args, method)
 
-    @pytest.mark.parametrize("method", [NONE, FIXED_HALF, EB],
-                             ids=["none", "fixed", "eb"])
+    @pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_tolerance_is_checked_before_the_engine_is_chosen(self, method, tol):
         # the closed forms used to ignore tol, and EB named it 'abs_tol'
@@ -351,24 +310,6 @@ class TestNonFiniteInputs:
             reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, method, tol=tol)
         with pytest.raises(DomainError, match="'tol' must be a positive"):
             oc_random_external_two_arm(SCEN, 0.0, method, [0.0], tol=tol)
-
-
-class TestArrayArguments:
-    @pytest.mark.parametrize("method", [NONE, FIXED_HALF, EB],
-                             ids=["none", "fixed", "eb"])
-    @pytest.mark.parametrize("engine", ["auto", "quadrature"])
-    def test_reject_prob_broadcasts_like_scalar_calls(self, method, engine):
-        thc = np.array([[-0.4], [0.7]])
-        tht = thc + np.array([0.0, SCEN.theta1, 2.0])
-        got = reject_prob_two_arm(SCEN, thc, tht, 0.3, method, engine=engine)
-        assert got.shape == (2, 3)
-        for i, j in np.ndindex(got.shape):
-            assert got[i, j] == reject_prob_two_arm(
-                SCEN, float(thc[i, 0]), float(tht[i, j]), 0.3, method,
-                engine=engine)
-        scalar = reject_prob_two_arm(SCEN, 0.1, 0.1, 0.3, method,
-                                     engine=engine)
-        assert type(scalar) is float
 
 
 class TestScenarioTwoArmValidation:

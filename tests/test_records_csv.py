@@ -9,11 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from borrowoc import (BorrowingMethod, ReplicateRecord, ScenarioTwoArm,
-                      run_grid, summarize)
+from borrowoc import ReplicateRecord, run_grid, summarize
 from borrowoc import cli
 from borrowoc.runner import COLUMNS, ReplicateColumns
 from borrowoc.statmath import _BLOCK_ROWS
+
+import oracles
 
 ONE_ARM = {"design": "one-arm", "n": 25, "nE": 20, "sigma": 1.0,
            "theta0": 0.0, "theta1": 0.5, "alpha": 0.025}
@@ -118,10 +119,8 @@ def test_constant_columns_are_bit_identical_runs():
 
 
 def test_two_arm_grid_records_csv(tmp_path):
-    scen = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0,
-                          alpha=0.025)
-    report = run_grid(scen, (-1.0, 0.0, 0.5, 1.0),
-                      BorrowingMethod.fixed_power_prior(0.5))
+    report = run_grid(oracles.TWO_ARM, (-1.0, 0.0, 0.5, 1.0),
+                      oracles.FIXED_HALF)
     prov = provenance(report)
     path = tmp_path / "records.csv"
     cli._write_records_csv(path, prov, report)
@@ -153,7 +152,7 @@ def test_block_mixing_kernel_and_repr_rows(tmp_path):
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     report = run_grid(cli.parse_config({**ONE_ARM, **EB}).scenario(),
-                      (0.0, 0.1), BorrowingMethod.empirical_bayes())
+                      (0.0, 0.1), oracles.EB)
 
     def boom(cols):
         raise OSError("disk full")

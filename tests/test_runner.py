@@ -5,11 +5,9 @@ import math
 import pytest
 
 from borrowoc import (
-    BorrowingMethod,
     DomainError,
     ReplicateRecord,
     ScenarioOneArm,
-    ScenarioTwoArm,
     oc_fixed_external,
     oc_random_external_two_arm_mc,
     power_calibrated,
@@ -19,11 +17,7 @@ from borrowoc import (
     summarize,
 )
 
-SCEN = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
-                      nE=20, theta1=0.5)
-SCEN2 = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0, alpha=0.025)
-FIXED_HALF = BorrowingMethod.fixed_power_prior(0.5)
-EB = BorrowingMethod.empirical_bayes()
+from oracles import EB, FIXED_HALF, ONE_ARM as SCEN, TWO_ARM as SCEN2
 
 
 class TestReplicateRecord:

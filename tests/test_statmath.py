@@ -1,4 +1,9 @@
-"""Numerical kernels: normal functions, quadrature, roots, maximizer, RNG."""
+"""Numerical kernels: normal functions, quadrature, roots, maximizer, RNG.
+
+``integrate`` must equal ``oracles.integrate``, which evaluates one
+Gauss-Kronrod panel per integrand call, bit for bit: it evaluates the
+first panels, and then both halves of each split, in one call with the
+same floating-point operations."""
 
 import math
 
@@ -18,7 +23,9 @@ from borrowoc import (
     norm_cdf,
     norm_quantile,
 )
-from borrowoc.statmath import _check_probability
+from borrowoc.statmath import _check_probability, _cuts, _integrate
+
+import oracles
 
 # Golden normal values frozen from a 50-digit mpmath erfc evaluation.
 PHI_1959964 = 0.9750000009035576
@@ -133,12 +140,6 @@ class TestIntegrate:
         val = integrate(np.abs, Interval(-1.0, 1.0), breakpoints=(0.0,))
         assert val == pytest.approx(1.0, abs=1e-12)
 
-    def test_budget_exhaustion_raises(self):
-        # fine oscillation at a tolerance the panel budget cannot reach
-        with pytest.raises(NonConvergenceError):
-            integrate(lambda x: np.sin(4000.0 * x), Interval(0.0, 30.0),
-                      abs_tol=1e-13)
-
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, Interval(0.0, 1.0), abs_tol=0.0)
@@ -148,6 +149,82 @@ class TestIntegrate:
         # an infinite tolerance would accept the first panels unrefined
         with pytest.raises(DomainError):
             integrate(lambda x: x, Interval(0.0, 1.0), abs_tol=tol)
+
+    @pytest.mark.parametrize("f, domain, kwargs", [
+        (lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
+         Interval(-math.inf, math.inf), {}),
+        (lambda x: 3.0 * x**2, Interval(0.0, 2.0), {}),
+        (lambda x: np.exp(-0.5 * ((x - 50.0) / 2.0) ** 2)
+         / (2.0 * math.sqrt(2 * math.pi)),
+         Interval(-math.inf, math.inf), {"gaussian_hint": (50.0, 2.0)}),
+        (np.abs, Interval(-1.0, 1.0), {"breakpoints": (0.0,)}),
+        (lambda x: np.exp(-np.abs(x - 0.3)) * np.cos(5.0 * x),
+         Interval(-2.0, 3.0), {"breakpoints": (0.3, -1.0, 7.0),
+                               "abs_tol": 1e-12}),
+        (lambda x: 1.0 / (1.0 + x * x), Interval(0.0, math.inf),
+         {"gaussian_hint": (1.0, 3.0)}),
+        (lambda x: x, Interval(0.0, math.inf), {"gaussian_hint": (-20.0, 1.0)}),
+    ], ids=["normal", "poly", "hint", "abs-kink", "breakpoints",
+            "half-infinite", "hint-outside"])
+    def test_results_identical(self, f, domain, kwargs):
+        assert integrate(f, domain, **kwargs) == oracles.integrate(
+            f, domain, **kwargs)
+
+    def test_panel_at_float_resolution(self):
+        # [1, 1 + ulp] cannot be split, and its round-off error estimate
+        # (0.66 from values of 1e30) exceeds the other panel's, while the
+        # two together exceed the tolerance: the loop sets it aside as done
+        # and then refines the kink panel until the total drops below 1.
+        one_ulp = 1.0 + 2.0**-52
+
+        def f(x):
+            return np.where(x <= one_ulp, 1e30, 4.0 * np.abs(x - 1.4))
+
+        _, err_tiny = oracles._gk15(f, 1.0, one_ulp)
+        _, err_kink = oracles._gk15(f, one_ulp, 2.0)
+        assert 0.5 * (1.0 + one_ulp) in (1.0, one_ulp)
+        assert err_kink < err_tiny <= 1.0 < err_tiny + err_kink
+        kwargs = {"abs_tol": 1.0, "breakpoints": (one_ulp,)}
+        assert integrate(f, Interval(1.0, 2.0), **kwargs) == oracles.integrate(
+            f, Interval(1.0, 2.0), **kwargs)
+
+    def test_nonconvergence_message(self):
+        def f(x):
+            return np.sin(4000.0 * x)
+
+        with pytest.raises(NonConvergenceError) as got:
+            integrate(f, Interval(0.0, 30.0), abs_tol=1e-13)
+        with pytest.raises(NonConvergenceError) as ref:
+            oracles.integrate(f, Interval(0.0, 30.0), abs_tol=1e-13)
+        assert str(got.value) == str(ref.value)
+
+    def test_unsplittable_panel_fails(self):
+        # [1, 1 + ulp] cannot be split: the heap empties with its error
+        # estimate still above the tolerance
+        one_ulp = 1.0 + 2.0**-52
+
+        def f(x):
+            return np.full_like(x, 1e30)
+
+        with pytest.raises(NonConvergenceError) as got:
+            integrate(f, Interval(1.0, one_ulp), abs_tol=1e-13)
+        with pytest.raises(NonConvergenceError) as ref:
+            oracles.integrate(f, Interval(1.0, one_ulp), abs_tol=1e-13)
+        assert str(got.value) == str(ref.value)
+        assert "after 1 panels" in str(got.value)
+
+    def test_node_cap_bounds_every_call(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-np.abs(x - 0.3)) * np.cos(5.0 * x)
+
+        cuts = _cuts(Interval(-2.0, 3.0), (0.3, -1.0, 7.0))
+        capped = _integrate(f, cuts, 1e-12, 37)
+        assert max(sizes) == 37
+        assert capped == integrate(f, Interval(-2.0, 3.0), 1e-12,
+                                   breakpoints=(0.3, -1.0, 7.0))
 
 
 class TestFindRoot:

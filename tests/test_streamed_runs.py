@@ -14,26 +14,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import kernel_oracle as oracle
-from borrowoc import (BorrowingMethod, RngStream, ScenarioOneArm,
-                      ScenarioTwoArm, oc_random_external_two_arm_mc,
-                      run_algorithm2)
+from borrowoc import RngStream, oc_random_external_two_arm_mc, run_algorithm2
 from borrowoc import oc_onearm
 from borrowoc.oc_onearm import _random_external_arrays, region_oc_arrays
 from borrowoc.region import boundary_arrays
 from borrowoc.runner import DEFAULT_TWO_ARM_OFFSETS, ReplicateColumns
 from borrowoc.statmath import _BLOCK_ROWS, _fsum
 
+import oracles
+from oracles import (EB, METHODS, METHOD_IDS as IDS, NONE, ONE_ARM as SCEN,
+                     ONE_ARM_BIG_EXT as SCEN_BIG_EXT, TWO_ARM as SCEN2)
+
 B = _BLOCK_ROWS
-SCEN = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025, nE=20,
-                      theta1=0.5)
-SCEN_BIG_EXT = ScenarioOneArm(n=25, sigma=1.0, theta0=0.0, alpha=0.025,
-                              nE=1000, theta1=0.5)
-SCEN2 = ScenarioTwoArm(nc=15, nt=15, nE=10, sigma=1.0, theta1=1.0,
-                       alpha=0.025)
-EB = BorrowingMethod.empirical_bayes()
-METHODS = (BorrowingMethod.none(), BorrowingMethod.fixed_power_prior(0.5), EB)
-IDS = ("none", "fixed", "eb")
 MIB = 2.0**20
 
 
@@ -80,7 +72,7 @@ def test_chunked_normal_draws_are_one_draw():
 def test_literal_audit_is_the_whole_array_run(method):
     nsim = 2 * B + 3
     got = _random_external_arrays(SCEN, 0.2, method, nsim, 9, literal=True)
-    ref = oracle.literal_onearm_arrays(SCEN, 0.2, method, nsim, 9)
+    ref = oracles.literal_onearm_arrays(SCEN, 0.2, method, nsim, 9)
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     rep = run_algorithm2(SCEN, 0.2, method, nsim, 9, literal=True)
     assert np.array_equal(rep.records.t1e_borrow, ref[1])
@@ -107,7 +99,7 @@ class TestColumns:
         assert np.array_equal(cols.power_borrow, wide)
 
     def test_iteration_crosses_the_seams(self):
-        rep = run_algorithm2(SCEN, 0.0, BorrowingMethod.none(), 2 * B + 1, 1)
+        rep = run_algorithm2(SCEN, 0.0, NONE, 2 * B + 1, 1)
         cols = rep.records
         assert list(cols) == [cols[i] for i in range(2 * B + 1)]
 
