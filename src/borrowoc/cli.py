@@ -15,9 +15,9 @@ Subcommands
     rejection-interval table over a grid of external means, from one
     batch call of the boundary engine.
 
-Every output starts with a provenance line (scenario, method, seed, nsim,
-config hash, version) and is written atomically; identical config + seed
-reproduce outputs byte for byte.
+Every run writes one table and ``summary.json`` under one provenance
+(scenario, method, seed, nsim, config hash, version); identical config +
+seed reproduce both byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import os
 import secrets
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +47,8 @@ from .oc_twoarm import (oc_random_external_two_arm,
 from .region import (_region_row, boundary_arrays,  # noqa: F401
                      interval_count, rejection_region)
 from .runner import (COLUMNS, DEFAULT_NSIM_FIXED, DEFAULT_NSIM_RANDOM,
-                     DEFAULT_TWO_ARM_OFFSETS, RunReport, run_algorithm1,
-                     run_algorithm2, run_grid, scenario_echo)
+                     DEFAULT_TWO_ARM_OFFSETS, run_algorithm1, run_algorithm2,
+                     run_grid, scenario_echo)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
 from .statmath import (DomainError, NumericsError, RngStream, _blocks,
                        _check_count, _check_finite, _check_positive)
@@ -57,10 +57,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_IO = 4
-
-_SUMMARY_FIELDS = ("mean_t1e", "mean_power_diff", "t1e_min", "t1e_max",
-                   "t1e_median", "power_diff_min", "power_diff_max",
-                   "power_diff_median")
 
 # subcommand -> (the design it requires, None for either; whether it needs
 # thetaE; whether --mc-audit has a route; whether it needs the grid)
@@ -80,16 +76,14 @@ _GRID_KEYS = ("start", "stop", "step")
 _NUMBER_KEYS = ("delta", "sigma", "alpha", "theta1", "sigmaE", "c", "thetaE",
                 "theta0")
 _COUNT_KEYS = ("nE", "nsim", "n", "nc", "nt")
-# design -> (the keys it requires, {each key it forbids: why})
-_DESIGN_KEYS = {
-    "one-arm": (("sigma", "alpha", "theta1", "nE", "n", "theta0"),
-                {"nc": "for the one-arm design",
-                 "nt": "for the one-arm design"}),
-    "two-arm": (("sigma", "alpha", "theta1", "nE", "nc", "nt"),
-                {"n": "for the two-arm design (use nc and nt)",
-                 "theta0": "for the two-arm design (the null boundary is "
-                           "theta_t = theta_c)"}),
-}
+# design -> its scenario record, whose fields with no default are required
+_DESIGNS = {"one-arm": ScenarioOneArm, "two-arm": ScenarioTwoArm}
+# key -> why a design whose record lacks it refuses it (checked in this order)
+_FORBIDDEN = {"nc": "for the one-arm design",
+              "nt": "for the one-arm design",
+              "n": "for the two-arm design (use nc and nt)",
+              "theta0": "for the two-arm design (the null boundary is "
+                        "theta_t = theta_c)"}
 
 
 class ConfigError(ValueError):
@@ -119,15 +113,9 @@ class ScenarioConfig:
     grid: tuple | None = None
 
     def scenario(self):
-        """Build the design's scenario object."""
-        if self.design == "one-arm":
-            return ScenarioOneArm(n=self.n, sigma=self.sigma,
-                                  theta0=self.theta0, alpha=self.alpha,
-                                  nE=self.nE, theta1=self.theta1, c=self.c,
-                                  sigmaE=self.sigmaE)
-        return ScenarioTwoArm(nc=self.nc, nt=self.nt, nE=self.nE,
-                              sigma=self.sigma, theta1=self.theta1,
-                              alpha=self.alpha, c=self.c, sigmaE=self.sigmaE)
+        """Build the design's scenario record from the fields it declares."""
+        cls = _DESIGNS[self.design]
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def borrowing_method(self) -> BorrowingMethod:
         return BorrowingMethod(self.method, self.delta)
@@ -197,7 +185,7 @@ def parse_config(document) -> ScenarioConfig:
 
     design = _want(raw, "design", str)
     design = "one-arm" if design is None else design
-    if design not in _DESIGN_KEYS:
+    if design not in _DESIGNS:
         raise ConfigError(f"config key 'design' must be 'one-arm' or "
                           f"'two-arm', got {design!r}")
     method = _want(raw, "method", str)
@@ -206,13 +194,13 @@ def parse_config(document) -> ScenarioConfig:
         raise ConfigError(f"config key 'method' must be one of "
                           f"{', '.join(map(repr, _KINDS))}, got {method!r}")
 
-    required, forbidden = _DESIGN_KEYS[design]
-    for key, why in forbidden.items():
-        if key in raw:
+    defaults = {f.name: f.default for f in fields(_DESIGNS[design])}
+    for key, why in _FORBIDDEN.items():
+        if key in raw and key not in defaults:
             raise ConfigError(f"config key {key!r} is not allowed {why}")
-    values = {key: _want_number(raw, key, key in required)
+    values = {key: _want_number(raw, key, defaults.get(key) is MISSING)
               for key in _NUMBER_KEYS}
-    values.update((key, _want(raw, key, int, key in required))
+    values.update((key, _want(raw, key, int, defaults.get(key) is MISSING))
                   for key in _COUNT_KEYS)
     seed = _want(raw, "seed", int)
     seed = secrets.randbits(64) if seed is None else seed
@@ -278,76 +266,38 @@ def _provenance_line(prov: dict) -> str:
             f"version={prov['version']}")
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write the bytes of ``chunks`` to a temp file beside ``path``, then
-    rename it over ``path``; on any failure the temp file is removed."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+def _write_outputs(out_dir: Path, prov: dict, table: str, names, cols,
+                   **parts) -> None:
+    """Write ``table``, a CSV of the columns ``cols`` (``repr`` text) under
+    the provenance line and ``names``, ``statmath._BLOCK_ROWS`` rows at a
+    time, and ``summary.json``, ``{"provenance": prov, **parts}``.
 
-
-def _write_table(path: Path, prov: dict, names, cols) -> None:
-    """A CSV of the columns ``cols`` (their entries' ``repr`` text) under the
-    provenance line and ``names``, ``statmath._BLOCK_ROWS`` rows at a time."""
-    def chunks():
+    Each goes to a temp file first; both are renamed over their targets only
+    once both are complete, and on any failure the temp files are removed.
+    The two renames are not atomic as a pair: should the second fail, the
+    new table sits beside the previous ``summary.json``.
+    """
+    def table_chunks():
         yield f"{_provenance_line(prov)}\n{','.join(names)}\n".encode()
         for rows in _blocks(len(cols[0])):
             yield _csv_rows([col[rows] for col in cols])
 
-    _atomic_write(path, chunks())
-
-
-def _write_records_csv(path: Path, prov: dict, report: RunReport) -> None:
-    """records.csv straight from the report's columns."""
-    _write_table(path, prov, COLUMNS,
-                 [getattr(report.records, name) for name in COLUMNS])
-
-
-def _write_summary(out_dir: Path, prov: dict, **parts) -> None:
-    """summary.json: the provenance object first, then ``parts``."""
-    _atomic_write(out_dir / "summary.json", [
-        (json.dumps({"provenance": prov, **parts}, indent=2) + "\n").encode()])
-
-
-def _write_report(out_dir: Path, prov: dict, report: RunReport) -> None:
-    _write_records_csv(out_dir / "records.csv", prov, report)
-    _write_summary(out_dir, prov,
-                   summary={k: getattr(report, k) for k in _SUMMARY_FIELDS},
-                   scenario=report.scenario)
-
-
-def _write_profile(out_dir: Path, prov: dict, profile) -> None:
-    """profile.csv, one row per offset; the comparator's power is the same
-    in every row."""
-    cols = np.array([profile.grid, profile.t1e, profile.power_borrow,
-                     [profile.power_calibrated] * len(profile.grid),
-                     profile.power_diff], dtype=np.float64)
-    _write_table(out_dir / "profile.csv", prov,
-                 ("offset", "t1e", "power_borrow", "power_calibrated",
-                  "power_diff"), cols)
-    _write_summary(out_dir, prov,
-                   profile={"alphaB_max": profile.alphaB_max,
-                            "argmax_offset": profile.argmax_offset,
-                            "power_calibrated": profile.power_calibrated})
-
-
-def _write_region(out_dir: Path, prov: dict, points, regions) -> None:
-    table = np.array([(de, i, iv.lo, iv.hi) for de, reg in zip(points, regions)
-                      for i, iv in enumerate(reg.intervals)],
-                     dtype=np.float64).reshape(-1, 4).T.copy()
-    _write_table(out_dir / "region.csv", prov,
-                 ("dE_mean", "interval_index", "lo", "hi"),
-                 [table[0], table[1].astype(np.int64), table[2], table[3]])
-    _write_summary(out_dir, prov, regions=[
-        {"dE_mean": de, "interval_count": interval_count(reg),
-         "flagged": reg.flagged} for de, reg in zip(points, regions)])
+    summary = (json.dumps({"provenance": prov, **parts}, indent=2)
+               + "\n").encode()
+    tmps = []
+    try:
+        for chunks in (table_chunks(), [summary]):
+            fd, tmp = tempfile.mkstemp(dir=str(out_dir), suffix=".tmp")
+            tmps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(chunks)
+        for tmp, name in zip(tmps, (table, "summary.json")):
+            os.replace(tmp, out_dir / name)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
 
 
 def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
@@ -370,25 +320,30 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
               else None)
     out_dir.mkdir(parents=True, exist_ok=True)
     if subcommand in ("algorithm1", "one-arm-fixed"):
-        nsim = cfg.nsim or DEFAULT_NSIM_FIXED
-        report = run_algorithm1(scen, cfg.thetaE, method, nsim, cfg.seed,
+        seed, nsim = cfg.seed, cfg.nsim or DEFAULT_NSIM_FIXED
+        report = run_algorithm1(scen, cfg.thetaE, method, nsim, seed,
                                 literal=mc_audit)
-        _write_report(out_dir, _provenance(cfg, report.scenario, cfg.seed,
-                                           nsim), report)
     elif subcommand in ("algorithm2", "one-arm-random"):
-        nsim = cfg.nsim or DEFAULT_NSIM_RANDOM
-        report = run_algorithm2(scen, cfg.thetaE, method, nsim, cfg.seed,
+        seed, nsim = cfg.seed, cfg.nsim or DEFAULT_NSIM_RANDOM
+        report = run_algorithm2(scen, cfg.thetaE, method, nsim, seed,
                                 literal=mc_audit, offsets=grid)
-        _write_report(out_dir, _provenance(cfg, report.scenario, cfg.seed,
-                                           nsim), report)
     elif subcommand == "one-arm-grid":
         report = run_grid(scen, grid, method)
-        _write_report(out_dir, _provenance(cfg, report.scenario, None,
-                                           report.nsim), report)
+        seed, nsim = None, report.nsim
     elif subcommand == "region":
         regions = [_region_row(bounds, j) for j in range(len(grid))]
-        _write_region(out_dir, _provenance(cfg, scenario_echo(scen, method),
-                                           None, len(grid)), grid, regions)
+        rows = [(de, i, iv.lo, iv.hi) for de, reg in zip(grid, regions)
+                for i, iv in enumerate(reg.intervals)]
+        table = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
+        _write_outputs(
+            out_dir, _provenance(cfg, scenario_echo(scen, method), None,
+                                 len(grid)),
+            "region.csv", ("dE_mean", "interval_index", "lo", "hi"),
+            [table[0], table[1].astype(np.int64), table[2], table[3]],
+            regions=[{"dE_mean": de, "interval_count": interval_count(reg),
+                      "flagged": reg.flagged}
+                     for de, reg in zip(grid, regions)])
+        return
     else:                                   # the two-arm profiles
         offsets = DEFAULT_TWO_ARM_OFFSETS if grid is None else grid
         seed, count = None, len(offsets)
@@ -403,7 +358,23 @@ def _dispatch_inner(subcommand: str, cfg: ScenarioConfig, out_dir: Path,
                                                  offsets, tol)
         echo = scenario_echo(scen, method,
                              cfg.thetaE if needs_thetaE else None)
-        _write_profile(out_dir, _provenance(cfg, echo, seed, count), profile)
+        # one row per offset; the comparator's power is the same in each
+        cols = np.array([profile.grid, profile.t1e, profile.power_borrow,
+                         [profile.power_calibrated] * len(profile.grid),
+                         profile.power_diff], dtype=np.float64)
+        _write_outputs(
+            out_dir, _provenance(cfg, echo, seed, count), "profile.csv",
+            ("offset", "t1e", "power_borrow", "power_calibrated",
+             "power_diff"), cols,
+            profile={k: getattr(profile, k) for k in
+                     ("alphaB_max", "argmax_offset", "power_calibrated")})
+        return
+    _write_outputs(out_dir, _provenance(cfg, report.scenario, seed, nsim),
+                   "records.csv", COLUMNS,
+                   [getattr(report.records, name) for name in COLUMNS],
+                   summary={k: v for k, v in vars(report).items() if k not in
+                            ("records", "seed", "nsim", "scenario")},
+                   scenario=report.scenario)
 
 
 def dispatch(subcommand: str, cfg: ScenarioConfig, out_dir, *,
@@ -411,8 +382,8 @@ def dispatch(subcommand: str, cfg: ScenarioConfig, out_dir, *,
     """Run one subcommand; returns a process exit status.
 
     0 success, 2 configuration error, 3 numeric non-convergence, 4 I/O
-    error.  Output files are written atomically (temp file + rename), so a
-    failed run never leaves partial files.
+    error.  A failed run leaves the files in ``out_dir`` as they were,
+    unless the second of its two renames fails (:func:`_write_outputs`).
     """
     out_dir = Path(out_dir)
     try:
@@ -458,8 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "nE raw observations (not allowed for "
                             + ", ".join(no_audit) + ")")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="quadrature tolerance of the two-arm-random "
-                            "profile integrals (no effect elsewhere)")
+                       help="tolerance of the quadrature that polishes the "
+                            "maximum of an eb-pp two-arm-random profile (its "
+                            "t1e and power_borrow and --mc-audit ignore it)")
     return parser
 
 

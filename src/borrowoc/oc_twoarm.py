@@ -273,10 +273,12 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     The rule: 40-node Gauss-Legendre panels on mu_u +- 8.5 s_u, none wider
     than width = 4 min(s, s_u), so that both the density and the Phi factor
     are resolved, split at +-:func:`_cusp_cuts` of that width: the panels
-    shrink by factors of 8 into the threshold's cusp past +-r.  Over a
-    seeded fuzz (``tests/test_uline.py``) the values lie within 1e-13 of
-    cusp-aware quadrature at tol 1e-13 for a fixed external mean, and
-    within 1e-10 of the nested engine at tol 1e-12 for a random one.
+    shrink by factors of 8 into the threshold's cusp past +-r.  Over
+    seeded fuzzes the values lie within 1e-13 of cusp-aware quadrature at
+    tol 1e-13 for a fixed external mean (``tests/test_uline.py``), and
+    within 1e-10 of the nested engine at tol 1e-12 for a random one
+    (``tests/test_twoarm_quadrature.py::TestKernelAgainstQuadrature::
+    test_random_external_mean``).
     Offsets go in chunks, and no node array holds more than
     ``_BATCH_NODES`` elements.
     """
@@ -387,7 +389,8 @@ def _profile(scen: ScenarioTwoArm, engines, offsets,
     """Offset profile from ``engines = (exact, values)`` of
     :func:`_offset_engines`: the null rate per offset from one ``values``
     call and its maximum from :func:`_profile_max` (a requested offset
-    whose value beats that maximum wins, the smallest first), plus, if
+    whose value beats that maximum wins; of equal ones the first in
+    request order, as in :func:`oc_random_external_two_arm_mc`), plus, if
     ``power``, one ``values`` call for the power at theta1 per offset and
     the comparator calibrated to the maximum.
     """

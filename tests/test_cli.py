@@ -538,6 +538,44 @@ class TestDecisionMatrix:
         assert tuple(cli._SUBCOMMAND_RULES) == cli.SUBCOMMANDS
 
 
+# each subcommand's table (records.csv where not named), its header line
+# and the keys of summary.json, in order
+TABLE_OF = {"two-arm-profile": "profile.csv", "two-arm-random": "profile.csv",
+            "region": "region.csv"}
+TABLES = {
+    "records.csv": ("replicate,dE_mean,t1e_borrow,power_borrow,"
+                    "power_calibrated,power_diff",
+                    ["provenance", "summary", "scenario"]),
+    "profile.csv": ("offset,t1e,power_borrow,power_calibrated,power_diff",
+                    ["provenance", "profile"]),
+    "region.csv": ("dE_mean,interval_index,lo,hi", ["provenance", "regions"]),
+}
+OUTPUT_CASES = [(subcommand, design, flags)
+                for subcommand, (need, _, audit, _) in RULES.items()
+                for design in ((need,) if need else ("one-arm", "two-arm"))
+                for flags in ([[], ["--mc-audit"]] if audit else [[]])]
+
+
+@pytest.mark.parametrize("subcommand, design, flags", OUTPUT_CASES,
+                         ids=[f"{s}-{d}{'-audit' if f else ''}"
+                              for s, d, f in OUTPUT_CASES])
+def test_every_subcommand_writes_one_table_and_summary(tmp_path, subcommand,
+                                                       design, flags):
+    path = write_config(tmp_path, matrix_config(design, RULES[subcommand][1]))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", path, "--out", str(out),
+                 *flags]) == EXIT_OK
+    table = TABLE_OF.get(subcommand, "records.csv")
+    header, keys = TABLES[table]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [table, "summary.json"])
+    lines = (out / table).read_text(encoding="utf-8").splitlines()
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert lines[0] == cli._provenance_line(summary["provenance"])
+    assert lines[1] == header
+    assert list(summary) == keys
+
+
 def _without(doc, key):
     doc = dict(doc)
     del doc[key]

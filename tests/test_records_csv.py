@@ -5,6 +5,8 @@ against summaries recomputed from their records."""
 import dataclasses
 import json
 import math
+import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -65,6 +67,21 @@ def provenance(report) -> dict:
             "config_sha256": "0" * 64, "version": "0"}
 
 
+def write_records(out_dir, prov, report):
+    """records.csv of ``report`` (beside a bare summary.json) through the
+    CLI's writer."""
+    cli._write_outputs(out_dir, prov, "records.csv", COLUMNS,
+                       [getattr(report.records, name) for name in COLUMNS])
+
+
+def keep(run, reports):
+    """``run``, appending each report it returns to ``reports``."""
+    def wrapped(*args, **kwargs):
+        reports.append(run(*args, **kwargs))
+        return reports[-1]
+    return wrapped
+
+
 def check_report(report):
     cols = report.records
     for i, r in enumerate(report.records):
@@ -83,14 +100,16 @@ def check_report(report):
 @pytest.mark.parametrize("case", CASES)
 def test_records_csv_equals_rowwise_format(case, tmp_path, monkeypatch):
     subcommand, config, flags = CASES[case]
-    written = []
-    write = cli._write_records_csv
+    reports, written = [], []
+    for name in ("run_algorithm1", "run_algorithm2", "run_grid"):
+        monkeypatch.setattr(cli, name, keep(getattr(cli, name), reports))
+    write = cli._write_outputs
 
-    def capture(path, prov, report):
-        written.append((prov, report))
-        write(path, prov, report)
+    def capture(out_dir, prov, *table, **parts):
+        written.append((prov, reports[-1]))
+        write(out_dir, prov, *table, **parts)
 
-    monkeypatch.setattr(cli, "_write_records_csv", capture)
+    monkeypatch.setattr(cli, "_write_outputs", capture)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
@@ -123,7 +142,7 @@ def test_two_arm_grid_records_csv(tmp_path):
                       oracles.FIXED_HALF)
     prov = provenance(report)
     path = tmp_path / "records.csv"
-    cli._write_records_csv(path, prov, report)
+    write_records(tmp_path, prov, report)
     assert path.read_text(encoding="utf-8") == rowwise_csv(prov, report)
     check_report(report)
 
@@ -146,7 +165,7 @@ def test_block_mixing_kernel_and_repr_rows(tmp_path):
     report = summarize(cols, None, n, {"method": "none"})
     prov = provenance(report)
     path = tmp_path / "records.csv"
-    cli._write_records_csv(path, prov, report)
+    write_records(tmp_path, prov, report)
     assert path.read_text(encoding="utf-8") == rowwise_csv(prov, report)
 
 
@@ -159,6 +178,49 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_csv_rows", boom)
     with pytest.raises(OSError, match="disk full"):
-        cli._write_records_csv(tmp_path / "records.csv", provenance(report),
-                               report)
+        write_records(tmp_path, provenance(report), report)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["summary-text", "summary-file"])
+def test_failed_summary_write_keeps_the_earlier_pair(tmp_path, monkeypatch,
+                                                      fault):
+    # the summary fails, as text or as a file made after the table's: no
+    # output may replace the previous run's pair, and no temp file may stay
+    def run(doc):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        return cli.main(["one-arm-grid", "--config", str(cfg_path),
+                         "--out", str(out)])
+
+    def contents():
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    out = tmp_path / "out"
+    assert run({**ONE_ARM, **EB, **GRID}) == cli.EXIT_OK
+    before = contents()
+    assert sorted(before) == ["records.csv", "summary.json"]
+    if fault == "summary-text":
+        dumps = json.dumps
+
+        def failing_dumps(obj, **kwargs):
+            if "indent" in kwargs:
+                raise OSError("disk full")
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+    else:
+        made = []
+
+        def mkstemp(**kwargs):
+            made.append(kwargs)
+            if len(made) == 2:
+                raise OSError("disk full")
+            return tempfile.mkstemp(**kwargs)
+
+        monkeypatch.setattr(cli, "tempfile",
+                            types.SimpleNamespace(mkstemp=mkstemp))
+    assert run({**ONE_ARM, **FIXED_PP, **GRID}) == cli.EXIT_IO
+    assert contents() == before
+    if fault == "summary-file":
+        assert len(made) == 2               # the table's temp file was made

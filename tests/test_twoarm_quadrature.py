@@ -398,6 +398,16 @@ class TestPolishedProfiles:
         assert prof.t1e[1] > polished.alphaB_max
         assert (prof.alphaB_max, prof.argmax_offset) == (prof.t1e[1], xstar)
 
+        # a tie above the maximum: the first offset in request order wins,
+        # sorted or not
+        def tied(x, effect):
+            return np.where(np.isin(x, (0.5, 0.7)), 0.9, values(x, effect))
+        for offsets in ((0.7, 0.5), (0.5, 0.7)):
+            prof = oc_twoarm._profile(SCEN, (exact, tied), offsets,
+                                      power=False)
+            assert prof.t1e == (0.9, 0.9) and 0.9 > polished.alphaB_max
+            assert (prof.alphaB_max, prof.argmax_offset) == (0.9, offsets[0])
+
 
 class TestPrintedValues:
     """Values the exact engines used to print wrong."""
