@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .borrow import BorrowingMethod, tail_arrays
-# rejection_region and maximize_1d are no longer called here; the names stay
-# for bench/tracing.py, which wraps oc_onearm.rejection_region and
-# oc_onearm.maximize_1d
+# rejection_region, maximize_1d and tail_arrays are no longer called here;
+# the names stay for bench/tracing.py, which wraps oc_onearm.rejection_region,
+# oc_onearm.maximize_1d and oc_onearm.tail_arrays
+from .borrow import BorrowingMethod, posterior_arrays, tail_arrays  # noqa: F401
 from .region import boundary_arrays, rejection_region  # noqa: F401
 from .scenarios import ScenarioOneArm
 from .statmath import (RngStream, _blocks, _check_count, _check_finite,
@@ -196,12 +196,14 @@ def _random_external_arrays(scen: ScenarioOneArm, thetaE: float,
     de = gen.normal(thetaE, scen.seE, nsim)
     if not literal:
         return (de, *region_oc_arrays(scen, de, method))
-    args = (scen.n, scen.sigma, scen.nE, scen.sigmaE, method, scen.theta0)
+    args = (scen.n, scen.sigma, scen.nE, scen.sigmaE, method)
+    zc = norm_quantile(scen.c)
     t1e_j, power_j = np.empty(nsim), np.empty(nsim)
     for mu, out in ((scen.theta0, t1e_j), (scen.theta1, power_j)):
         for rows in _blocks(nsim):
             d = gen.normal(mu, scen.se, rows.stop - rows.start)
-            out[rows] = tail_arrays(d, de[rows], *args) > scen.c
+            mean, sd = posterior_arrays(d, de[rows], *args)
+            out[rows] = (mean - scen.theta0) / sd > zc
     return de, t1e_j, power_j
 
 

@@ -42,7 +42,9 @@ Empirical Bayes, with the external mean fixed or random, the u-line kernel
 the power, the scan and the checks that stop the search domain.  The EB
 weight depends only on u = control mean - external mean, so each rejection
 probability is one Gaussian integral over u.  The exact engines make the
-polish's scalar calls, so the maximum and its location are theirs.  With
+polish's scalar calls, so the maximum and its location are theirs; with one
+panel plan (``statmath._integrate``) per scenario, method and tolerance,
+each integral after the first makes one integrand call.  With
 ``engine="quadrature"`` they give every value of a random-external
 profile, as a cross-check of the kernel.
 """
@@ -209,16 +211,26 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
         return float(out) if scalar else out
 
     shape = np.broadcast_shapes(*(np.shape(v) for v in means))
+    thc, tht, de = (np.broadcast_to(v, shape).ravel().tolist() for v in means)
+    vals = list(map(_fixed_engine(scen, method, tol), thc, tht, de))
+    out = np.clip(vals, 0.0, 1.0).reshape(shape)
+    return float(out) if scalar else out
+
+
+@functools.lru_cache(maxsize=16)
+def _fixed_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float):
+    """``reject(c, t, d)`` of :func:`reject_prob_two_arm`, its constants
+    worked out once and one panel plan kept (module docstring)."""
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     zc = norm_quantile(scen.c)
-    dist = np.empty(0)
-    if method.kind == EMPIRICAL_BAYES:
-        dist = _cusp_cuts(scen, se_c)
-        # a cusp more than 8 times narrower than se_c (two grades or more)
-        # escapes the error estimate; a wider one needs only the cuts at +-r
-        if dist.size < 3:
-            dist = dist[:1]
+    dist = (_cusp_cuts(scen, se_c) if method.kind == EMPIRICAL_BAYES
+            else np.empty(0))
+    # a cusp more than 8 times narrower than se_c (two grades or more)
+    # escapes the error estimate; a wider one needs only the cuts at +-r
+    if dist.size < 3:
+        dist = dist[:1]
+    plan = []
 
     def reject(c, t, d):
         def f(x):
@@ -228,12 +240,8 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
                     * ndtr((t - _threshold(mc, sc, zc, se_t)) / se_t))
         cuts = _cuts(_WHOLE_LINE, np.concatenate([d - dist, d + dist]),
                      (c, se_c))
-        return _integrate(f, cuts, tol)
-
-    thc, tht, de = (np.broadcast_to(v, shape).ravel().tolist() for v in means)
-    vals = [reject(c, t, d) for c, t, d in zip(thc, tht, de)]
-    out = np.clip(vals, 0.0, 1.0).reshape(shape)
-    return float(out) if scalar else out
+        return _integrate(f, cuts, tol, _BATCH_NODES, plan)
+    return reject
 
 
 def _cusp_cuts(scen: ScenarioTwoArm, width: float) -> np.ndarray:
@@ -526,20 +534,27 @@ def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
     the inner rule: floats give a float, same-shape arrays an array, one
     integral per entry.  Each integrand call takes at most as many external
     means as keep the inner rule's nodes within ``_BATCH_NODES``."""
-    seE = scen.seE
+    vals = list(map(_random_engine(scen, method, tol, thetaE),
+                    np.ravel(theta_c).tolist(), np.ravel(theta_t).tolist()))
+    out = np.clip(vals, 0.0, 1.0).reshape(np.shape(theta_c))
+    return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=16)
+def _random_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float,
+                   thetaE: float):
+    """``reject(c, t)`` of :func:`_random_reject`, as :func:`_fixed_engine`."""
     zc = norm_quantile(scen.c)
-    cuts = _cuts(_WHOLE_LINE, (), (thetaE, seE))
+    cuts = _cuts(_WHOLE_LINE, (), (thetaE, scen.seE))
+    rows = _inner_rows(scen)
+    plan = []
 
     def reject(c, t):
         def g(e):
-            return (_norm_pdf(e, thetaE, seE)
+            return (_norm_pdf(e, thetaE, scen.seE)
                     * _inner_reject_gl(scen, e, c, t, method, zc))
-        return _integrate(g, cuts, tol, _inner_rows(scen))
-
-    vals = [reject(c, t) for c, t in zip(np.ravel(theta_c).tolist(),
-                                         np.ravel(theta_t).tolist())]
-    out = np.clip(vals, 0.0, 1.0).reshape(np.shape(theta_c))
-    return float(out) if out.ndim == 0 else out
+        return _integrate(g, cuts, tol, rows, plan)
+    return reject
 
 
 def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,

@@ -30,7 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .borrow import BorrowingMethod, FIXED_POWER_PRIOR, tail_arrays
+# tail_arrays is no longer called here; the name stays for bench/tracing.py,
+# which wraps runner.tail_arrays
+from .borrow import (BorrowingMethod, FIXED_POWER_PRIOR,  # noqa: F401
+                     posterior_arrays, tail_arrays)
 # oc_fixed_external is no longer called here; the name stays for
 # bench/tracing.py, which wraps runner.oc_fixed_external
 from .oc_onearm import (_random_external_arrays,  # noqa: F401
@@ -39,7 +42,7 @@ from .oc_twoarm import (_random_two_arm_mc_grids, oc_fixed_external_two_arm,
                         power_calibrated_two_arm, power_profile)
 from .scenarios import ScenarioOneArm, ScenarioTwoArm
 from .statmath import (DomainError, RngStream, _blocks, _check_count,
-                       _check_finite, _fsum)
+                       _check_finite, _fsum, norm_quantile)
 
 DEFAULT_NSIM_FIXED = 100
 DEFAULT_NSIM_RANDOM = 100_000
@@ -251,18 +254,19 @@ def run_algorithm1(scen, thetaE: float, method: BorrowingMethod,
     thetaE = _check_finite("thetaE", thetaE)
     _check_count("nsim", nsim)
     two_arm = isinstance(scen, ScenarioTwoArm)
+    zc = norm_quantile(scen.c)
     de, t1e, power = [], [], []
     for j in range(nsim):
         gen = RngStream(seed, j).generator()
         de.append(float(np.mean(gen.normal(thetaE, scen.sigmaE, scen.nE)))
                   if literal else float(gen.normal(thetaE, scen.seE)))
         if literal and not two_arm:
-            args = (de[j], scen.n, scen.sigma, scen.nE, scen.sigmaE, method,
-                    scen.theta0)
+            args = (de[j], scen.n, scen.sigma, scen.nE, scen.sigmaE, method)
             for mu, out in ((scen.theta0, t1e), (scen.theta1, power)):
-                out.append(np.count_nonzero(tail_arrays(
+                mean, sd = posterior_arrays(
                     gen.normal(mu, scen.se, audit_inner_nsim), *args)
-                    > scen.c) / audit_inner_nsim)
+                out.append(np.count_nonzero((mean - scen.theta0) / sd > zc)
+                           / audit_inner_nsim)
     if two_arm:
         pt = oc_fixed_external_two_arm(scen, de[0], method)
         cols = _replicate_columns(de, pt.t1e_borrow, pt.power_borrow,

@@ -11,7 +11,12 @@ and :func:`_fsum` sums a column block by block.
 
 The quadrature has one engine, :func:`_integrate`, which computes one
 integral from the edges of its first panels and can cap the nodes of each
-integrand call; :func:`integrate` is its public form.  The maximizer has
+integrand call; :func:`integrate` is its public form.  A run of similar
+integrals can share a panel plan: each one then evaluates the panels that the
+last one's splits made together with its first panels, in the same calls.
+The values cannot change, since each panel's value and error come from its
+own 15 nodes alone: the heap sees the same panels in the same order and sums
+the same numbers, and a wrong plan costs only time.  The maximizer has
 one loop, :func:`_maximize`, whose grid scan is one call on all grid
 points and whose polish makes scalar calls, possibly of another function;
 :func:`maximize_1d` is its case of one scalar function.
@@ -217,8 +222,8 @@ def _rowdot(y, w):
 def _gk15(f, a, b, max_nodes):
     """Gauss-Kronrod panels (a[i], b[i]): their nodes go through ``f`` in
     calls of at most ``max_nodes`` nodes (all at once if None).  Returns
-    lists of integrals and error estimates, one per panel, each from its
-    own 15 values exactly as if evaluated alone."""
+    ``(a[i], b[i], integral, error estimate)`` per panel, each from its own
+    15 values exactly as if evaluated alone."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
@@ -242,7 +247,7 @@ def _gk15(f, a, b, max_nodes):
     for i, (err, asc) in enumerate(zip(errs, resasc)):
         if asc != 0.0 and err != 0.0:
             errs[i] = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-    return resk.tolist(), errs
+    return list(zip(a.tolist(), b.tolist(), resk.tolist(), errs))
 
 
 def _cuts(domain: Interval, breakpoints=(), gaussian_hint=None) -> list:
@@ -260,43 +265,58 @@ def _cuts(domain: Interval, breakpoints=(), gaussian_hint=None) -> list:
     return sorted({lo, hi, *inside})
 
 
-def _integrate(f, cuts, abs_tol: float, max_nodes=None) -> float:
+def _integrate(f, cuts, abs_tol: float, max_nodes=None, plan=None) -> float:
     """Adaptive Gauss-Kronrod integral of ``f`` from the panels between
     consecutive ``cuts`` (from :func:`_cuts`; none: the integral is 0).
 
     Each step takes the panel of largest error off a heap, sets aside
     panels at floating-point resolution, and splits the first splittable
     one; the nodes of both halves go through ``f`` in calls of at most
-    ``max_nodes`` nodes (all at once if None).
+    ``max_nodes`` nodes (all at once if None), unless they came with the
+    first panels: ``plan``, a list kept across similar integrals, holds
+    the last one's splits as paths from the first panels, and the panels
+    those splits make are evaluated with the first ones (module docstring).
     """
     _check_positive("abs_tol", abs_tol)
     if not cuts:
         return 0.0
-    # a heap of (-err, tiebreak, a, b, value, err), and the values of panels
-    # too narrow to split
-    heap = []
-    done = []
-    first = zip(cuts[:-1], cuts[1:], *_gk15(f, cuts[:-1], cuts[1:], max_nodes))
-    for i, (lo, hi, val, err) in enumerate(first):
-        heapq.heappush(heap, (-err, i, lo, hi, val, err))
+    # panel edges by path: (first panel index, then 0 left / 1 right halves)
+    edges = {(i,): ab for i, ab in enumerate(zip(cuts[:-1], cuts[1:]))}
+    for path in plan or ():
+        lo, hi = edges.get(path, (0.0, 0.0))    # unknown path: no split
+        mid = 0.5 * (lo + hi)
+        if lo < mid < hi:           # as the loop splits it
+            edges[path + (0,)], edges[path + (1,)] = (lo, mid), (mid, hi)
+    panels = _gk15(f, *zip(*edges.values()), max_nodes)
+    table = dict(zip(edges, panels))
+    # a heap of (-err, tiebreak, path, a, b, value, err), and the values of
+    # panels too narrow to split
+    heap = [(-p[3], i, (i,), *p) for i, p in enumerate(panels[:len(cuts) - 1])]
+    heapq.heapify(heap)
+    done, splits = [], []
     serial = len(heap)
-    total_err = math.fsum(item[5] for item in heap)
+    total_err = math.fsum(item[6] for item in heap)
     while total_err > abs_tol:
         if not heap or serial >= _MAX_PANELS:
             raise NonConvergenceError(
                 f"quadrature error {total_err:.3e} above tolerance "
                 f"{abs_tol:.3e} after {serial} panels")
-        _, _, lo, hi, val, err = heapq.heappop(heap)
+        _, _, path, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:      # panel at floating-point resolution
             done.append(val)
             continue
-        (v1, v2), (e1, e2) = _gk15(f, (lo, mid), (mid, hi), max_nodes)
-        heapq.heappush(heap, (-e1, serial, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, serial + 1, mid, hi, v2, e2))
+        splits.append(path)
+        left, right = table.get(path + (0,)), table.get(path + (1,))
+        if left is None:
+            left, right = _gk15(f, (lo, mid), (mid, hi), max_nodes)
+        heapq.heappush(heap, (-left[3], serial, path + (0,), *left))
+        heapq.heappush(heap, (-right[3], serial + 1, path + (1,), *right))
         serial += 2
-        total_err += e1 + e2 - err
-    return math.fsum(item[4] for item in heap) + math.fsum(done)
+        total_err += left[3] + right[3] - err
+    if plan is not None:
+        plan[:] = splits
+    return math.fsum(item[5] for item in heap) + math.fsum(done)
 
 
 def integrate(f, domain: Interval, abs_tol: float = 1e-9, *,

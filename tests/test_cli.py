@@ -667,3 +667,17 @@ def test_cli_import_loads_no_scipy_module_but_special(tmp_path):
     extra = [m for m in loaded if m != "scipy" and not (
         m.split(".")[1] in ("special", "version") or m.split(".")[1][0] == "_")]
     assert extra == []
+
+
+def test_python_m_borrowoc_runs_the_command_line(tmp_path):
+    """``python -m borrowoc`` is the command line, with no warning about
+    how the package was loaded."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(borrowoc.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-W", "always", "-m", "borrowoc",
+                          "--help"], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: borrowoc")
+    assert "RuntimeWarning" not in run.stderr

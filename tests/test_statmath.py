@@ -227,6 +227,103 @@ class TestIntegrate:
                                    breakpoints=(0.3, -1.0, 7.0))
 
 
+def _plan_integrands(rng):
+    """A smooth, a kinked and a Gaussian-weighted integrand with their
+    breakpoints and Gaussian hint, parameters drawn from ``rng``."""
+    k, w, mu = rng.uniform(-1.0, 1.0), rng.uniform(1.0, 12.0), rng.normal()
+    sd = rng.uniform(0.05, 3.0)
+    return [
+        (lambda x: np.exp(-0.3 * x) * np.cos(w * x), (), None),
+        (lambda x: np.abs(x - k) ** 1.5 + np.maximum(x - 0.5 * k, 0.0),
+         (k, 0.5 * k), None),
+        (lambda x: np.exp(-0.5 * ((x - mu) / sd) ** 2) * norm_cdf(w * (x - k)),
+         (k,), (mu, sd)),
+    ]
+
+
+class TestPanelPlan:
+    """``_integrate`` with a plan equals ``_integrate`` without one, bit for
+    bit, whatever the plan holds; a plan recorded from the same integral
+    leaves one integrand call."""
+
+    @staticmethod
+    def _counted(f, sizes):
+        def g(x):
+            sizes.append(x.size)
+            return f(x)
+        return g
+
+    def test_seeded_fuzz(self):
+        rng = np.random.default_rng(20281)
+        splits = 0
+        for _ in range(40):
+            tol = 10.0 ** rng.uniform(-13.0, -6.0)
+            lo = rng.uniform(-3.0, 0.0)
+            domain = Interval(lo, lo + rng.uniform(0.5, 6.0))
+            cases = _plan_integrands(rng)
+            cuts = [_cuts(domain, bp, hint) for _, bp, hint in cases]
+            refs = [_integrate(f, c, tol) for (f, _, _), c in zip(cases, cuts)]
+            for (f, _, _), c, ref in zip(cases, cuts, refs):
+                own = []
+                assert _integrate(f, c, tol, plan=own) == ref
+                splits += len(own)
+                sizes = []
+                assert _integrate(self._counted(f, sizes), c, tol,
+                                  plan=list(own)) == ref
+                assert len(sizes) == 1
+                # plans of the other integrands: extra and missing splits
+                for j, (g, _, _) in enumerate(cases):
+                    other = []
+                    _integrate(g, cuts[j], tol, plan=other)
+                    assert _integrate(f, c, tol, plan=other) == ref
+                # half of its own plan; its own plan under a node cap
+                assert _integrate(f, c, tol, plan=own[::2]) == ref
+                sizes = []
+                cap = int(rng.integers(15, 60))
+                assert _integrate(self._counted(f, sizes), c, tol, cap,
+                                  list(own)) == ref
+                assert max(sizes) <= cap
+        assert splits > 300
+
+    def test_plan_holds_the_splits(self):
+        cuts = _cuts(Interval(-1.0, 1.0), (0.3,))
+        plan = [(7, 0), "no path", (0, 1, 1, 1)]
+        ref = _integrate(np.abs, cuts, 1e-12)
+        assert _integrate(np.abs, cuts, 1e-12, plan=plan) == ref
+        assert plan and all(p[0] in (0, 1) and set(p[1:]) <= {0, 1}
+                            for p in plan)
+
+    def test_plan_reaching_float_resolution(self):
+        # [1, 1 + ulp] cannot be split, and halving [1 + ulp, 2] towards 2
+        # reaches the resolution of doubles after 52 steps: the plan's
+        # panels beyond it are skipped, as the loop sets such panels aside
+        one_ulp = 1.0 + 2.0**-52
+
+        def f(x):
+            return np.where(x <= one_ulp, 1e30, 4.0 * np.abs(x - 1.4))
+
+        cuts = _cuts(Interval(1.0, 2.0), (one_ulp,))
+        deep = [(0,) + (0,) * k for k in range(60)]
+        deep += [(1,) + (1,) * k for k in range(60)]
+        sizes = []
+        got = _integrate(self._counted(f, sizes), cuts, 1.0, plan=deep)
+        assert got == _integrate(f, cuts, 1.0)
+        assert 2 + 2 * 50 <= sizes[0] // 15 < 2 + 2 * 60
+
+    def test_nonconvergence_unchanged(self):
+        def f(x):
+            return np.sin(4000.0 * x)
+
+        cuts = _cuts(Interval(0.0, 30.0), ())
+        with pytest.raises(NonConvergenceError) as ref:
+            _integrate(f, cuts, 1e-13)
+        plan = [(0,) + tuple(int(b) for b in format(k, "b")[1:])
+                for k in range(1, 200)]
+        with pytest.raises(NonConvergenceError) as got:
+            _integrate(f, cuts, 1e-13, plan=plan)
+        assert str(got.value) == str(ref.value)
+
+
 class TestFindRoot:
     def test_quantile_by_inversion(self):
         root = find_root(lambda x: norm_cdf(x) - 0.975, Interval(0.0, 4.0))

@@ -167,11 +167,11 @@ class TestNodeBudget:
         posterior = oc_twoarm.posterior_arrays
         in_kernel = []
 
-        def recording_integrate(f, cuts, tol, max_nodes=None):
+        def recording_integrate(f, cuts, tol, max_nodes=None, plan=None):
             def g(x):
                 seen["x"] = max(seen["x"], x.size)
                 return f(x)
-            return integrate(g, cuts, tol, max_nodes)
+            return integrate(g, cuts, tol, max_nodes, plan)
 
         def recording_inner(scen, e, *args):
             seen["rows"] = max(seen["rows"], e.size)
@@ -205,11 +205,15 @@ class TestNodeBudget:
                              ids=["one-piece", "two-pieces"])
     def test_random_external_scan(self, largest, scen, rows):
         # the quadrature route runs its 401-point scan one integral at a
-        # time: each call gets the 30 nodes of one split, below the cap
+        # time, each call within the cap: at most _inner_rows(scen) external
+        # means, and so at most _BATCH_NODES inner-rule nodes
         oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6,
                                    engine="quadrature")
         assert oc_twoarm._inner_rows(scen) == rows
-        assert largest["x"] == largest["rows"] == 30
+        assert 0 < largest["x"] == largest["rows"] <= rows
+        pieces = math.ceil(math.sqrt(scen.nt / scen.nc))     # se_c / se_t
+        assert (largest["rows"] * 3 * pieces * oc_twoarm._INNER_GL_NODES
+                <= oc_twoarm._BATCH_NODES)
         assert largest["uline"] == 0
 
     def test_random_external_integral(self, largest):
@@ -245,6 +249,87 @@ class TestNodeBudget:
         oc_random_external_two_arm(SCEN, 0.0, EB, OFFSETS, tol=1e-6)
         assert 0 < fixed < len(calls)
         assert not any(calls)
+
+
+def _polish_points(run):
+    """The offsets and values of the golden-section polish's calls while
+    ``run()`` runs, with the exact engines' panel plans started afresh."""
+    oc_twoarm._fixed_engine.cache_clear()
+    oc_twoarm._random_engine.cache_clear()
+    points = []
+    maximize = oc_twoarm._maximize
+
+    def recording(f, scan, domain):
+        def g(x):
+            points.append((x, f(x)))
+            return points[-1][1]
+        return maximize(g, scan, domain)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oc_twoarm, "_maximize", recording)
+        run()
+    return points
+
+
+class TestPolishPlan:
+    """The exact engines keep one panel plan per scenario, method and
+    tolerance (``statmath._integrate``): at the benchmark scenario every
+    polish integral after the first makes one integrand call within the
+    node cap, and the polish's values are the public engines' and the
+    oracle's one-panel-per-call integrals, bit for bit."""
+
+    @pytest.mark.parametrize("external", [-0.6, 0.2, 0.9])
+    @pytest.mark.parametrize("random_external", [False, True],
+                             ids=["fixed", "random"])
+    def test_one_integrand_call_per_integral(self, monkeypatch, external,
+                                             random_external):
+        calls = []
+        integrate = oc_twoarm._integrate
+
+        def recording(f, cuts, tol, max_nodes=None, plan=None):
+            sizes = []
+            calls.append(sizes)
+
+            def g(x):
+                sizes.append(x.size)
+                return f(x)
+            return integrate(g, cuts, tol, max_nodes, plan)
+
+        monkeypatch.setattr(oc_twoarm, "_integrate", recording)
+        if random_external:
+            points = _polish_points(lambda: (
+                oc_random_external_two_arm(SCEN, external, EB, OFFSETS)))
+            nodes = 3 * oc_twoarm._INNER_GL_NODES       # per external mean
+        else:
+            points = _polish_points(lambda: power_profile(
+                SCEN, external, EB, OFFSETS))
+            nodes = 1
+        # under engine="auto" the polish makes every exact integral
+        assert len(calls) == len(points) > 40
+        assert [len(sizes) for sizes in calls[1:]] == [1] * (len(calls) - 1)
+        assert 0 < max(map(max, calls)) * nodes <= oc_twoarm._BATCH_NODES
+
+    def test_fixed_external_values(self):
+        dE = 0.2
+        points = _polish_points(lambda: power_profile(SCEN, dE, EB, OFFSETS))
+        xs, ys = map(list, zip(*points))
+        thc = dE + np.array(xs) * SCEN.sigma
+        oc_twoarm._fixed_engine.cache_clear()
+        assert reject_prob_two_arm(SCEN, thc, thc, dE, EB).tolist() == ys
+        oracle = _fixed(SCEN, dE, EB)
+        assert [oracle(x, 0.0) for x in xs[-3:]] == ys[-3:]
+
+    def test_random_external_values(self):
+        thetaE = 0.3
+        points = _polish_points(lambda: (
+            oc_random_external_two_arm(SCEN, thetaE, EB, OFFSETS)))
+        xs, ys = map(list, zip(*points))
+        oc_twoarm._random_engine.cache_clear()
+        prof = oc_random_external_two_arm(SCEN, thetaE, EB, xs,
+                                          engine="quadrature")
+        assert list(prof.t1e) == ys
+        oracle = _random(SCEN, thetaE, EB, 1e-9)
+        assert [oracle(x, 0.0) for x in xs[-2:]] == ys[-2:]
 
 
 def _external_means(scen, theta_c, rng):
