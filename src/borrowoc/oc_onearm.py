@@ -14,8 +14,8 @@ Four layers, all exact unless stated otherwise:
   (:func:`oc_random_external_fixed_pp`);
 * a Monte Carlo engine over external draws (:func:`oc_random_external_mc`)
   whose inner current-data expectations are computed exactly from the
-  region, replicate by replicate -- the literal decision-sampling form is
-  kept behind a flag for audit.
+  region, a block of replicates at a time -- the literal decision-sampling
+  form is kept behind a flag for audit.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ Exact engines:
   rows do not integrate per draw: a draw's conditional rejection
   probability depends only on d = theta_c - e, so each run tabulates one
   curve R(d) as Chebyshev panels from one u-line kernel call and evaluates
-  it at the draws one offset at a time.  Each offset's rows are reduced to
-  their means as they come, so a run holds the rows of two offsets, not of
-  all of them.
+  it one offset and one block of ``statmath._BLOCK_ROWS`` draws at a time.
+  Each offset's rows are reduced to their means as they come, so such a
+  run holds the rows of two offsets and no temporary longer than a block.
 
 ``_BATCH_NODES`` is the one node budget of the u-line kernel's node
 arrays and the nested quadrature's integrand calls.
@@ -42,9 +42,10 @@ Empirical Bayes, with the external mean fixed or random, the u-line kernel
 the power, the scan and the checks that stop the search domain.  The EB
 weight depends only on u = control mean - external mean, so each rejection
 probability is one Gaussian integral over u.  The exact engines make the
-polish's scalar calls, so the maximum and its location are theirs; with one
-panel plan (``statmath._integrate``) per scenario, method and tolerance,
-each integral after the first makes one integrand call.  With
+polish's scalar calls, so the maximum and its location are theirs.  Each
+lives for one public call or one profile, and with its one panel plan
+(``statmath._integrate``) each integral after its first makes one
+integrand call.  With
 ``engine="quadrature"`` they give every value of a random-external
 profile, as a cross-check of the kernel.
 """
@@ -65,7 +66,7 @@ from .scenarios import ScenarioTwoArm
 # integrate and maximize_1d are no longer called here; the names stay for
 # bench/tracing.py, which wraps oc_twoarm.integrate and oc_twoarm.maximize_1d
 from .statmath import (_GAUSS_TRUNC, DomainError, Interval,
-                       NonConvergenceError, RngStream, _check_count,
+                       NonConvergenceError, RngStream, _blocks, _check_count,
                        _check_finite, _check_positive, _check_probability,
                        _cuts, _fsum, _integrate, _maximize, integrate,
                        maximize_1d, norm_cdf, norm_quantile)  # noqa: F401
@@ -205,22 +206,22 @@ def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
     tol = _check_engine(engine, tol)
     means = [_check_finite(name, v) for name, v in
              (("theta_c", theta_c), ("theta_t", theta_t), ("dE_mean", dE_mean))]
-    scalar = all(np.ndim(v) == 0 for v in means)
     if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
-        out = _closed_fixed(scen, *means, _method_delta(method))
-        return float(out) if scalar else out
-
-    shape = np.broadcast_shapes(*(np.shape(v) for v in means))
-    thc, tht, de = (np.broadcast_to(v, shape).ravel().tolist() for v in means)
-    vals = list(map(_fixed_engine(scen, method, tol), thc, tht, de))
-    out = np.clip(vals, 0.0, 1.0).reshape(shape)
-    return float(out) if scalar else out
+        return _closed_fixed(scen, *means, _method_delta(method))
+    return _per_entry(_fixed_engine(scen, method, tol), *means)
 
 
-@functools.lru_cache(maxsize=16)
+def _per_entry(reject, *means):
+    """``reject`` of each broadcast entry of ``means``, clipped to [0, 1]."""
+    shape = np.broadcast_shapes(*map(np.shape, means))
+    cols = (np.broadcast_to(v, shape).ravel().tolist() for v in means)
+    out = np.clip(list(map(reject, *cols)), 0.0, 1.0).reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def _fixed_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float):
-    """``reject(c, t, d)`` of :func:`reject_prob_two_arm`, its constants
-    worked out once and one panel plan kept (module docstring)."""
+    """``reject(c, t, d)``, the integral of :func:`reject_prob_two_arm`, its
+    constants worked out once and one panel plan kept (module docstring)."""
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     zc = norm_quantile(scen.c)
@@ -354,11 +355,12 @@ def _offset_engines(scen: ScenarioTwoArm, e_mean: float, e_var: float,
                                  _method_delta(method), external_var=e_var)
         return closed, closed
 
+    reject, external = ((_fixed_engine(scen, method, tol), (e_mean,))
+                        if e_var == 0.0 else
+                        (_random_engine(scen, method, tol, e_mean), ()))
+
     def exact(x, effect):
-        if e_var == 0.0:
-            return reject_prob_two_arm(scen, *means(x, effect), e_mean,
-                                       method, engine=engine, tol=tol)
-        return _random_reject(scen, *means(x, effect), e_mean, method, tol)
+        return _per_entry(reject, *means(x, effect), *external)
 
     def kernel(x, effect):
         return _uline_reject(scen, *means(x, effect), e_mean, e_var, method)
@@ -477,7 +479,7 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
                      zc: float) -> np.ndarray:
     """Conditional rejection probabilities given each external mean in the
     1-D array ``e``, integrating over the control mean with a segmented
-    Gauss-Legendre rule: the inner rule of :func:`_random_reject`.  The
+    Gauss-Legendre rule: the inner rule of :func:`_random_engine`.  The
     control mean ``theta_c`` and the treatment mean ``theta_t`` are each a
     float or an array with one entry per external mean.
 
@@ -526,24 +528,12 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
     return 0.0 + seg[:, 0] + seg[:, 1] + seg[:, 2]
 
 
-def _random_reject(scen: ScenarioTwoArm, theta_c, theta_t, thetaE: float,
-                   method: BorrowingMethod, tol: float):
-    """Rejection probabilities with the external mean random,
-    N(thetaE, seE^2), at the control and treatment means ``theta_c`` and
-    ``theta_t``, by an outer adaptive quadrature over the external mean of
-    the inner rule: floats give a float, same-shape arrays an array, one
-    integral per entry.  Each integrand call takes at most as many external
-    means as keep the inner rule's nodes within ``_BATCH_NODES``."""
-    vals = list(map(_random_engine(scen, method, tol, thetaE),
-                    np.ravel(theta_c).tolist(), np.ravel(theta_t).tolist()))
-    out = np.clip(vals, 0.0, 1.0).reshape(np.shape(theta_c))
-    return float(out) if out.ndim == 0 else out
-
-
-@functools.lru_cache(maxsize=16)
 def _random_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float,
                    thetaE: float):
-    """``reject(c, t)`` of :func:`_random_reject`, as :func:`_fixed_engine`."""
+    """``reject(c, t)`` with the external mean N(thetaE, seE^2), as
+    :func:`_fixed_engine`: an outer adaptive quadrature of the inner rule,
+    each integrand call with as many external means as keep its nodes
+    within ``_BATCH_NODES``."""
     zc = norm_quantile(scen.c)
     cuts = _cuts(_WHOLE_LINE, (), (thetaE, scen.seE))
     rows = _inner_rows(scen)
@@ -588,17 +578,6 @@ _CHEB_FIT = (2.0 / _CURVE_NODES) * np.cos(
 _CHEB_FIT[0] *= 0.5
 
 
-def _clenshaw(coef: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Chebyshev series ``coef[:, idx]`` (one column per panel) evaluated at
-    ``t`` in [-1, 1], elementwise."""
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    t2 = 2.0 * t
-    for j in range(coef.shape[0] - 1, 0, -1):
-        b1, b2 = coef[j][idx] + t2 * b1 - b2, b1
-    return coef[0][idx] + t * b1 - b2
-
-
 def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
                          method: BorrowingMethod):
     """Exact conditional rejection probabilities given each drawn external
@@ -614,32 +593,39 @@ def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
     nodes; the node values are one u-line kernel call at control mean d
     and external mean 0, which serves the null and the alternative from
     one threshold pass.  An entry depends only on its own d: not on the
-    other draws, the other control means or the number of draws.
+    other draws, the other control means or the number of draws.  Every
+    method computes the rows one block of draws at a time.
     """
-    thcs = [float(thc) for thc in theta_cs]
     if method.kind != EMPIRICAL_BAYES:
         delta = _method_delta(method)
-        for thc in thcs:
-            yield (_closed_fixed(scen, thc, thc, e, delta),
-                   _closed_fixed(scen, thc, thc + scen.theta1, e, delta))
-        return
-    w = 2.0 * scen.sigma / math.sqrt(max(scen.nc, scen.nt))
-    panels = np.unique(np.concatenate(
-        [np.unique(np.floor((thc - e) / w)) for thc in thcs]))
-    d = (w * (panels[:, None] + 0.5 + 0.5 * _CHEB_X)).ravel()
-    vals = _uline_reject(scen, d, np.stack([d, d + scen.theta1]), 0.0, 0.0,
-                         method)
-    # per-panel sums, not a matrix product: a panel's coefficients must not
-    # depend on how many other panels there are
-    coef = [(v.reshape(-1, 1, _CURVE_NODES) * _CHEB_FIT).sum(axis=-1).T
-            for v in vals]
-    for thc in thcs:
-        u = (thc - e) / w
-        k = np.floor(u)
-        idx = np.searchsorted(panels, k)
-        t = 2.0 * (u - k) - 1.0
-        yield (np.clip(_clenshaw(coef[0], idx, t), 0.0, 1.0),
-               np.clip(_clenshaw(coef[1], idx, t), 0.0, 1.0))
+
+        def block(thc, de):
+            return (_closed_fixed(scen, thc, thc, de, delta),
+                    _closed_fixed(scen, thc, thc + scen.theta1, de, delta))
+    else:
+        w = 2.0 * scen.sigma / math.sqrt(max(scen.nc, scen.nt))
+        panels = np.unique(np.concatenate(
+            [np.unique(np.floor((thc - e[rows]) / w))
+             for rows in _blocks(e.size) for thc in theta_cs]))
+        d = (w * (panels[:, None] + 0.5 + 0.5 * _CHEB_X)).ravel()
+        vals = _uline_reject(scen, d, np.stack([d, d + scen.theta1]), 0.0,
+                             0.0, method)
+        # per-panel sums, not a matrix product: a panel's coefficients must
+        # not depend on how many other panels there are
+        coef = [(v.reshape(-1, 1, _CURVE_NODES) * _CHEB_FIT).sum(axis=-1).T
+                for v in vals]
+
+        def block(thc, de):
+            u = (thc - de) / w
+            k = np.floor(u)
+            t, idx = 2.0 * (u - k) - 1.0, np.searchsorted(panels, k)
+            return [np.clip(np.polynomial.chebyshev.chebval(
+                t, c[:, idx], tensor=False), 0.0, 1.0) for c in coef]
+    for thc in theta_cs:
+        pair = np.empty(e.size), np.empty(e.size)
+        for rows in _blocks(e.size):
+            pair[0][rows], pair[1][rows] = block(thc, e[rows])
+        yield pair
 
 
 def _literal_mc_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
@@ -647,22 +633,24 @@ def _literal_mc_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
     """Raw 0/1 decisions of the literal Monte Carlo: yields the
     ``(null, power)`` rows of each control mean in ``theta_cs`` in turn,
     the o-th drawn from stream (seed, o+1): control and treatment means
-    under the null, then under the alternative."""
+    under the null, then under the alternative, the treatment means drawn
+    and decided one block at a time (the stream of one whole draw)."""
     nsim = e.shape[0]
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     zc = norm_quantile(scen.c)
     for o, thc in enumerate(theta_cs):
         gen = RngStream(seed, o + 1).generator()
-        draws = [gen.normal(mu, se, nsim) for mu, se in
-                 ((thc, se_c), (thc, se_t), (thc, se_c),
-                  (thc + scen.theta1, se_t))]
-        rows = []
-        for dc, dt in (draws[:2], draws[2:]):
-            mc, sc = posterior_arrays(dc, e, scen.nc, scen.sigma,
-                                      scen.nE, scen.sigmaE, method)
-            rows.append((dt > _threshold(mc, sc, zc, se_t)).astype(float))
-        yield tuple(rows)
+        pair = np.empty(nsim), np.empty(nsim)
+        for tht, out in zip((thc, thc + scen.theta1), pair):
+            dc = gen.normal(thc, se_c, nsim)
+            for rows in _blocks(nsim):
+                mc, sc = posterior_arrays(dc[rows], e[rows], scen.nc,
+                                          scen.sigma, scen.nE, scen.sigmaE,
+                                          method)
+                dt = gen.normal(tht, se_t, rows.stop - rows.start)
+                out[rows] = dt > _threshold(mc, sc, zc, se_t)
+        yield pair
 
 
 def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,

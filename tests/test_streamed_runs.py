@@ -4,8 +4,9 @@ working memory stays one block whatever nsim.
 Every replicate run works in blocks of ``statmath._BLOCK_ROWS`` rows: the
 one-arm engine calls, the literal audit's draws, the summaries' sums and
 the records.csv chunks.  The two-arm Monte Carlo reduces its rows one
-offset at a time.  The whole-array forms are the oracles, and the values
-must equal them bit for bit.
+offset at a time and computes each offset's rows one block at a time.  The
+whole-array forms are the oracles, and the values must equal them bit for
+bit.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 from borrowoc import RngStream, oc_random_external_two_arm_mc, run_algorithm2
 from borrowoc import oc_onearm
 from borrowoc.oc_onearm import _random_external_arrays, region_oc_arrays
+from borrowoc.oc_twoarm import _mc_conditional_rows
 from borrowoc.region import boundary_arrays
 from borrowoc.runner import DEFAULT_TWO_ARM_OFFSETS, ReplicateColumns
 from borrowoc.statmath import _BLOCK_ROWS, _fsum
@@ -79,6 +81,22 @@ def test_literal_audit_is_the_whole_array_run(method):
     assert np.array_equal(rep.records.power_borrow, ref[2])
 
 
+@pytest.mark.parametrize("method", METHODS, ids=IDS)
+def test_two_arm_rows_cross_the_seams(method):
+    # literal rows against whole draws; conditional rows against calls on
+    # the draws around each seam alone (an entry depends on its own draw)
+    offsets, nsim = (-0.5, 1.25), 2 * B + 3
+    got = oracles.mc_grids(SCEN2, -0.2, method, offsets, nsim, 2, True)
+    ref = oracles.literal_rows(SCEN2, -0.2, method, offsets, nsim, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    e, T, P = oracles.mc_grids(SCEN2, -0.2, method, offsets, nsim, 2)
+    thcs = [-0.2 + x * SCEN2.sigma for x in offsets]
+    for rows in (slice(B - 3, B + 3), slice(2 * B - 1, nsim)):
+        t, p = oracles.stack_rows(_mc_conditional_rows(SCEN2, e[rows], thcs,
+                                                       method))
+        assert np.array_equal(T[:, rows], t) and np.array_equal(P[:, rows], p)
+
+
 def test_block_sum_is_the_whole_sum():
     # terms that cancel across the seams: any rounding would show
     col = np.tile([1e16, 1.0, -1e16, 1e-3], B)
@@ -125,13 +143,13 @@ def test_engine_sees_one_block_at_a_time(monkeypatch):
     assert rows == [B, B, B, 5]
 
 
-def _peak_mib(fn, *args) -> float:
-    """Peak of traced allocations during ``fn(*args)``, above what was held
-    before the call."""
+def _peak_mib(fn, *args, **kwargs) -> float:
+    """Peak of traced allocations during ``fn(*args, **kwargs)``, above what
+    was held before the call."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
+        fn(*args, **kwargs)
         return (tracemalloc.get_traced_memory()[1] - before) / MIB
     finally:
         tracemalloc.stop()
@@ -144,8 +162,13 @@ def test_one_arm_run_memory():
 
 
 def test_two_arm_monte_carlo_memory():
-    # 25 default offsets at nsim = 40k: the whole (offset, replicate) grids
-    # peaked at 32.1 MiB
-    assert _peak_mib(run_algorithm2, SCEN2, 0.3, EB, 40_000, 1) < 8.0
-    assert _peak_mib(oc_random_external_two_arm_mc, SCEN2, 0.3, EB,
-                     DEFAULT_TWO_ARM_OFFSETS, 40_000, 1) < 8.0
+    # 25 default offsets at nsim = 40k, where one column takes 0.31 MiB: the
+    # whole (offset, replicate) grids peaked at 32.1 MiB, and the whole rows
+    # of one offset at a time at 4.6 MiB (conditional) and 5.5 MiB
+    # (literal); rows computed one block at a time take 3.6 and 2.8 MiB
+    for literal in (False, True):
+        assert _peak_mib(run_algorithm2, SCEN2, 0.3, EB, 40_000, 1,
+                         literal=literal) < 4.25
+        assert _peak_mib(oc_random_external_two_arm_mc, SCEN2, 0.3, EB,
+                         DEFAULT_TWO_ARM_OFFSETS, 40_000, 1,
+                         literal=literal) < 4.25

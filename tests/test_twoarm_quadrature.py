@@ -12,7 +12,7 @@ engine, so the maximized level and its location must come out exactly the
 oracle's, and each value within the oracle's tolerance plus 1e-12.  The
 ``engine="quadrature"`` route runs one adaptive integral of the exact
 engine per offset, its panels evaluated together, so its values must
-equal the oracle's exactly.  The nested engine (``_random_reject`` over
+equal the oracle's exactly.  The nested engine (``_random_engine`` over
 the inner rule ``_inner_reject_gl``) must equal the oracle's loops bit for
 bit as well.
 """
@@ -222,7 +222,8 @@ class TestNodeBudget:
         # fewer than the 30 nodes of one split
         scen = ScenarioTwoArm(nc=1, nt=100, nE=10, sigma=1.0, theta1=1.0,
                               alpha=0.025)
-        got = oc_twoarm._random_reject(scen, 0.3, 0.3, 0.0, EB, 1e-6)
+        got = oc_twoarm._per_entry(
+            oc_twoarm._random_engine(scen, EB, 1e-6, 0.0), 0.3, 0.3)
         assert largest["x"] == largest["rows"] == 25
         assert 25 * 3 * 10 * oc_twoarm._INNER_GL_NODES <= oc_twoarm._BATCH_NODES
         assert got == oracles.random_reject(scen, 0.3, 0.3, 0.0, EB, 1e-6)
@@ -230,32 +231,35 @@ class TestNodeBudget:
     def test_default_profiles_call_the_exact_engines_with_scalars(
             self, monkeypatch):
         # under engine="auto" the kernel gives every array of values; the
-        # exact engines see only the polish's scalar calls
+        # exact engines are evaluated once per polish point, on floats
         calls = []
 
-        def recording(engine):
-            def call(scen, theta_c, theta_t, *args, **kwargs):
-                calls.append(np.ndim(theta_c) + np.ndim(theta_t)
-                             + np.ndim(args[0]))
-                return engine(scen, theta_c, theta_t, *args, **kwargs)
-            return call
+        def recording(factory):
+            def build(*args):
+                reject = factory(*args)
 
-        for name in ("reject_prob_two_arm", "_random_reject"):
+                def call(*means):
+                    calls.append(means)
+                    return reject(*means)
+                return call
+            return build
+
+        for name in ("_fixed_engine", "_random_engine"):
             monkeypatch.setattr(oc_twoarm, name,
                                 recording(getattr(oc_twoarm, name)))
-        power_profile(SCEN, 0.0, EB, OFFSETS)
-        oc_fixed_external_two_arm(SCEN, 0.2, EB)
+        points = _polish_points(lambda: (
+            power_profile(SCEN, 0.0, EB, OFFSETS),
+            oc_fixed_external_two_arm(SCEN, 0.2, EB)))
         fixed = len(calls)
-        oc_random_external_two_arm(SCEN, 0.0, EB, OFFSETS, tol=1e-6)
-        assert 0 < fixed < len(calls)
-        assert not any(calls)
+        points += _polish_points(lambda: oc_random_external_two_arm(
+            SCEN, 0.0, EB, OFFSETS, tol=1e-6))
+        assert 0 < fixed < len(calls) == len(points)
+        assert all(type(v) is float for means in calls for v in means)
 
 
 def _polish_points(run):
     """The offsets and values of the golden-section polish's calls while
-    ``run()`` runs, with the exact engines' panel plans started afresh."""
-    oc_twoarm._fixed_engine.cache_clear()
-    oc_twoarm._random_engine.cache_clear()
+    ``run()`` runs."""
     points = []
     maximize = oc_twoarm._maximize
 
@@ -272,17 +276,17 @@ def _polish_points(run):
 
 
 class TestPolishPlan:
-    """The exact engines keep one panel plan per scenario, method and
-    tolerance (``statmath._integrate``): at the benchmark scenario every
-    polish integral after the first makes one integrand call within the
-    node cap, and the polish's values are the public engines' and the
-    oracle's one-panel-per-call integrals, bit for bit."""
+    """Each profile's exact engine keeps one panel plan
+    (``statmath._integrate``) and no engine outlives its profile: at the
+    benchmark scenario every polish integral after the profile's first
+    makes one integrand call within the node cap, and the polish's values
+    are the public engines' and the oracle's one-panel-per-call integrals,
+    bit for bit."""
 
-    @pytest.mark.parametrize("external", [-0.6, 0.2, 0.9])
-    @pytest.mark.parametrize("random_external", [False, True],
-                             ids=["fixed", "random"])
-    def test_one_integrand_call_per_integral(self, monkeypatch, external,
-                                             random_external):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The sizes of each adaptive integral's integrand calls, one list
+        per integral, in call order."""
         calls = []
         integrate = oc_twoarm._integrate
 
@@ -296,6 +300,13 @@ class TestPolishPlan:
             return integrate(g, cuts, tol, max_nodes, plan)
 
         monkeypatch.setattr(oc_twoarm, "_integrate", recording)
+        return calls
+
+    @pytest.mark.parametrize("external", [-0.6, 0.2, 0.9])
+    @pytest.mark.parametrize("random_external", [False, True],
+                             ids=["fixed", "random"])
+    def test_one_integrand_call_per_integral(self, calls, external,
+                                             random_external):
         if random_external:
             points = _polish_points(lambda: (
                 oc_random_external_two_arm(SCEN, external, EB, OFFSETS)))
@@ -309,12 +320,23 @@ class TestPolishPlan:
         assert [len(sizes) for sizes in calls[1:]] == [1] * (len(calls) - 1)
         assert 0 < max(map(max, calls)) * nodes <= oc_twoarm._BATCH_NODES
 
+    @pytest.mark.parametrize("profile",
+                             [power_profile, oc_random_external_two_arm],
+                             ids=["fixed", "random"])
+    def test_repeated_profile_starts_afresh(self, calls, profile):
+        # a second identical profile in the same process inherits no plan:
+        # it makes the same integrand calls, its first integral's included
+        profile(SCEN, 0.2, EB, OFFSETS)
+        first = calls[:]
+        calls.clear()
+        profile(SCEN, 0.2, EB, OFFSETS)
+        assert calls == first and len(first[0]) > 1
+
     def test_fixed_external_values(self):
         dE = 0.2
         points = _polish_points(lambda: power_profile(SCEN, dE, EB, OFFSETS))
         xs, ys = map(list, zip(*points))
         thc = dE + np.array(xs) * SCEN.sigma
-        oc_twoarm._fixed_engine.cache_clear()
         assert reject_prob_two_arm(SCEN, thc, thc, dE, EB).tolist() == ys
         oracle = _fixed(SCEN, dE, EB)
         assert [oracle(x, 0.0) for x in xs[-3:]] == ys[-3:]
@@ -324,7 +346,6 @@ class TestPolishPlan:
         points = _polish_points(lambda: (
             oc_random_external_two_arm(SCEN, thetaE, EB, OFFSETS)))
         xs, ys = map(list, zip(*points))
-        oc_twoarm._random_engine.cache_clear()
         prof = oc_random_external_two_arm(SCEN, thetaE, EB, xs,
                                           engine="quadrature")
         assert list(prof.t1e) == ys
@@ -380,8 +401,8 @@ class TestMatchesSerialLoops:
         assert reject_prob_two_arm(SCEN, thc, tht, 0.0, EB).tolist() == serial
         assert [reject_prob_two_arm(SCEN, c, t, 0.0, EB)
                 for c, t in zip(thc, tht)] == serial
-        random = oc_twoarm._random_reject(SCEN, thc[:2], tht[:2], 0.1, EB,
-                                          1e-9)
+        random = oc_twoarm._per_entry(
+            oc_twoarm._random_engine(SCEN, EB, 1e-9, 0.1), thc[:2], tht[:2])
         assert random.tolist() == [
             oracles.random_reject(SCEN, c, t, 0.1, EB)
             for c, t in zip(thc[:2].tolist(), tht[:2].tolist())]
@@ -413,8 +434,9 @@ class TestKernelAgainstQuadrature:
         for effect in (0.0, scen.theta1):
             got = oc_twoarm._uline_reject(scen, thc, thc + effect, thetaE, var,
                                           EB)
-            ref = oc_twoarm._random_reject(scen, thc, thc + effect, thetaE, EB,
-                                           1e-12)
+            ref = oc_twoarm._per_entry(
+                oc_twoarm._random_engine(scen, EB, 1e-12, thetaE), thc,
+                thc + effect)
             assert np.abs(got - ref).max() <= RANDOM_ERR
 
     def test_random_profile_values(self):
