@@ -20,17 +20,14 @@ Exact engines:
 * random external data add an outer expectation over the external mean --
   closed-form again for fixed weights, an outer adaptive quadrature (one
   per entry) with a vectorized inner Gauss-Legendre rule for Empirical
-  Bayes, and a seeded Monte Carlo variant for audit.  The inner rule is
-  one fused pass over its three segments per batch of external means that
-  skips segments clipped to zero width.  When nt > nc it cuts each segment
-  into ceil(se_c/se_t) equal pieces, because the treatment-arm factor is
-  then a step narrower than the control mean's spread.  The Monte Carlo
-  rows do not integrate per draw: a draw's conditional rejection
-  probability depends only on d = theta_c - e, so each run tabulates one
-  curve R(d) as Chebyshev panels from one u-line kernel call and evaluates
-  it one offset and one block of ``statmath._BLOCK_ROWS`` draws at a time.
-  Each offset's rows are reduced to their means as they come, so such a
-  run holds the rows of two offsets and no temporary longer than a block.
+  Bayes (:func:`_inner_reject_gl`), and a seeded Monte Carlo variant for
+  audit.  The Monte Carlo rows do not integrate per draw: a draw's
+  conditional rejection probability depends only on d = theta_c - e, so
+  each run tabulates one curve R(d) as Chebyshev panels from one u-line
+  kernel call and evaluates it one offset and one block of
+  ``statmath._BLOCK_ROWS`` draws at a time.  Each offset's rows are
+  reduced to their means as they come, so such a run holds the rows of two
+  offsets and no temporary longer than a block.
 
 ``_BATCH_NODES`` is the one node budget of the u-line kernel's node
 arrays and the nested quadrature's integrand calls.
@@ -41,13 +38,13 @@ Empirical Bayes, with the external mean fixed or random, the u-line kernel
 :func:`_uline_reject` reports every profile value: the requested offsets,
 the power, the scan and the checks that stop the search domain.  The EB
 weight depends only on u = control mean - external mean, so each rejection
-probability is one Gaussian integral over u.  The exact engines make the
-polish's scalar calls, so the maximum and its location are theirs.  Each
-lives for one public call or one profile, and with its one panel plan
-(``statmath._integrate``) each integral after its first makes one
-integrand call.  With
-``engine="quadrature"`` they give every value of a random-external
-profile, as a cross-check of the kernel.
+probability is one Gaussian integral over u, on one panel lattice in u for
+every mean of a call, with the threshold evaluated once per lattice node.
+The exact engines make the polish's scalar calls, so the maximum and its
+location are theirs.  Each lives for one public call or one profile, and
+with its one panel plan (``statmath._integrate``) each integral after its
+first makes one integrand call.  With ``engine="quadrature"`` they give
+every value of a random-external profile, as a cross-check of the kernel.
 """
 
 from __future__ import annotations
@@ -279,17 +276,22 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     se_t^2 + se_c^2 e_var/s_u^2, so each probability is
     E[Phi((m(u) - h(u))/s)].
 
-    The rule: 40-node Gauss-Legendre panels on mu_u +- 8.5 s_u, none wider
-    than width = 4 min(s, s_u), so that both the density and the Phi factor
-    are resolved, split at +-:func:`_cusp_cuts` of that width: the panels
-    shrink by factors of 8 into the threshold's cusp past +-r.  Over
-    seeded fuzzes the values lie within 1e-13 of cusp-aware quadrature at
-    tol 1e-13 for a fixed external mean (``tests/test_uline.py``), and
-    within 1e-10 of the nested engine at tol 1e-12 for a random one
-    (``tests/test_twoarm_quadrature.py::TestKernelAgainstQuadrature::
-    test_random_external_mean``).
-    Offsets go in chunks, and no node array holds more than
-    ``_BATCH_NODES`` elements.
+    The rule: 40-node Gauss-Legendre panels no wider than width = 4 min(s,
+    s_u), which resolves both the density and the Phi factor, on one
+    lattice in u: [-r, r] in equal panels, then the panels between the
+    +-:func:`_cusp_cuts` of that width, which shrink by factors of 8 into
+    the threshold's cusp past +-r, then width-wide panels.  Each mean is
+    integrated over the K consecutive panels from the one holding mu_u -
+    8.5 s_u, K being the most panels that a window of width 17 s_u can
+    meet.  Both depend on the scenario and ``e_var`` alone, so h(u) is
+    evaluated once per call at the nodes of the panels that some mean
+    touches, and a value depends neither on the other means in the call
+    nor on the chunking, bit for bit.  Over seeded fuzzes the values lie
+    within 1e-13 of cusp-aware quadrature at tol 1e-13 for a fixed external
+    mean (``tests/test_uline.py``), and within 1e-10 of the nested engine
+    at tol 1e-12 for a random one (``tests/test_twoarm_quadrature.py::
+    TestKernelAgainstQuadrature::test_random_external_mean``).  The table
+    is built, and the means integrated, in chunks within ``_BATCH_NODES``.
     """
     se_c2 = scen.sigma**2 / scen.nc
     se_t = scen.sigma / math.sqrt(scen.nt)
@@ -299,36 +301,49 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     s = math.sqrt(se_t**2 + se_c2 * gain)
     zc = norm_quantile(scen.c)
     width = 4.0 * min(s, s_u)
-    cuts = _cusp_cuts(scen, width)
-    cuts = np.concatenate([-cuts, cuts])
-    n_equal = math.ceil(2.0 * _GAUSS_TRUNC * s_u / width)
-    grid = np.linspace(-_GAUSS_TRUNC * s_u, _GAUSS_TRUNC * s_u, n_equal + 1)
-    panels = n_equal + cuts.size
-    rows = max(1, _BATCH_NODES // (_INNER_GL_NODES * panels))
-    step = min(panels, _BATCH_NODES // _INNER_GL_NODES)
+    cusp = _cusp_cuts(scen, width)
+    r, reach = cusp[0], 2.0 * _GAUSS_TRUNC * s_u
+    inner = np.sort(np.concatenate([-cusp[1:], cusp[1:], np.linspace(
+        -r, r, math.ceil(2.0 * r / width) + 1)]))
+    ext = width * np.arange(1, math.ceil(reach / width) + 2)
+    line = np.concatenate([inner[0] - ext[::-1], inner, inner[-1] + ext])
+    panels = 1 + int(np.max(np.searchsorted(line, line + reach)
+                            - np.arange(line.size)))
     mu = np.ravel(theta_c) - e_mean
+    a = mu - _GAUSS_TRUNC * s_u
+    # panel p spans [edge p, edge p+1]; past inner's ends, width wide
+    past = np.minimum(a - inner[0], 0.0) + np.maximum(a - inner[-1], 0.0)
+    first = (np.maximum(np.searchsorted(inner, a, side="right") - 1, 0)
+             + np.floor(past / width).astype(np.int64))
+    table = np.unique(first[:, None] + np.arange(panels))
+    ends = np.stack([table, table + 1])
+    lower, upper = inner.take(ends, mode="clip") + width * (
+        np.minimum(ends, 0) + np.maximum(ends - inner.size + 1, 0))
+    half = 0.5 * (upper - lower)
+    u = (lower + half)[:, None] + half[:, None] * _GL_X
+    h_s = np.empty_like(u)              # -h(u)/s at the table's nodes
+    step = max(1, _BATCH_NODES // _INNER_GL_NODES)
+    for p in range(0, table.size, step):
+        mc, sc = posterior_arrays(u[p:p + step], 0.0, scen.nc, scen.sigma,
+                                  scen.nE, scen.sigmaE, method)
+        h_s[p:p + step] = _threshold(mc, sc, zc, se_t) / -s
+    first = np.searchsorted(table, first)
+    rows, step = max(1, step // panels), min(panels, step)
     lead = np.shape(theta_t)[:np.ndim(theta_t) - np.ndim(theta_c)]
-    m0 = np.reshape(theta_t, (math.prod(lead), mu.size)) - e_mean
-    out = np.zeros(m0.shape)
+    m0 = (np.reshape(theta_t, (math.prod(lead), mu.size)) - e_mean) / s
+    part = np.empty((*m0.shape, panels))     # the integral over each panel
     for start in range(0, mu.size, rows):
         sl = slice(start, start + rows)
-        mid = mu[sl, None]
-        split = np.clip(cuts, mid + grid[0], mid + grid[-1])
-        edges = np.sort(np.concatenate([mid + grid, split], axis=1), axis=1)
-        half = 0.5 * np.diff(edges, axis=1)
-        centre = edges[:, :-1] + half
         for p in range(0, panels, step):
-            ps = slice(p, p + step)
-            u = centre[:, ps, None] + half[:, ps, None] * _GL_X
-            mc, sc = posterior_arrays(u, 0.0, scen.nc, scen.sigma, scen.nE,
-                                      scen.sigmaE, method)
-            z = (u - mid[..., None]) / s_u
-            tau = _threshold(mc, sc, zc, se_t)
-            pdf, slope = np.exp(-0.5 * z * z), gain * s_u * z
+            idx = first[sl, None] + np.arange(panels)[p:p + step]
+            z = (u[idx] - mu[sl, None, None]) / s_u
+            pdf = np.exp(-0.5 * z * z) * _GL_W
+            shift = h_s[idx] + gain * s_u / s * z
+            # einsum, not a BLAS product, whose rounding depends on shape
             for k, row in enumerate(m0):
-                vals = pdf * ndtr((row[sl, None, None] + slope - tau) / s)
-                out[k, sl] += (half[:, ps] * (vals @ _GL_W)).sum(axis=1)
-    out /= s_u * math.sqrt(2.0 * math.pi)
+                part[k, sl, p:p + step] = half[idx] * np.einsum(
+                    "ijk,ijk->ij", pdf, ndtr(row[sl, None, None] + shift))
+    out = part.sum(axis=-1) / (s_u * math.sqrt(2.0 * math.pi))
     return np.clip(out, 0.0, 1.0).reshape(np.shape(theta_t))
 
 

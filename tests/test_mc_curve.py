@@ -107,19 +107,25 @@ class TestConditionalCurve:
 
     def test_node_budget_bounds_every_kernel_node_array(self, monkeypatch):
         # at nc/nt = 4/189 the curve's panels are 2 se_t wide and the
-        # kernel's own panels are narrow: its node arrays come in chunks
+        # kernel's own panels are narrow: its per-mean node arrays (the
+        # arguments of ndtr) come in chunks, and so would a threshold
+        # table (posterior_arrays) too large for one
         scen = LOPSIDED
-        nodes = []
-        posterior = oc_twoarm.posterior_arrays
+        nodes, table = [], []
 
-        def counting(x, *args):
-            nodes.append(np.size(x))
-            return posterior(x, *args)
+        def recording(fn, sizes):
+            def wrapped(x, *args):
+                sizes.append(np.size(x))
+                return fn(x, *args)
+            return wrapped
 
-        monkeypatch.setattr(oc_twoarm, "posterior_arrays", counting)
+        monkeypatch.setattr(oc_twoarm, "ndtr",
+                            recording(oc_twoarm.ndtr, nodes))
+        monkeypatch.setattr(oc_twoarm, "posterior_arrays",
+                            recording(oc_twoarm.posterior_arrays, table))
         _random_two_arm_mc_grids(scen, 0.3, EB, (-1.0, 0.0, 1.0), 2500, seed=1)
-        assert len(nodes) > 1
-        assert max(nodes) <= oc_twoarm._BATCH_NODES
+        assert len(nodes) > 2           # the null and power rows per chunk
+        assert max(nodes + table) <= oc_twoarm._BATCH_NODES
 
     def test_far_apart_offsets_tabulate_only_the_panels_they_hit(
             self, monkeypatch):

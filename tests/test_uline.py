@@ -6,10 +6,12 @@ mean only.  For a fixed external mean its values are checked over a seeded
 scenario fuzz against ``oracles.graded_reject``: adaptive quadrature over
 the control mean at tol 1e-13, with breakpoints at the external mean +- r
 and graded into the square-root cusp of the threshold just past it.  Rows
-of several treatment means must equal single-mean calls bit for bit, and
-no node array may exceed ``_BATCH_NODES``.  The checks against the exact
-engines (the nested random-external engine, the fixed-external
-quadrature) are in ``test_twoarm_quadrature.py``.
+of several treatment means, and each of many control means, must equal
+their own calls bit for bit, whatever the chunking; the threshold is
+evaluated once per lattice node and call, and no node array may exceed
+``_BATCH_NODES``.  The checks against the exact engines (the nested
+random-external engine, the fixed-external quadrature) are in
+``test_twoarm_quadrature.py``.
 """
 
 import random
@@ -52,18 +54,22 @@ class TestKernelAccuracy:
         monkeypatch.setattr(oc_twoarm, "_BATCH_NODES",
                             3 * oc_twoarm._INNER_GL_NODES)
         chunked = oc_twoarm._uline_reject(WIDE, thc, thc, 0.1, var, EB)
-        np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-15)
+        assert np.array_equal(chunked, whole)
         assert chunked.shape == thc.shape
 
 
 class TestKernelRowsMatchSingleMeanCalls:
     @pytest.mark.parametrize("random", [False, True], ids=["fixed", "random"])
     def test_scenario_fuzz(self, random):
+        # each row against its own call, and each control mean, whether
+        # near the others or 40 to 1500 sigma away, against its own call
         rng = np.random.default_rng(20260)
         for scen in oracles.fuzz_two_arm(rng, 30, oracles.uniform_fields):
             thetaE = float(rng.normal(0.0, 2.0))
             var = scen.seE**2 if random else 0.0
-            thc = thetaE + scen.sigma * rng.uniform(-6.0, 6.0, 41)
+            x = np.append(rng.uniform(-6.0, 6.0, 41),
+                          rng.uniform(40.0, 1500.0, 3) * [-1.0, 1.0, 1.0])
+            thc = thetaE + scen.sigma * x
             means = np.stack([thc, thc + scen.theta1, thc - 0.5])
             rows = oc_twoarm._uline_reject(scen, thc, means, thetaE, var, EB)
             assert rows.shape == means.shape
@@ -71,6 +77,11 @@ class TestKernelRowsMatchSingleMeanCalls:
                 single = oc_twoarm._uline_reject(scen, thc, means[k], thetaE,
                                                  var, EB)
                 assert np.array_equal(rows[k], single)
+            for i in range(thc.size):
+                one = oc_twoarm._uline_reject(scen, thc[i:i + 1],
+                                              means[:, i:i + 1], thetaE, var,
+                                              EB)
+                assert np.array_equal(rows[:, i:i + 1], one)
 
     @pytest.mark.parametrize("var", [0.0, SCEN.seE**2],
                              ids=["fixed", "random"])
@@ -89,15 +100,50 @@ class TestNodeBudget:
                        alpha=0.025, sigmaE=1.6),
     ], ids=["4/189", "2/300"])
     def test_uline_kernel_on_narrow_panels(self, monkeypatch, scen):
-        sizes = []
+        # the threshold table's chunks (posterior_arrays) and the per-mean
+        # node arrays (ndtr), with a table of one chunk and of several
+        tables, sizes = [], []
+        monkeypatch.setattr(oc_twoarm, "posterior_arrays", _recording(
+            oc_twoarm.posterior_arrays, tables))
+        monkeypatch.setattr(oc_twoarm, "ndtr", _recording(oc_twoarm.ndtr,
+                                                          sizes))
+        for span, chunks in ((6.0, 1), (400.0, 2)):
+            tables.clear()
+            thc = np.linspace(-span, span, 401)
+            assert np.all(np.isfinite(
+                oc_twoarm._uline_reject(scen, thc, thc, 0.0, 0.0, EB)))
+            assert len(tables) >= chunks
+            assert 0 < max(tables + sizes) <= oc_twoarm._BATCH_NODES
+
+    @pytest.mark.parametrize("var", [0.0, SCEN.seE**2],
+                             ids=["fixed", "random"])
+    def test_threshold_once_per_lattice_node(self, monkeypatch, var):
+        # one table of h(u) per call: each node through posterior_arrays
+        # once, however many control means share it (one pass per mean
+        # and node would send 1601/401 times as many for the finer grid)
         posterior = oc_twoarm.posterior_arrays
+        nodes = []
 
         def recording(x, *args):
-            sizes.append(np.size(x))
+            nodes.append(np.ravel(x))
             return posterior(x, *args)
 
         monkeypatch.setattr(oc_twoarm, "posterior_arrays", recording)
-        thc = np.linspace(-6.0, 6.0, 401)
-        assert np.all(np.isfinite(
-            oc_twoarm._uline_reject(scen, thc, thc, 0.0, 0.0, EB)))
-        assert 0 < max(sizes) <= oc_twoarm._BATCH_NODES
+        counts = []
+        for n in (401, 1601):
+            nodes.clear()
+            thc = np.linspace(-6.0, 6.0, n)
+            oc_twoarm._uline_reject(SCEN, thc, thc, 0.0, var, EB)
+            sent = np.concatenate(nodes)
+            assert np.unique(sent).size == sent.size
+            counts.append(sent.size)
+        assert counts[0] == counts[1]
+        assert counts[0] % oc_twoarm._INNER_GL_NODES == 0
+        assert counts[0] < 401 * oc_twoarm._INNER_GL_NODES
+
+
+def _recording(fn, sizes):
+    def wrapped(x, *args):
+        sizes.append(np.size(x))
+        return fn(x, *args)
+    return wrapped
