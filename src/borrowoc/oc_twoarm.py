@@ -396,8 +396,8 @@ def _profile_max(exact, values, offsets) -> tuple[float, float]:
     """
     lo, hi = min([-6.0, *offsets]), max([6.0, *offsets])
     while True:
-        end = values(hi, 0.0)
-        if end > _SATURATION or values(hi - _SLOPE_PROBE, 0.0) >= end:
+        end, probe = values([hi, hi - _SLOPE_PROBE], 0.0)
+        if end > _SATURATION or probe >= end:
             break
         if hi >= _MAX_DOMAIN:
             raise NonConvergenceError(
@@ -502,45 +502,55 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
     saturating), clipped to the 8.5-sigma truncation window around the
     control mean's distribution; the integrand is smooth inside each
     segment.  Its treatment-arm factor is a step of width se_t in the
-    control mean, so each segment is split into ceil(se_c/se_t) equal
+    control mean, so each segment is split into m = ceil(se_c/se_t) equal
     40-node pieces (one piece when nc >= nt).  Against adaptive quadrature
     at tol 1e-13 the rule agrees to 2e-13 when nt > nc (1.9e-13 at nc/nt =
     4/189, where one piece per segment erred by 1.8e-3) and to 7.5e-11 when
     nc >= nt; the worst rows have e more than 8.5 se_c + r from theta_c,
-    where one 40-node segment spans the whole window.  All segments of all
-    rows are evaluated in one pass; a segment clipped to zero width
-    contributes exactly +0.0 and is skipped.  ``zc`` is the normal
-    quantile of c.
+    where one 40-node segment spans the whole window.  Each segment is
+    evaluated in place over its live rows (whole columns when all are live),
+    so one clipped to zero width adds exactly +0.0.  Under Empirical Bayes
+    the middle nodes lie within (1 - 0.0017/m) r of e, where the fitted
+    weight is exactly 1: the threshold there is the weight-1 posterior mean
+    plus a constant, bit for bit.  ``zc`` is the normal quantile of c.
     """
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     gl_x, gl_w = _gl_pieces(math.ceil(se_c / se_t))
-    lo = theta_c - 8.5 * se_c
-    hi = theta_c + 8.5 * se_c
     r = math.sqrt(se_c**2 + scen.seE**2)
-    ends = np.empty((e.shape[0], 4))
-    ends[:, 0] = lo
-    ends[:, 1] = np.clip(e - r, lo, hi)
-    ends[:, 2] = np.clip(e + r, lo, hi)
-    ends[:, 3] = hi
-    half = 0.5 * np.maximum(ends[:, 1:] - ends[:, :-1], 0.0)
-    live = half > 0.0                           # (row, segment) pairs
-
-    def per_segment(v):
-        """a float or one value per row -> a column, one per live segment"""
-        return np.broadcast_to(np.reshape(v, (-1, 1)), live.shape)[live][:, None]
-
-    h = half[live]
-    mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
-    x = mid[live][:, None] + h[:, None] * gl_x
-    mc, sc = posterior_arrays(x, per_segment(e), scen.nc, scen.sigma, scen.nE,
-                              scen.sigmaE, method)
-    vals = _norm_pdf(x, per_segment(theta_c), se_c) * ndtr(
-        (per_segment(theta_t) - _threshold(mc, sc, zc, se_t)) / se_t)
-    seg = np.zeros(live.shape)
-    seg[live] = h * (vals * gl_w).sum(axis=-1)
-    # segment sums onto a zero total, lower, middle, upper
-    return 0.0 + seg[:, 0] + seg[:, 1] + seg[:, 2]
+    ends = np.empty((4, e.shape[0]))
+    ends[0], ends[3] = theta_c - 8.5 * se_c, theta_c + 8.5 * se_c
+    ends[1:3] = np.clip([e - r, e + r], ends[0], ends[3])
+    # per segment: half-width, midpoint, then e, theta_c and theta_t by row
+    tab = np.empty((3, 5, e.shape[0]))
+    tab[:, 0] = 0.5 * np.maximum(ends[1:] - ends[:-1], 0.0)
+    tab[:, 1] = 0.5 * (ends[:-1] + ends[1:])
+    tab[:, 2], tab[:, 3], tab[:, 4] = e, theta_c, theta_t
+    a, b = scen.nE / scen.sigmaE**2, scen.nc / scen.sigma**2
+    sd = 1.0 / math.sqrt(a + b)
+    k = zc * math.sqrt(se_t**2 + sd * sd)
+    buf = np.empty((3, e.shape[0], gl_x.size))
+    total = np.zeros(e.shape[0])
+    for seg, cols in enumerate(tab):
+        live = cols[0] > 0.0
+        rows = slice(None) if live.all() else live
+        h, mid, ee, ct, tt = cols[:, rows, None]
+        x, t, w = buf[:, :h.shape[0]]
+        np.add(np.multiply(h, gl_x, out=x), mid, out=x)
+        if seg == 1 and method.kind == EMPIRICAL_BAYES:
+            thr = np.multiply(x, b, out=t)      # (a e + b x)/(a + b) + k
+            thr += a * ee
+            thr /= a + b
+            thr += k
+        else:
+            thr = _threshold(*posterior_arrays(x, ee, scen.nc, scen.sigma,
+                             scen.nE, scen.sigmaE, method), zc, se_t)
+        ndtr(np.divide(np.subtract(tt, thr, out=t), se_t, out=t), out=t)
+        z = np.divide(np.subtract(x, ct, out=x), se_c, out=x)  # _norm_pdf
+        np.exp(np.multiply(np.multiply(z, -0.5, out=w), z, out=w), out=w)
+        t *= np.divide(w, se_c * math.sqrt(2.0 * math.pi), out=w)
+        total[rows] += h[:, 0] * np.multiply(t, gl_w, out=t).sum(-1)
+    return total
 
 
 def _random_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float,

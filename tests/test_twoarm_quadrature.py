@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from borrowoc import (
+    BorrowingMethod,
     NonConvergenceError,
     ScenarioTwoArm,
     norm_quantile,
@@ -34,6 +35,7 @@ from borrowoc import (
     reject_prob_two_arm,
 )
 from borrowoc import oc_twoarm
+from borrowoc.borrow import posterior_arrays
 from borrowoc.cli import EXIT_NUMERICS, main
 from borrowoc.oc_twoarm import _inner_reject_gl
 
@@ -365,13 +367,50 @@ def _external_means(scen, theta_c, rng):
     return np.concatenate([theta_c + spread * rng.normal(size=28), special])
 
 
-def _empty_segments(scen, e, theta_c):
+def _inner_rule_calls(scen, theta_c, rng):
+    """(kind, e, theta_c) calls of the inner-rule fuzz: the mixed rows of
+    :func:`_external_means`; rows with all three segments live, where the
+    window leaves room for them; rows that empty the upper, then the lower
+    segment in every row; and, at far = +-1e3 r or +-1e6 r, external means
+    far from theta_c (one segment live), then control means at far with
+    the external means around them."""
+    se_c = scen.sigma / math.sqrt(scen.nc)
+    r = math.sqrt(se_c**2 + scen.seE**2)
+    edge = 8.5 * se_c
+    yield "mixed", _external_means(scen, theta_c, rng), theta_c
+    if r < edge:
+        yield ("unclipped",
+               theta_c + (edge - r) * rng.uniform(-0.99, 0.99, 16), theta_c)
+    for sign in (1.0, -1.0):
+        e = theta_c + sign * (edge + r * rng.uniform(-1.0, 1.0, 16))
+        yield "one empty", e, theta_c
+    far = r * rng.choice([1e3, -1e3, 1e6, -1e6])
+    yield "far e", theta_c + far + se_c * rng.normal(size=8), theta_c
+    yield "far means", far + (edge + r) * rng.uniform(-1.5, 1.5, 16), far
+
+
+def _inner_rule_fuzz():
+    """(scen, method, kind, e, theta_c) of the seeded inner-rule fuzz: 60
+    ``uniform_fields`` scenarios (nt > nc in about half), each with the
+    calls of :func:`_inner_rule_calls` under EB and under no borrowing or
+    fixed-pp in turn."""
+    rng = np.random.default_rng(20260)
+    for i, scen in enumerate(oracles.fuzz_two_arm(
+            rng, 60, oracles.uniform_fields)):
+        thc = float(rng.normal(0.0, 2.0))
+        for call in list(_inner_rule_calls(scen, thc, rng)):
+            for method in (EB, METHODS[i % 2]):
+                yield scen, method, *call
+
+
+def _segment_ends(scen, e, theta_c):
+    """Per row, the inner rule's segment ends: the window's, e -+ r
+    clipped to it, the window's."""
     se_c = scen.sigma / math.sqrt(scen.nc)
     r = math.sqrt(se_c**2 + scen.seE**2)
     lo, hi = theta_c - 8.5 * se_c, theta_c + 8.5 * se_c
-    ends = np.stack([np.full_like(e, lo), np.clip(e - r, lo, hi),
+    return np.stack([np.full_like(e, lo), np.clip(e - r, lo, hi),
                      np.clip(e + r, lo, hi), np.full_like(e, hi)], axis=1)
-    return np.count_nonzero(np.diff(ends, axis=1) <= 0.0, axis=1)
 
 
 class TestMatchesSerialLoops:
@@ -379,19 +418,50 @@ class TestMatchesSerialLoops:
     one-segment and one-panel loops, bit for bit."""
 
     def test_inner_rule_scenario_fuzz(self):
-        empty = set()
-        rng = np.random.default_rng(20260)
-        for i, scen in enumerate(oracles.fuzz_two_arm(
-                rng, 60, oracles.uniform_fields)):
-            method, thc = METHODS[i % 3], float(rng.normal(0.0, 2.0))
-            e = _external_means(scen, thc, rng)
-            empty.update(_empty_segments(scen, e, thc).tolist())
+        empty, seen = set(), set()
+        for scen, method, kind, e, thc in _inner_rule_fuzz():
+            live = np.diff(_segment_ends(scen, e, thc), axis=1) > 0.0
+            empty.update(np.count_nonzero(~live, axis=1).tolist())
+            seen.update([(method.kind, kind), (method.kind, "nt > nc",
+                                               scen.nt > scen.nc),
+                         (method.kind, "all live", bool(live.all()))])
+            seen.update((method.kind, "none live", s)
+                        for s in np.flatnonzero(~live.any(axis=0)).tolist())
             zc = norm_quantile(scen.c)
             for theta_t in (thc, thc + scen.theta1):
                 ref = oracles.inner_reject_gl(scen, e, thc, theta_t, method)
                 got = _inner_reject_gl(scen, e, thc, theta_t, method, zc)
                 assert np.array_equal(got, ref)
         assert empty == {0, 1, 2}
+        assert seen == {(m.kind, *k) for m in METHODS for k in [
+            ("mixed",), ("unclipped",), ("one empty",), ("far e",),
+            ("far means",), ("nt > nc", True), ("nt > nc", False),
+            ("all live", True), ("all live", False), ("none live", 0),
+            ("none live", 1), ("none live", 2)]}
+
+    def test_middle_segment_weight_is_one(self):
+        # the premise of the rule's scalar middle-segment threshold: at
+        # every middle node of the fuzz the EB posterior is the weight-1
+        # posterior, mean and sd bit for bit
+        saturated = BorrowingMethod.fixed_power_prior(1.0)
+        nodes = 0
+        for scen, method, _, e, thc in _inner_rule_fuzz():
+            if method != EB:
+                continue
+            se_c = scen.sigma / math.sqrt(scen.nc)
+            se_t = scen.sigma / math.sqrt(scen.nt)
+            gl_x, _ = oc_twoarm._gl_pieces(math.ceil(se_c / se_t))
+            _, a, b, _ = _segment_ends(scen, e, thc).T
+            keep = b > a
+            mid, half = 0.5 * (a + b)[keep, None], 0.5 * (b - a)[keep, None]
+            x = mid + half * gl_x
+            args = (x, e[keep, None], scen.nc, scen.sigma, scen.nE,
+                    scen.sigmaE)
+            for got, want in zip(posterior_arrays(*args, EB),
+                                 posterior_arrays(*args, saturated)):
+                assert np.array_equal(got, want)
+            nodes += x.size
+        assert nodes > 100_000
 
     def test_two_arm_integrals(self):
         thc = np.repeat([-0.4, 0.7, 2.5], 2)
@@ -479,6 +549,38 @@ class TestPolishedProfiles:
             FAR_PEAK, 0.0, 0.0, EB, "auto", oc_twoarm._FIXED_TOL)
         assert values(6.0 - 1e-3, 0.0) < values(6.0, 0.0)
         assert exact(6.0 - 1e-3, 0.0) < exact(6.0, 0.0)
+
+    @pytest.mark.parametrize("e_var", [0.0, FAR_PEAK.seE**2],
+                             ids=["fixed", "random"])
+    def test_end_checks_in_one_call(self, e_var):
+        # each end check is one values call at [hi, hi - probe], whose
+        # entries equal their single-offset calls bit for bit
+        exact, values = oc_twoarm._offset_engines(
+            FAR_PEAK, 0.0, e_var, EB, "auto", 1e-9)
+        calls = []
+
+        def spy(x, effect):
+            calls.append(np.array(x, dtype=float))
+            return values(x, effect)
+        oc_twoarm._profile_max(exact, spy, [])
+        ends = [x for x in calls if x.shape == (2,)]
+        assert [x.tolist() for x in ends] == [
+            [hi, hi - oc_twoarm._SLOPE_PROBE]
+            for hi in 6.0 * 2.0 ** np.arange(len(ends))]
+        assert len(ends) > 1 and len(calls) == len(ends) + 1
+        for x in ends:
+            assert values(x, 0.0).tolist() == [float(values(v, 0.0))
+                                               for v in x]
+
+    def test_end_checks_stop_at_the_domain(self):
+        calls = []
+
+        def climbing(x, effect):
+            calls.append(np.shape(x))
+            return np.asarray(x, dtype=float) / 1e4
+        with pytest.raises(NonConvergenceError, match="offset 1536.0;"):
+            oc_twoarm._profile_max(climbing, climbing, [])
+        assert calls == [(2,)] * 9
 
     @pytest.mark.parametrize("e_var", [0.0, SCEN.seE**2],
                              ids=["fixed", "random"])
