@@ -281,9 +281,11 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     lattice in u: [-r, r] in equal panels, then the panels between the
     +-:func:`_cusp_cuts` of that width, which shrink by factors of 8 into
     the threshold's cusp past +-r, then width-wide panels.  Each mean is
-    integrated over the K consecutive panels from the one holding mu_u -
-    8.5 s_u, K being the most panels that a window of width 17 s_u can
-    meet.  Both depend on the scenario and ``e_var`` alone, so h(u) is
+    integrated over the panels that meet its window mu_u -+ 8.5 s_u: from
+    the one holding its lower end, those that start below its upper end,
+    at most K, the most panels that a window of width 17 s_u can meet.  A
+    panel past the window adds +0.0 to the K-term per-panel sum.  The
+    lattice depends on the scenario and ``e_var`` alone, so h(u) is
     evaluated once per call at the nodes of the panels that some mean
     touches, and a value depends neither on the other means in the call
     nor on the chunking, bit for bit.  Over seeded fuzzes the values lie
@@ -291,8 +293,10 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     mean (``tests/test_uline.py``), and within 1e-10 of the nested engine
     at tol 1e-12 for a random one (``tests/test_twoarm_quadrature.py::
     TestKernelAgainstQuadrature::test_random_external_mean``).  The table
-    is built, and the means integrated, in chunks within ``_BATCH_NODES``.
+    is built, and the live pairs integrated, in chunks within ``_BATCH_NODES``.
     """
+    if np.size(theta_c) == 0:
+        return np.zeros(np.shape(theta_t))
     se_c2 = scen.sigma**2 / scen.nc
     se_t = scen.sigma / math.sqrt(scen.nt)
     s_u2 = se_c2 + e_var
@@ -315,10 +319,14 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     past = np.minimum(a - inner[0], 0.0) + np.maximum(a - inner[-1], 0.0)
     first = (np.maximum(np.searchsorted(inner, a, side="right") - 1, 0)
              + np.floor(past / width).astype(np.int64))
-    table = np.unique(first[:, None] + np.arange(panels))
-    ends = np.stack([table, table + 1])
-    lower, upper = inner.take(ends, mode="clip") + width * (
+    ends = first[:, None] + np.arange(panels + 1)
+    edges = inner.take(ends, mode="clip") + width * (
         np.minimum(ends, 0) + np.maximum(ends - inner.size + 1, 0))
+    # the live (mean, panel) pairs: panels starting below the window's end
+    mean, col = np.nonzero(edges[:, :-1] < (mu + _GAUSS_TRUNC * s_u)[:, None])
+    table, at, idx = np.unique(ends[mean, col], return_index=True,
+                               return_inverse=True)
+    lower, upper = edges[mean, col][at], edges[mean, col + 1][at]
     half = 0.5 * (upper - lower)
     u = (lower + half)[:, None] + half[:, None] * _GL_X
     h_s = np.empty_like(u)              # -h(u)/s at the table's nodes
@@ -327,22 +335,18 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
         mc, sc = posterior_arrays(u[p:p + step], 0.0, scen.nc, scen.sigma,
                                   scen.nE, scen.sigmaE, method)
         h_s[p:p + step] = _threshold(mc, sc, zc, se_t) / -s
-    first = np.searchsorted(table, first)
-    rows, step = max(1, step // panels), min(panels, step)
     lead = np.shape(theta_t)[:np.ndim(theta_t) - np.ndim(theta_c)]
     m0 = (np.reshape(theta_t, (math.prod(lead), mu.size)) - e_mean) / s
-    part = np.empty((*m0.shape, panels))     # the integral over each panel
-    for start in range(0, mu.size, rows):
-        sl = slice(start, start + rows)
-        for p in range(0, panels, step):
-            idx = first[sl, None] + np.arange(panels)[p:p + step]
-            z = (u[idx] - mu[sl, None, None]) / s_u
-            pdf = np.exp(-0.5 * z * z) * _GL_W
-            shift = h_s[idx] + gain * s_u / s * z
-            # einsum, not a BLAS product, whose rounding depends on shape
-            for k, row in enumerate(m0):
-                part[k, sl, p:p + step] = half[idx] * np.einsum(
-                    "ijk,ijk->ij", pdf, ndtr(row[sl, None, None] + shift))
+    part = np.zeros((*m0.shape, panels))     # each panel's integral, or 0
+    for p in range(0, mean.size, step):
+        i, j, t = mean[p:p + step], col[p:p + step], idx[p:p + step]
+        z = (u[t] - mu[i, None]) / s_u
+        pdf = np.exp(-0.5 * z * z) * _GL_W
+        shift = h_s[t] + gain * s_u / s * z
+        # einsum, not a BLAS product, whose rounding depends on shape
+        for k, row in enumerate(m0):
+            part[k, i, j] = half[t] * np.einsum(
+                "ij,ij->i", pdf, ndtr(row[i, None] + shift))
     out = part.sum(axis=-1) / (s_u * math.sqrt(2.0 * math.pi))
     return np.clip(out, 0.0, 1.0).reshape(np.shape(theta_t))
 
@@ -351,13 +355,15 @@ def _offset_engines(scen: ScenarioTwoArm, e_mean: float, e_var: float,
                     method: BorrowingMethod, engine: str, tol: float):
     """``(exact, values)``: two ways to compute ``f(x, effect)``, the
     rejection probability with the external mean N(e_mean, e_var)
-    (``e_var`` = 0: fixed at e_mean), the control mean at offset x (a float
-    or an array) and the treatment mean ``effect`` above it.
+    (``e_var`` = 0: fixed at e_mean), the control mean at offset x and the
+    treatment mean ``effect`` above it.
 
-    ``exact`` is the adaptive quadrature at ``tol``: over the control mean
-    for a fixed external mean, nested over the external mean for a random
-    one.  ``values`` is the u-line kernel :func:`_uline_reject` under
-    Empirical Bayes and ``exact`` itself with ``engine="quadrature"``.
+    ``exact`` takes a float x to a float: the adaptive quadrature at
+    ``tol``, over the control mean for a fixed external mean, nested over
+    the external mean for a random one, clipped to [0, 1].  ``values``
+    takes an array (or a float) of offsets: the u-line kernel
+    :func:`_uline_reject` under Empirical Bayes, and with
+    ``engine="quadrature"`` the same integral as ``exact`` per entry.
     Fixed weights and no borrowing use the closed form for both.
     """
     def means(x, effect):
@@ -375,11 +381,14 @@ def _offset_engines(scen: ScenarioTwoArm, e_mean: float, e_var: float,
                         (_random_engine(scen, method, tol, e_mean), ()))
 
     def exact(x, effect):
-        return _per_entry(reject, *means(x, effect), *external)
+        thc = e_mean + x * scen.sigma
+        return min(max(reject(thc, thc + effect, *external), 0.0), 1.0)
 
-    def kernel(x, effect):
+    def values(x, effect):
+        if engine == "quadrature":
+            return _per_entry(reject, *means(x, effect), *external)
         return _uline_reject(scen, *means(x, effect), e_mean, e_var, method)
-    return exact, exact if engine == "quadrature" else kernel
+    return exact, values
 
 
 def _profile_max(exact, values, offsets) -> tuple[float, float]:

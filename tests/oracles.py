@@ -18,6 +18,11 @@ methods they share.
 - **Two-arm rejection probabilities by other routes**: quadrature with
   breakpoints graded into the threshold's cusp, a dense trapezoid rule
   written from scratch, and an outer integral over the external mean.
+- **The u-line kernel over all K panels.**  ``all_panel_reject`` integrates
+  each control mean over every panel of ``uline_panels``, the lattice
+  rebuilt one edge at a time, with the kernel's node arithmetic; the kernel
+  skips the panels past each mean's window, so the two differ only where a
+  skipped panel's integral survives rounding.
 - **Replicate runs.**  The runs work in row blocks and offset by offset;
   ``literal_onearm_arrays`` draws and decides all replicates of the literal
   one-arm audit at once, ``mc_grids`` stacks the two-arm Monte Carlo rows of
@@ -406,6 +411,86 @@ def outer_random_reject(scen, theta_c, theta_t, thetaE, method):
 
     return integrate(g, Interval(-math.inf, math.inf), 1e-14,
                      gaussian_hint=(thetaE, seE))
+
+
+# ---------------------------------------------------------------------------
+# the u-line kernel's rule over all K panels, one control mean at a time
+
+def uline_panels(scen, theta_c, e_mean: float, e_var: float):
+    """``(lower, upper, s_u)``: the edges, each of shape (means, K), of the
+    K consecutive panels of the u-line lattice (``oc_twoarm._uline_reject``)
+    from the one holding u = theta_c - e_mean - 8.5 s_u, for each control
+    mean in the 1-D ``theta_c``, and s_u.  K is the most panels that a
+    window of width 17 s_u meets.  The lattice is rebuilt here from its
+    definition, one edge at a time: [-r, r] in equal panels, the graded
+    cuts of ``oc_twoarm._cusp_cuts`` on either side, then panels of the
+    width 4 min(s, s_u) on both ends."""
+    se_c2 = scen.sigma**2 / scen.nc
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    s_u2 = se_c2 + e_var
+    s_u = math.sqrt(s_u2)
+    s = math.sqrt(se_t**2 + se_c2 * (e_var / s_u2))
+    width = 4.0 * min(s, s_u)
+    cusp = oc_twoarm._cusp_cuts(scen, width)
+    r = cusp[0]
+    inner = sorted([*(-cusp[1:]), *cusp[1:],
+                    *np.linspace(-r, r, math.ceil(2.0 * r / width) + 1)])
+    n = len(inner)
+
+    def edge(p):
+        if p < 0:
+            return inner[0] + width * p
+        return inner[min(p, n - 1)] + width * max(p - n + 1, 0)
+
+    reach = 2.0 * _GAUSS_TRUNC * s_u
+    out = math.ceil(reach / width) + 1
+    line = [edge(p) for p in range(-out, n + out)]
+    panels = 1 + max(sum(1 for b in line[i:] if b < a + reach)
+                     for i, a in enumerate(line))
+    lower, upper = [], []
+    for mu in np.ravel(theta_c) - e_mean:
+        a = mu - _GAUSS_TRUNC * s_u
+        if a < inner[0]:
+            first = math.floor((a - inner[0]) / width)
+        elif a >= inner[-1]:
+            first = n - 1 + math.floor((a - inner[-1]) / width)
+        else:
+            first = max(p for p in range(n) if inner[p] <= a)
+        lower.append([edge(p) for p in range(first, first + panels)])
+        upper.append([edge(p + 1) for p in range(first, first + panels)])
+    return np.array(lower), np.array(upper), s_u
+
+
+def all_panel_reject(scen, theta_c, theta_t, e_mean: float, e_var: float,
+                     method):
+    """``oc_twoarm._uline_reject`` with each control mean integrated over
+    all K panels of :func:`uline_panels`, one mean at a time: the kernel's
+    node arithmetic op for op, the per-panel integrals added in panel
+    order.  The kernel skips the panels that start past a mean's window
+    mu_u + 8.5 s_u; here they add their (tiny) integrals."""
+    lower, upper, s_u = uline_panels(scen, theta_c, e_mean, e_var)
+    se_c2 = scen.sigma**2 / scen.nc
+    se_t = scen.sigma / math.sqrt(scen.nt)
+    gain = e_var / (se_c2 + e_var)
+    s = math.sqrt(se_t**2 + se_c2 * gain)
+    zc = norm_quantile(scen.c)
+    mu = np.ravel(theta_c) - e_mean
+    rows = np.reshape(theta_t, (-1, mu.size))
+    out = np.empty(rows.shape)
+    for i in range(mu.size):
+        half = 0.5 * (upper[i] - lower[i])
+        u = (lower[i] + half)[:, None] + half[:, None] * GL_X
+        h_s = _threshold(*posterior_arrays(u, 0.0, scen.nc, scen.sigma,
+                                           scen.nE, scen.sigmaE, method),
+                         zc, se_t) / -s
+        z = (u - mu[i]) / s_u
+        pdf = np.exp(-0.5 * z * z) * GL_W
+        shift = h_s + gain * s_u / s * z
+        for k in range(rows.shape[0]):
+            part = half * np.einsum("ij,ij->i", pdf, ndtr(
+                (rows[k, i] - e_mean) / s + shift))
+            out[k, i] = part.sum() / (s_u * math.sqrt(2.0 * math.pi))
+    return np.clip(out, 0.0, 1.0).reshape(np.shape(theta_t))
 
 
 # ---------------------------------------------------------------------------

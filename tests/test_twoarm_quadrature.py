@@ -354,6 +354,26 @@ class TestPolishPlan:
         oracle = _random(SCEN, thetaE, EB, 1e-9)
         assert [oracle(x, 0.0) for x in xs[-2:]] == ys[-2:]
 
+    @pytest.mark.parametrize("e_var", [0.0, SCEN.seE**2],
+                             ids=["fixed", "random"])
+    def test_exact_takes_floats_to_floats(self, e_var):
+        # exact(x, effect) calls the engine on float means; the same
+        # engine through the array route's _per_entry, called in the same
+        # order, gives the same bits
+        e_mean, tol = 0.2, 1e-9
+        exact, _ = oc_twoarm._offset_engines(SCEN, e_mean, e_var, EB, "auto",
+                                             tol)
+        reject, external = (
+            (oc_twoarm._fixed_engine(SCEN, EB, tol), (e_mean,)) if e_var == 0
+            else (oc_twoarm._random_engine(SCEN, EB, tol, e_mean), ()))
+        for x in np.random.default_rng(33).uniform(-6.0, 6.0, 20).tolist():
+            for effect in (0.0, SCEN.theta1):
+                thc = e_mean + np.asarray(x) * SCEN.sigma
+                got = exact(x, effect)
+                ref = oc_twoarm._per_entry(reject, thc, thc + effect,
+                                           *external)
+                assert type(got) is float and got == ref
+
 
 def _external_means(scen, theta_c, rng):
     """Random external means plus rows whose e -+ r clip one or two of the

@@ -58,19 +58,27 @@ class TestKernelAccuracy:
         assert chunked.shape == thc.shape
 
 
+def _rows_fuzz(random):
+    """Seeded scenarios with the external mean, its variance (0 unless
+    ``random``), 44 control means, 41 within 6 sigma of it and 3 that are
+    40 to 1500 sigma away, and three rows of treatment means."""
+    rng = np.random.default_rng(20260)
+    for scen in oracles.fuzz_two_arm(rng, 30, oracles.uniform_fields):
+        thetaE = float(rng.normal(0.0, 2.0))
+        var = scen.seE**2 if random else 0.0
+        x = np.append(rng.uniform(-6.0, 6.0, 41),
+                      rng.uniform(40.0, 1500.0, 3) * [-1.0, 1.0, 1.0])
+        thc = thetaE + scen.sigma * x
+        yield (scen, thetaE, var, thc,
+               np.stack([thc, thc + scen.theta1, thc - 0.5]))
+
+
 class TestKernelRowsMatchSingleMeanCalls:
     @pytest.mark.parametrize("random", [False, True], ids=["fixed", "random"])
     def test_scenario_fuzz(self, random):
         # each row against its own call, and each control mean, whether
         # near the others or 40 to 1500 sigma away, against its own call
-        rng = np.random.default_rng(20260)
-        for scen in oracles.fuzz_two_arm(rng, 30, oracles.uniform_fields):
-            thetaE = float(rng.normal(0.0, 2.0))
-            var = scen.seE**2 if random else 0.0
-            x = np.append(rng.uniform(-6.0, 6.0, 41),
-                          rng.uniform(40.0, 1500.0, 3) * [-1.0, 1.0, 1.0])
-            thc = thetaE + scen.sigma * x
-            means = np.stack([thc, thc + scen.theta1, thc - 0.5])
+        for scen, thetaE, var, thc, means in _rows_fuzz(random):
             rows = oc_twoarm._uline_reject(scen, thc, means, thetaE, var, EB)
             assert rows.shape == means.shape
             for k in range(3):
@@ -83,9 +91,22 @@ class TestKernelRowsMatchSingleMeanCalls:
                                               EB)
                 assert np.array_equal(rows[:, i:i + 1], one)
 
+    @pytest.mark.parametrize("random", [False, True], ids=["fixed", "random"])
+    def test_within_two_ulps_of_all_panels(self, random):
+        # the panels that start past a mean's window are skipped; each
+        # value stays within 4.4e-16 of the sum over all K panels
+        for scen, thetaE, var, thc, means in _rows_fuzz(random):
+            rows = oc_twoarm._uline_reject(scen, thc, means, thetaE, var, EB)
+            ref = oracles.all_panel_reject(scen, thc, means, thetaE, var, EB)
+            assert np.abs(rows - ref).max() <= 4.4e-16
+
     @pytest.mark.parametrize("var", [0.0, SCEN.seE**2],
                              ids=["fixed", "random"])
-    def test_no_control_means(self, var):
+    def test_no_control_means(self, monkeypatch, var):
+        # the empty result comes before the lattice is built
+        def no_lattice(*args):
+            raise AssertionError("lattice built for no control means")
+        monkeypatch.setattr(oc_twoarm, "_cusp_cuts", no_lattice)
         none = np.empty(0)
         assert oc_twoarm._uline_reject(SCEN, none, none, 0.2, var,
                                        EB).shape == (0,)
@@ -140,6 +161,23 @@ class TestNodeBudget:
         assert counts[0] == counts[1]
         assert counts[0] % oc_twoarm._INNER_GL_NODES == 0
         assert counts[0] < 401 * oc_twoarm._INNER_GL_NODES
+
+    @pytest.mark.parametrize("var, panels", [(0.0, 8), (SCEN.seE**2, 9)],
+                             ids=["fixed", "random"])
+    def test_ndtr_only_inside_each_window(self, monkeypatch, var, panels):
+        # a 401-point scan at the benchmark scenario: each mean's K panels
+        # from the one holding mu_u - 8.5 s_u, of which only those that
+        # start below mu_u + 8.5 s_u send their 40 nodes through ndtr
+        sizes = []
+        monkeypatch.setattr(oc_twoarm, "ndtr", _recording(oc_twoarm.ndtr,
+                                                          sizes))
+        thc = np.linspace(-6.0, 6.0, 401)
+        oc_twoarm._uline_reject(SCEN, thc, thc, 0.0, var, EB)
+        lower, _, s_u = oracles.uline_panels(SCEN, thc, 0.0, var)
+        inside = np.sum(lower < (thc + 8.5 * s_u)[:, None])
+        assert lower.shape == (401, panels)
+        assert sum(sizes) == oc_twoarm._INNER_GL_NODES * inside
+        assert sum(sizes) < 401 * panels * oc_twoarm._INNER_GL_NODES
 
 
 def _recording(fn, sizes):
