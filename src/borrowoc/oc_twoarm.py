@@ -33,18 +33,26 @@ Exact engines:
 arrays and the nested quadrature's integrand calls.
 
 The reported level is the maximum of the null profile over the offset: a
-401-point scan brackets it and a golden-section polish refines it.  Under
-Empirical Bayes, with the external mean fixed or random, the u-line kernel
-:func:`_uline_reject` reports every profile value: the requested offsets,
-the power, the scan and the checks that stop the search domain.  The EB
-weight depends only on u = control mean - external mean, so each rejection
-probability is one Gaussian integral over u, on one panel lattice in u for
-every mean of a call, with the threshold evaluated once per lattice node.
-The exact engines make the polish's scalar calls, so the maximum and its
-location are theirs.  Each lives for one public call or one profile, and
-with its one panel plan (``statmath._integrate``) each integral after its
-first makes one integrand call.  With ``engine="quadrature"`` they give
-every value of a random-external profile, as a cross-check of the kernel.
+scan of a 401-point grid brackets it and a golden-section polish refines
+it.  The scan is two calls, 65 points in all: every 8th grid point, then
+the points within 7 of the best of those.  Wherever the sampled profile
+rises strictly to its first maximum and never rises after it, that picks
+the cell of a dense scan.  Unimodality is measured, not proven: over 2,990
+seeded profiles (README) the two scans picked the same cell every time,
+and one extreme Empirical Bayes design sampled two strict local maxima
+(``tests/test_oc_twoarm.py::TestMaximumScan``).  Under Empirical Bayes,
+with the external mean fixed or random, the u-line kernel
+:func:`_uline_reject` reports every profile value: the requested offsets
+and the power, as the two rows of one call, the scan and the checks that
+stop the search domain.  The EB weight depends only on u = control mean -
+external mean, so each rejection probability is one Gaussian integral over
+u, on one panel lattice in u for every mean of a call, with the threshold
+evaluated once per lattice node.  The exact engines make the polish's
+scalar calls, so the maximum and its location are theirs.  Each lives for
+one public call or one profile, and with its one panel plan
+(``statmath._integrate``) each integral after its first makes one
+integrand call.  With ``engine="quadrature"`` they give every value of a
+random-external profile, as a cross-check of the kernel.
 """
 
 from __future__ import annotations
@@ -72,6 +80,9 @@ _INNER_GL_NODES = 40
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INNER_GL_NODES)
 _SATURATION = 1.0 - 1e-9
 _SLOPE_PROBE = 1e-3
+# the maximum's scan evaluates every 8th grid point, then the best one's
+# neighbours (_profile_max)
+_SCAN_STRIDE = 8
 _MAX_DOMAIN = 1536.0
 # the one node budget of the two-arm arrays (module docstring), sized as
 # the inner-rule nodes of 256 external means (3 segments of 40)
@@ -398,10 +409,11 @@ def _profile_max(exact, values, offsets) -> tuple[float, float]:
     Starts from the hull of [-6, 6] and the requested offsets; the upper
     end is doubled while ``values`` still climbs there and has not
     saturated at 1 (within 1e-9), so a supremum approached in the limit is
-    localized deterministically.  The 401-point scan is one ``values``
-    call; the golden-section polish in its best cell makes scalar
-    ``exact`` calls, and its value is the maximum unless a scanned value
-    beats it.  Returns (max, argmax).
+    localized deterministically.  The scan of the 401-point grid is two
+    ``values`` calls, every 8th point and then the best one's neighbours
+    (module docstring); the golden-section polish in its best cell makes
+    scalar ``exact`` calls, and its value is the maximum unless a scanned
+    value beats it.  Returns (max, argmax).
     """
     lo, hi = min([-6.0, *offsets]), max([6.0, *offsets])
     while True:
@@ -413,32 +425,42 @@ def _profile_max(exact, values, offsets) -> tuple[float, float]:
                 "type-I-error profile still climbing at offset "
                 f"{hi}; maximization domain exhausted")
         hi *= 2.0
-    xstar, amax = _maximize(lambda x: exact(x, 0.0),
-                            lambda xs: values(xs, 0.0), Interval(lo, hi))
+
+    def scan(xs):
+        ys = np.full(xs.size, -np.inf)      # -inf: not evaluated
+        ys[::_SCAN_STRIDE] = values(xs[::_SCAN_STRIDE], 0.0)
+        best = int(np.argmax(ys))
+        near = np.arange(max(best - _SCAN_STRIDE + 1, 0),
+                         min(best + _SCAN_STRIDE, xs.size))
+        near = near[near != best]
+        ys[near] = values(xs[near], 0.0)
+        return ys
+    xstar, amax = _maximize(lambda x: exact(x, 0.0), scan, Interval(lo, hi))
     return min(amax, 1.0), xstar
 
 
 def _profile(scen: ScenarioTwoArm, engines, offsets,
              power: bool = True) -> OCProfile:
     """Offset profile from ``engines = (exact, values)`` of
-    :func:`_offset_engines`: the null rate per offset from one ``values``
-    call and its maximum from :func:`_profile_max` (a requested offset
-    whose value beats that maximum wins; of equal ones the first in
-    request order, as in :func:`oc_random_external_two_arm_mc`), plus, if
-    ``power``, one ``values`` call for the power at theta1 per offset and
-    the comparator calibrated to the maximum.
+    :func:`_offset_engines`: the null rate per offset and, if ``power``,
+    the power at theta1 per offset, as the two rows of one ``values`` call
+    (each row equals its own call bit for bit); the maximum from
+    :func:`_profile_max` (a requested offset whose value beats it wins; of
+    equal ones the first in request order, as in
+    :func:`oc_random_external_two_arm_mc`); and, if ``power``, the
+    comparator calibrated to the maximum.
     """
     exact, values = engines
     offs = _check_finite("offsets", [float(x) for x in offsets])
-    t1e = values(offs, 0.0).tolist()
+    effect = [[0.0], [scen.theta1]] if power else [[0.0]]
+    t1e, *rows = values(offs, np.array(effect)).tolist()
     amax, xstar = _profile_max(exact, values, offs.tolist())
     for x, v in zip(offs.tolist(), t1e):
         if v > amax:
             amax, xstar = v, x
     if not power:
         return OCProfile(offs, t1e, amax, xstar)
-    return OCProfile(offs, t1e, amax, xstar,
-                     power_borrow=values(offs, scen.theta1).tolist(),
+    return OCProfile(offs, t1e, amax, xstar, power_borrow=rows[0],
                      power_calibrated=power_calibrated_two_arm(amax, scen))
 
 

@@ -376,8 +376,9 @@ def _maximize(f, scan, domain: Interval, tol: float = 1e-10):
     """:func:`maximize_1d` with its 401-point grid evaluated by one call
     ``scan(xs)`` (an array of values at ``xs``) and the golden-section
     polish by scalar calls ``f(x)``.  ``scan`` may be a cheaper
-    approximation of ``f``: it only picks the cell to polish, and its best
-    value is returned only if the polish does not beat it.
+    approximation of ``f``, and may skip points by giving them -inf: it
+    only picks the cell to polish (the first of its largest values), and
+    its best value is returned only if the polish does not beat it.
     """
     if not domain.finite:
         raise DomainError("maximization domain must be finite")

@@ -132,6 +132,20 @@ def choice_fields(rng, i):
                 sigmaE=rng.choice((0.7, 1.0, 1.6)))
 
 
+def extreme_fields(rng, i):
+    """``random.Random`` draws far outside the other fuzzes: arm sizes
+    log-uniform on [1, 5000], nE on [1, 10^6], sigma on [0.05, 20], theta1
+    on [0.01, 5] and sigmaE on [0.01, 50], alpha 0.025, and c from a short
+    list up to 0.9999."""
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    nc, nt, nE = (round(log_uniform(1, hi)) for hi in (5000, 5000, 1e6))
+    return dict(nc=nc, nt=nt, nE=nE, sigma=log_uniform(0.05, 20.0),
+                theta1=log_uniform(0.01, 5.0), alpha=0.025,
+                c=rng.choice((0.9, 0.975, 0.999, 0.9999)),
+                sigmaE=log_uniform(0.01, 50.0))
+
+
 # two hard cases that open the choice_fields fuzz: a lopsided design each way
 CHOICE_FIRST = (LOPSIDED,
                 ScenarioTwoArm(nc=282, nt=2, nE=200, sigma=1.0, theta1=1.0,

@@ -1,6 +1,7 @@
 """Two-arm hybrid-control operating characteristics."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from borrowoc import (
     reject_prob_two_arm,
     t1e_profile,
 )
+from borrowoc import oc_twoarm
+from borrowoc.statmath import _GRID_POINTS
 
+import oracles
 from oracles import (EB, FIXED_HALF, METHOD_IDS, METHODS, NONE,
                      TWO_ARM as SCEN)
 
@@ -132,6 +136,133 @@ class TestPowerProfile:
         prof = power_profile(SCEN, 0.0, FIXED_HALF, offsets=[0.0, 1.0])
         for pb, d in zip(prof.power_borrow, prof.power_diff):
             assert d == pytest.approx(pb - prof.power_calibrated, abs=1e-12)
+
+
+def _scans(scen, method, e_var):
+    """The maximum's two-call scan and one dense ``values`` call, each over
+    the grid that :func:`oc_twoarm._profile_max` scans for the null
+    profile of ``scen`` with the external mean N(0, ``e_var``)."""
+    exact, values = oc_twoarm._offset_engines(scen, 0.0, e_var, method,
+                                              "auto", 1e-9)
+    seen = []
+
+    def recording(f, scan, domain):
+        seen.append((scan, np.linspace(domain.lo, domain.hi, _GRID_POINTS)))
+        return 0.0, 0.0                 # no polish
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oc_twoarm, "_maximize", recording)
+        oc_twoarm._profile_max(exact, values, [])
+    (scan, xs), = seen
+    return scan(xs), values(xs, 0.0)
+
+
+def _same_cell(scen, method, e_var):
+    """Asserts that the two-call scan picks the dense scan's grid index
+    with the dense call's values at no more than 65 points; returns the
+    index, the dense values and the sampled profile's count of strict
+    local maxima (a plateau counts once)."""
+    ys, dense = _scans(scen, method, e_var)
+    assert np.argmax(ys) == np.argmax(dense)
+    seen = ~np.isneginf(ys)
+    assert ys[seen].tolist() == dense[seen].tolist()
+    assert np.count_nonzero(seen) <= 65
+    steps = np.sign(np.diff(dense))
+    steps = steps[steps != 0]
+    peaks = int(np.sum((steps[:-1] > 0) & (steps[1:] < 0)))
+    return int(np.argmax(dense)), dense, peaks
+
+
+SCAN_FUZZ = [
+    *oracles.fuzz_two_arm(random.Random(36), 10, oracles.choice_fields,
+                          oracles.CHOICE_FIRST),
+    *oracles.fuzz_two_arm(np.random.default_rng(36), 6,
+                          oracles.unequal_fields),
+    # the named scenarios; CHOICE_FIRST holds LOPSIDED
+    oracles.TWO_ARM, oracles.WIDE, oracles.NT_GT_NC, oracles.FAR_PEAK,
+    oracles.CUSP,
+    *oracles.fuzz_two_arm(random.Random(2026), 6, oracles.extreme_fields),
+]
+
+
+class TestMaximumScan:
+    """The maximum's scan evaluates every 8th point of the 401-point grid,
+    then the points within 7 of the best of those, and must pick the grid
+    index of one dense ``values`` call over all 401 points."""
+
+    @pytest.mark.parametrize("e_var", ["fixed", "random"])
+    def test_empirical_bayes_fuzz(self, e_var):
+        for scen in SCAN_FUZZ:
+            *_, peaks = _same_cell(
+                scen, EB, 0.0 if e_var == "fixed" else scen.seE**2)
+            assert peaks == 1
+
+    @pytest.mark.parametrize("e_var", ["fixed", "random"])
+    def test_two_local_maxima(self, e_var):
+        # se_t = 0.054 against se_c = 3.2: the level jumps from 0.05 to
+        # 0.73 between offsets -0.03 and 0.09, dips by 0.002, and peaks
+        # again about 0.01 higher at 0.36
+        scen = ScenarioTwoArm(nc=1, nt=3554, nE=746412, sigma=3.1948,
+                              theta1=1.86, alpha=0.025, c=0.9, sigmaE=34.658)
+        *_, peaks = _same_cell(
+            scen, EB, 0.0 if e_var == "fixed" else scen.seE**2)
+        assert peaks == 2
+
+    def test_flat_profile_peaks_at_the_lower_end(self):
+        # no borrowing: every grid value ties, and the first one wins
+        index, dense, _ = _same_cell(SCEN, NONE, 0.0)
+        assert index == 0 and np.unique(dense).size == 1
+
+    def test_peak_at_the_doubled_upper_end(self):
+        # the fixed weight's profile climbs over the whole grid, doubled
+        # once to [-6, 12]
+        index, dense, _ = _same_cell(SCEN, FIXED_HALF, 0.0)
+        assert index == _GRID_POINTS - 1 and dense[-1] < 1.0
+
+    @pytest.mark.parametrize("e_var", ["fixed", "random"])
+    def test_plateau_saturated_at_one(self, e_var):
+        # the first of the tied 1.0 values lies between two coarse points
+        scen = ScenarioTwoArm(nc=5, nt=15, nE=10, sigma=1.0, theta1=1.0,
+                              alpha=0.025, sigmaE=0.5)
+        index, dense, _ = _same_cell(
+            scen, FIXED_HALF, 0.0 if e_var == "fixed" else scen.seE**2)
+        assert dense[index] == 1.0 and np.sum(dense == 1.0) > 16
+        assert index % oc_twoarm._SCAN_STRIDE != 0
+
+
+class TestStackedRows:
+    """``_profile`` takes the null and the power rows from one ``values``
+    call; each must equal its own call bit for bit."""
+
+    @pytest.mark.parametrize("method, e_var, engine", [
+        (EB, 0.0, "auto"),
+        (EB, SCEN.seE**2, "auto"),
+        (FIXED_HALF, 0.0, "auto"),
+        (FIXED_HALF, SCEN.seE**2, "auto"),
+        (NONE, 0.0, "auto"),
+        (EB, 0.0, "quadrature"),
+        (EB, SCEN.seE**2, "quadrature"),
+        (FIXED_HALF, 0.0, "quadrature"),
+    ], ids=["eb-fixed", "eb-random", "fixed-pp", "fixed-pp-random",
+            "none", "eb-fixed-quadrature", "eb-random-quadrature",
+            "fixed-pp-quadrature"])
+    def test_rows_match_their_own_calls(self, monkeypatch, method, e_var,
+                                        engine):
+        offs = (-1.0, 0.0, 0.7, 2.5)
+        exact, values = oc_twoarm._offset_engines(SCEN, 0.3, e_var, method,
+                                                  engine, 1e-9)
+        # the maximum is checked elsewhere; any value below the rows will do
+        monkeypatch.setattr(oc_twoarm, "_profile_max", lambda *a: (0.0, 0.0))
+        prof = oc_twoarm._profile(SCEN, (exact, values), offs)
+        null = values(np.array(offs), 0.0).tolist()
+        power = values(np.array(offs), SCEN.theta1).tolist()
+        assert prof.t1e == tuple(null)
+        assert prof.power_borrow == tuple(power)
+        assert prof.power_calibrated == power_calibrated_two_arm(max(null),
+                                                                 SCEN)
+        assert prof.power_diff == tuple(v - prof.power_calibrated
+                                        for v in power)
+        bare = oc_twoarm._profile(SCEN, (exact, values), offs, power=False)
+        assert bare.t1e == tuple(null)
 
 
 class TestOcFixedExternalTwoArm:

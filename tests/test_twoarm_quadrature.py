@@ -5,14 +5,18 @@ one of them as its reference.
 
 ``oracles.profile`` evaluates every offset on its own: one adaptive
 integral per offset through the one-panel-per-call ``oracles.integrate``,
-and a scalar 401-point scan plus golden-section polish for the maximum.
-Under Empirical Bayes the engines in ``borrowoc.oc_twoarm`` take the profile
-values and the scan from the u-line kernel and polish with the exact
-engine, so the maximized level and its location must come out exactly the
-oracle's, and each value within the oracle's tolerance plus 1e-12.  The
-``engine="quadrature"`` route runs one adaptive integral of the exact
-engine per offset, its panels evaluated together, so its values must
-equal the oracle's exactly.  The nested engine (``_random_engine`` over
+and a scalar scan of all 401 grid points plus golden-section polish for
+the maximum.  Under Empirical Bayes the engines in ``borrowoc.oc_twoarm``
+take the profile values and the scan from the u-line kernel and polish
+with the exact engine.  Their scan evaluates 65 of the 401 grid points in
+two calls (every 8th, then the best one's neighbours), which picks the
+dense scan's cell wherever the sampled profile is unimodal
+(``test_oc_twoarm.py::TestMaximumScan`` fuzzes that).  So the maximized
+level and its location must come out exactly the oracle's, and each value
+within the oracle's tolerance plus 1e-12.  The ``engine="quadrature"``
+route runs one adaptive integral of the exact engine per offset, its
+panels evaluated together, so its values must equal the oracle's
+exactly.  The nested engine (``_random_engine`` over
 the inner rule ``_inner_reject_gl``) must equal the oracle's loops bit for
 bit as well.
 """
@@ -76,8 +80,9 @@ def _assert_same(prof, ref, gap):
 
 
 class TestFixedExternal:
-    """The u-line kernel scans all 401 grid points and gives the values;
-    the oracle scans and polishes with quadrature at tol 1e-9."""
+    """The u-line kernel scans 65 of the 401 grid points and gives the
+    values; the oracle scans all 401 and polishes with quadrature at tol
+    1e-9."""
 
     @pytest.mark.parametrize("scen, dE", [(SCEN, 0.0), (SCEN, -0.7353),
                                           (WIDE, 0.3), (NT_GT_NC, -0.2),
@@ -206,7 +211,7 @@ class TestNodeBudget:
     @pytest.mark.parametrize("scen, rows", [(SCEN, 256), (WIDE, 128)],
                              ids=["one-piece", "two-pieces"])
     def test_random_external_scan(self, largest, scen, rows):
-        # the quadrature route runs its 401-point scan one integral at a
+        # the quadrature route runs its scan's 65 points one integral at a
         # time, each call within the cap: at most _inner_rows(scen) external
         # means, and so at most _BATCH_NODES inner-rule nodes
         oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6,
@@ -518,7 +523,7 @@ class TestKernelAgainstQuadrature:
                              ids=oracles.fuzz_ids(RANDOM_FUZZ))
     def test_random_external_mean(self, scen):
         # the nested route of oc_random_external_two_arm(engine="quadrature")
-        # at the offsets alone, without its 401-point scan
+        # at the offsets alone, without its scan
         thetaE, var = -0.2, scen.seE**2
         thc = thetaE + oracles.cusp_offsets(scen, var) * scen.sigma
         for effect in (0.0, scen.theta1):
@@ -544,7 +549,7 @@ class TestKernelAgainstQuadrature:
 
 class TestPolishedProfiles:
     """``engine="auto"`` scans with the kernel and reports its values;
-    ``"quadrature"`` scans every grid point with the nested engine.  Both
+    ``"quadrature"`` scans the same way with the nested engine.  Both
     polish with the nested engine."""
 
     @pytest.mark.parametrize("scen, thetaE, tol", [
@@ -573,8 +578,10 @@ class TestPolishedProfiles:
     @pytest.mark.parametrize("e_var", [0.0, FAR_PEAK.seE**2],
                              ids=["fixed", "random"])
     def test_end_checks_in_one_call(self, e_var):
-        # each end check is one values call at [hi, hi - probe], whose
-        # entries equal their single-offset calls bit for bit
+        # each end check is one values call at [hi, hi - probe]; then the
+        # scan calls values on every 8th point of the 401-point grid, and
+        # once more on the points within 7 of the best of those.  Every
+        # entry equals its single-offset call bit for bit
         exact, values = oc_twoarm._offset_engines(
             FAR_PEAK, 0.0, e_var, EB, "auto", 1e-9)
         calls = []
@@ -583,14 +590,38 @@ class TestPolishedProfiles:
             calls.append(np.array(x, dtype=float))
             return values(x, effect)
         oc_twoarm._profile_max(exact, spy, [])
-        ends = [x for x in calls if x.shape == (2,)]
+        *ends, coarse, window = calls
         assert [x.tolist() for x in ends] == [
             [hi, hi - oc_twoarm._SLOPE_PROBE]
             for hi in 6.0 * 2.0 ** np.arange(len(ends))]
-        assert len(ends) > 1 and len(calls) == len(ends) + 1
-        for x in ends:
+        assert len(ends) > 1
+        xs = np.linspace(-6.0, ends[-1][0], 401)
+        assert coarse.tolist() == xs[::8].tolist()
+        best = 8 * int(np.argmax(values(coarse, 0.0)))
+        assert 7 < best < 393
+        assert window.tolist() == np.delete(xs[best - 7:best + 8], 7).tolist()
+        for x in calls:
             assert values(x, 0.0).tolist() == [float(values(v, 0.0))
                                                for v in x]
+
+    @pytest.mark.parametrize("e_var", ["fixed", "random"])
+    def test_scan_point_budget(self, monkeypatch, e_var):
+        # a default-domain EB profile: the requested offsets' stacked rows,
+        # one end check, then at most 65 of the 401 grid points in two calls
+        sizes = []
+        kernel = oc_twoarm._uline_reject
+
+        def recording(scen, theta_c, *args):
+            sizes.append(np.size(theta_c))
+            return kernel(scen, theta_c, *args)
+        monkeypatch.setattr(oc_twoarm, "_uline_reject", recording)
+        if e_var == "fixed":
+            power_profile(SCEN, 0.0, EB, OFFSETS)
+        else:
+            oc_random_external_two_arm(SCEN, 0.0, EB, OFFSETS, tol=1e-6)
+        rows, end, *scan = sizes
+        assert (rows, end) == (len(OFFSETS), 2)
+        assert len(scan) == 2 and sum(scan) <= 65
 
     def test_end_checks_stop_at_the_domain(self):
         calls = []
