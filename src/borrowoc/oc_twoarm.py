@@ -12,25 +12,21 @@ Exact engines:
 
 * fixed weights (and no borrowing) reduce to a single normal probability --
   the test statistic is linear in the jointly Gaussian sample means;
-* Empirical Bayes weights require one adaptive quadrature over the control
-  mean, split at the two points where the fitted weight stops saturating
-  (and graded into the threshold's cusp just past them where that cusp is
-  much narrower than se_c), one integral (``statmath._integrate``) per
-  entry of an array call;
+* Empirical Bayes weights require one Gaussian integral over the control
+  mean: the u-line kernel :func:`_uline_reject` (below) gives every value,
+  one kernel call per array of means;
 * random external data add an outer expectation over the external mean --
-  closed-form again for fixed weights, an outer adaptive quadrature (one
-  per entry) with a vectorized inner Gauss-Legendre rule for Empirical
-  Bayes (:func:`_inner_reject_gl`), and a seeded Monte Carlo variant for
-  audit.  The Monte Carlo rows do not integrate per draw: a draw's
-  conditional rejection probability depends only on d = theta_c - e, so
-  each run tabulates one curve R(d) as Chebyshev panels from one u-line
-  kernel call and evaluates it one offset and one block of
-  ``statmath._BLOCK_ROWS`` draws at a time.  Each offset's rows are
-  reduced to their means as they come, so such a run holds the rows of two
-  offsets and no temporary longer than a block.
+  closed-form again for fixed weights, the kernel again for Empirical
+  Bayes, and a seeded Monte Carlo variant for audit.  The Monte Carlo rows
+  do not integrate per draw: a draw's conditional rejection probability
+  depends only on d = theta_c - e, so each run tabulates one curve R(d) as
+  Chebyshev panels from one u-line kernel call and evaluates it one offset
+  and one block of ``statmath._BLOCK_ROWS`` draws at a time.  Each
+  offset's rows are reduced to their means as they come, so such a run
+  holds the rows of two offsets and no temporary longer than a block.
 
 ``_BATCH_NODES`` is the one node budget of the u-line kernel's node
-arrays and the nested quadrature's integrand calls.
+arrays and the polish quadrature's integrand calls.
 
 The reported level is the maximum of the null profile over the offset: a
 scan of a 401-point grid brackets it and a golden-section polish refines
@@ -41,18 +37,17 @@ the cell of a dense scan.  Unimodality is measured, not proven: over 2,990
 seeded profiles (README) the two scans picked the same cell every time,
 and one extreme Empirical Bayes design sampled two strict local maxima
 (``tests/test_oc_twoarm.py::TestMaximumScan``).  Under Empirical Bayes,
-with the external mean fixed or random, the u-line kernel
-:func:`_uline_reject` reports every profile value: the requested offsets
-and the power, as the two rows of one call, the scan and the checks that
-stop the search domain.  The EB weight depends only on u = control mean -
-external mean, so each rejection probability is one Gaussian integral over
-u, on one panel lattice in u for every mean of a call, with the threshold
-evaluated once per lattice node.  The exact engines make the polish's
-scalar calls, so the maximum and its location are theirs.  Each lives for
-one public call or one profile, and with its one panel plan
-(``statmath._integrate``) each integral after its first makes one
-integrand call.  With ``engine="quadrature"`` they give every value of a
-random-external profile, as a cross-check of the kernel.
+with the external mean fixed or random, the u-line kernel reports every
+profile value: the requested offsets and the power, as the two rows of
+one call, the scan and the checks that stop the search domain.  The EB
+weight depends only on u = control mean - external mean, so each
+rejection probability is one Gaussian integral over u, on one panel
+lattice in u for every mean of a call, with the threshold evaluated once
+per lattice node.  Only the polish's scalar calls run adaptive quadrature
+(:func:`_fixed_engine`, :func:`_random_engine`), so the maximum and its
+location are theirs.  Each lives for one profile, and with its one panel
+plan (``statmath._integrate``) each integral after its first makes one
+integrand call.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .borrow import (BorrowingMethod, EMPIRICAL_BAYES, FIXED_POWER_PRIOR,
-                     NO_BORROWING, posterior_arrays)
+                     posterior_arrays)
 from .oc_onearm import OCPoint, _z_power
 from .scenarios import ScenarioTwoArm
 # integrate and maximize_1d are no longer called here; the names stay for
@@ -88,6 +83,7 @@ _MAX_DOMAIN = 1536.0
 # the inner-rule nodes of 256 external means (3 segments of 40)
 _BATCH_NODES = 256 * 3 * _INNER_GL_NODES
 _WHOLE_LINE = Interval(-math.inf, math.inf)
+_EB = BorrowingMethod.empirical_bayes()
 # quadrature tolerance of the fixed-external profiles
 _FIXED_TOL = 1e-9
 
@@ -187,54 +183,38 @@ def _threshold(mc, sc, zc: float, se_t: float):
     return mc + zc * np.sqrt(se_t**2 + sc**2)
 
 
-def _check_engine(engine: str, tol) -> float:
-    """``tol`` checked finite and positive; ``engine`` must be "auto" or
-    "quadrature"."""
-    tol = _check_positive("tol", tol)
-    if engine not in ("auto", "quadrature"):
-        raise DomainError(f"unknown engine {engine!r}")
-    return tol
-
-
 def reject_prob_two_arm(scen: ScenarioTwoArm, theta_c: float, theta_t: float,
-                        dE_mean: float, method: BorrowingMethod, *,
-                        engine: str = "auto",
-                        tol: float = 1e-9) -> float | np.ndarray:
+                        dE_mean: float,
+                        method: BorrowingMethod) -> float | np.ndarray:
     """Rejection probability at true means (theta_c, theta_t) for one fixed
     external mean.
 
-    ``engine="auto"`` uses the linear-Gaussian closed form for fixed
-    weights and adaptive quadrature over the control mean for Empirical
-    Bayes; ``"quadrature"`` forces the integral (cross-checking the closed
-    form).  The three means broadcast against each other: arrays give an
-    array of probabilities, one adaptive integral per entry, each equal to
-    its scalar call; scalars give a float.  ``tol`` must be finite and
-    positive whichever engine runs.
+    Fixed weights and no borrowing use the linear-Gaussian closed form;
+    Empirical Bayes uses one u-line kernel call (:func:`_uline_reject`) on
+    the control and treatment means less the external mean.  The three
+    means broadcast against each other: arrays give an array of
+    probabilities, each equal to its scalar call; scalars give a float.
     """
-    tol = _check_engine(engine, tol)
     means = [_check_finite(name, v) for name, v in
              (("theta_c", theta_c), ("theta_t", theta_t), ("dE_mean", dE_mean))]
-    if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
+    if method.kind != EMPIRICAL_BAYES:
         return _closed_fixed(scen, *means, _method_delta(method))
-    return _per_entry(_fixed_engine(scen, method, tol), *means)
-
-
-def _per_entry(reject, *means):
-    """``reject`` of each broadcast entry of ``means``, clipped to [0, 1]."""
-    shape = np.broadcast_shapes(*map(np.shape, means))
-    cols = (np.broadcast_to(v, shape).ravel().tolist() for v in means)
-    out = np.clip(list(map(reject, *cols)), 0.0, 1.0).reshape(shape)
+    c, t, d = np.broadcast_arrays(*means)
+    out = _uline_reject(scen, c - d, t - d, 0.0, 0.0, method)
     return float(out) if out.ndim == 0 else out
 
 
-def _fixed_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float):
-    """``reject(c, t, d)``, the integral of :func:`reject_prob_two_arm`, its
-    constants worked out once and one panel plan kept (module docstring)."""
+def _fixed_engine(scen: ScenarioTwoArm, tol: float):
+    """``reject(c, t, d)``: the Empirical Bayes rejection probability at
+    control and treatment means c and t for external mean d, as adaptive
+    quadrature over the control mean at ``tol``, cut at d -+ the
+    :func:`_cusp_cuts`; its constants worked out once and one panel plan
+    kept (module docstring).  The polish engine of a fixed-external
+    profile."""
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     zc = norm_quantile(scen.c)
-    dist = (_cusp_cuts(scen, se_c) if method.kind == EMPIRICAL_BAYES
-            else np.empty(0))
+    dist = _cusp_cuts(scen, se_c)
     # a cusp more than 8 times narrower than se_c (two grades or more)
     # escapes the error estimate; a wider one needs only the cuts at +-r
     if dist.size < 3:
@@ -244,7 +224,7 @@ def _fixed_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float):
     def reject(c, t, d):
         def f(x):
             mc, sc = posterior_arrays(x, d, scen.nc, scen.sigma,
-                                      scen.nE, scen.sigmaE, method)
+                                      scen.nE, scen.sigmaE, _EB)
             return (_norm_pdf(x, c, se_c)
                     * ndtr((t - _threshold(mc, sc, zc, se_t)) / se_t))
         cuts = _cuts(_WHOLE_LINE, np.concatenate([d - dist, d + dist]),
@@ -276,8 +256,9 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     each over u = control mean - external mean.  ``theta_t`` may also stack
     several such arrays on a leading axis, one row of results each: the
     rows share the nodes, density and threshold, and each equals its own
-    call bit for bit.  Besides every EB profile value, the kernel gives the
-    node values of the Monte Carlo curve (:func:`_mc_conditional_rows`).
+    call bit for bit.  Besides every EB profile value and every EB value of
+    :func:`reject_prob_two_arm`, the kernel gives the node values of the
+    Monte Carlo curve (:func:`_mc_conditional_rows`).
 
     The test rejects when S = treatment mean - external mean exceeds h(u),
     the threshold from ``posterior_arrays(u, 0, ...)``, because the fitted
@@ -301,10 +282,11 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
     touches, and a value depends neither on the other means in the call
     nor on the chunking, bit for bit.  Over seeded fuzzes the values lie
     within 1e-13 of cusp-aware quadrature at tol 1e-13 for a fixed external
-    mean (``tests/test_uline.py``), and within 1e-10 of the nested engine
-    at tol 1e-12 for a random one (``tests/test_twoarm_quadrature.py::
-    TestKernelAgainstQuadrature::test_random_external_mean``).  The table
-    is built, and the live pairs integrated, in chunks within ``_BATCH_NODES``.
+    mean (``tests/test_uline.py``), and within 1e-10 of the polish's nested
+    quadrature :func:`_random_engine` at tol 1e-12 for a random one
+    (``tests/test_twoarm_quadrature.py::TestKernelAgainstQuadrature``).
+    The table is built, and the live pairs integrated, in chunks within
+    ``_BATCH_NODES``.
     """
     if np.size(theta_c) == 0:
         return np.zeros(np.shape(theta_t))
@@ -363,41 +345,39 @@ def _uline_reject(scen: ScenarioTwoArm, theta_c, theta_t, e_mean: float,
 
 
 def _offset_engines(scen: ScenarioTwoArm, e_mean: float, e_var: float,
-                    method: BorrowingMethod, engine: str, tol: float):
+                    method: BorrowingMethod, tol: float):
     """``(exact, values)``: two ways to compute ``f(x, effect)``, the
     rejection probability with the external mean N(e_mean, e_var)
     (``e_var`` = 0: fixed at e_mean), the control mean at offset x and the
     treatment mean ``effect`` above it.
 
-    ``exact`` takes a float x to a float: the adaptive quadrature at
-    ``tol``, over the control mean for a fixed external mean, nested over
-    the external mean for a random one, clipped to [0, 1].  ``values``
-    takes an array (or a float) of offsets: the u-line kernel
-    :func:`_uline_reject` under Empirical Bayes, and with
-    ``engine="quadrature"`` the same integral as ``exact`` per entry.
-    Fixed weights and no borrowing use the closed form for both.
+    Fixed weights and no borrowing use the closed form for both.  Under
+    Empirical Bayes ``values`` takes an array (or a float) of offsets to
+    the u-line kernel :func:`_uline_reject`, and ``exact``, the polish
+    engine, takes a float x to a float: adaptive quadrature at ``tol``,
+    over the control mean for a fixed external mean
+    (:func:`_fixed_engine`), nested over the external mean for a random
+    one (:func:`_random_engine`), clipped to [0, 1].
     """
     def means(x, effect):
         thc = e_mean + np.asarray(x, dtype=float) * scen.sigma
         return thc, thc + effect
 
-    if engine != "quadrature" and method.kind != EMPIRICAL_BAYES:
+    if method.kind != EMPIRICAL_BAYES:
         def closed(x, effect):
             return _closed_fixed(scen, *means(x, effect), e_mean,
                                  _method_delta(method), external_var=e_var)
         return closed, closed
 
-    reject, external = ((_fixed_engine(scen, method, tol), (e_mean,))
+    reject, external = ((_fixed_engine(scen, tol), (e_mean,))
                         if e_var == 0.0 else
-                        (_random_engine(scen, method, tol, e_mean), ()))
+                        (_random_engine(scen, tol, e_mean), ()))
 
     def exact(x, effect):
         thc = e_mean + x * scen.sigma
         return min(max(reject(thc, thc + effect, *external), 0.0), 1.0)
 
     def values(x, effect):
-        if engine == "quadrature":
-            return _per_entry(reject, *means(x, effect), *external)
         return _uline_reject(scen, *means(x, effect), e_mean, e_var, method)
     return exact, values
 
@@ -469,7 +449,7 @@ def t1e_profile(scen: ScenarioTwoArm, dE_mean: float,
     """Null rejection rate at theta_c = theta_t = dE_mean + x*sigma for each
     offset x, with the maximized level and its location."""
     engines = _offset_engines(scen, _check_finite("dE_mean", dE_mean), 0.0,
-                              method, "auto", _FIXED_TOL)
+                              method, _FIXED_TOL)
     return _profile(scen, engines, offsets, power=False)
 
 
@@ -478,7 +458,7 @@ def power_profile(scen: ScenarioTwoArm, dE_mean: float,
     """Full profile: null rejection rate and power (at effect theta1) per
     offset, plus the comparator calibrated to the maximized level."""
     engines = _offset_engines(scen, _check_finite("dE_mean", dE_mean), 0.0,
-                              method, "auto", _FIXED_TOL)
+                              method, _FIXED_TOL)
     return _profile(scen, engines, offsets)
 
 
@@ -488,7 +468,7 @@ def oc_fixed_external_two_arm(scen: ScenarioTwoArm, dE_mean: float,
     rejection rate, the power at effect theta1 with the control mean at
     that maximizing offset, and the comparator calibrated to the maximum."""
     exact, values = _offset_engines(scen, _check_finite("dE_mean", dE_mean),
-                                    0.0, method, "auto", _FIXED_TOL)
+                                    0.0, method, _FIXED_TOL)
     prof = _profile(scen, (exact, values), (), power=False)
     return OCPoint(prof.alphaB_max,
                    float(values(prof.argmax_offset, scen.theta1)),
@@ -521,13 +501,13 @@ def _inner_rows(scen: ScenarioTwoArm) -> int:
 
 
 def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
-                     theta_t, method: BorrowingMethod,
-                     zc: float) -> np.ndarray:
-    """Conditional rejection probabilities given each external mean in the
-    1-D array ``e``, integrating over the control mean with a segmented
-    Gauss-Legendre rule: the inner rule of :func:`_random_engine`.  The
-    control mean ``theta_c`` and the treatment mean ``theta_t`` are each a
-    float or an array with one entry per external mean.
+                     theta_t, zc: float) -> np.ndarray:
+    """Empirical Bayes conditional rejection probabilities given each
+    external mean in the 1-D array ``e``, integrating over the control mean
+    with a segmented Gauss-Legendre rule: the inner rule of
+    :func:`_random_engine`.  The control mean ``theta_c`` and the treatment
+    mean ``theta_t`` are each a float or an array with one entry per
+    external mean.
 
     Segment boundaries sit at e +- r (where the fitted weight stops
     saturating), clipped to the 8.5-sigma truncation window around the
@@ -540,10 +520,10 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
     nc >= nt; the worst rows have e more than 8.5 se_c + r from theta_c,
     where one 40-node segment spans the whole window.  Each segment is
     evaluated in place over its live rows (whole columns when all are live),
-    so one clipped to zero width adds exactly +0.0.  Under Empirical Bayes
-    the middle nodes lie within (1 - 0.0017/m) r of e, where the fitted
-    weight is exactly 1: the threshold there is the weight-1 posterior mean
-    plus a constant, bit for bit.  ``zc`` is the normal quantile of c.
+    so one clipped to zero width adds exactly +0.0.  The middle nodes lie
+    within (1 - 0.0017/m) r of e, where the fitted weight is exactly 1: the
+    threshold there is the weight-1 posterior mean plus a constant, bit for
+    bit.  ``zc`` is the normal quantile of c.
     """
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
@@ -568,14 +548,14 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
         h, mid, ee, ct, tt = cols[:, rows, None]
         x, t, w = buf[:, :h.shape[0]]
         np.add(np.multiply(h, gl_x, out=x), mid, out=x)
-        if seg == 1 and method.kind == EMPIRICAL_BAYES:
+        if seg == 1:
             thr = np.multiply(x, b, out=t)      # (a e + b x)/(a + b) + k
             thr += a * ee
             thr /= a + b
             thr += k
         else:
             thr = _threshold(*posterior_arrays(x, ee, scen.nc, scen.sigma,
-                             scen.nE, scen.sigmaE, method), zc, se_t)
+                             scen.nE, scen.sigmaE, _EB), zc, se_t)
         ndtr(np.divide(np.subtract(tt, thr, out=t), se_t, out=t), out=t)
         z = np.divide(np.subtract(x, ct, out=x), se_c, out=x)  # _norm_pdf
         np.exp(np.multiply(np.multiply(z, -0.5, out=w), z, out=w), out=w)
@@ -584,12 +564,12 @@ def _inner_reject_gl(scen: ScenarioTwoArm, e: np.ndarray, theta_c,
     return total
 
 
-def _random_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float,
-                   thetaE: float):
+def _random_engine(scen: ScenarioTwoArm, tol: float, thetaE: float):
     """``reject(c, t)`` with the external mean N(thetaE, seE^2), as
     :func:`_fixed_engine`: an outer adaptive quadrature of the inner rule,
     each integrand call with as many external means as keep its nodes
-    within ``_BATCH_NODES``."""
+    within ``_BATCH_NODES``.  The polish engine of a random-external
+    profile."""
     zc = norm_quantile(scen.c)
     cuts = _cuts(_WHOLE_LINE, (), (thetaE, scen.seE))
     rows = _inner_rows(scen)
@@ -598,29 +578,28 @@ def _random_engine(scen: ScenarioTwoArm, method: BorrowingMethod, tol: float,
     def reject(c, t):
         def g(e):
             return (_norm_pdf(e, thetaE, scen.seE)
-                    * _inner_reject_gl(scen, e, c, t, method, zc))
+                    * _inner_reject_gl(scen, e, c, t, zc))
         return _integrate(g, cuts, tol, rows, plan)
     return reject
 
 
 def oc_random_external_two_arm(scen: ScenarioTwoArm, thetaE: float,
                                method: BorrowingMethod, offsets,
-                               tol: float = 1e-9, *,
-                               engine: str = "auto") -> OCProfile:
+                               tol: float = 1e-9) -> OCProfile:
     """Profile with the external mean integrated out, N(thetaE, sigmaE^2/nE).
 
     Offsets are standardized against thetaE: theta_c = thetaE + x*sigma.
     Produces the averaged null rejection rate per offset, its maximized
     value over offsets, the averaged power, and the comparator calibrated
     to the maximized averaged level.  ``tol`` must be finite and positive
-    whichever engine runs; it is the tolerance of the nested quadrature,
-    which polishes the maximum and, with ``engine="quadrature"``, gives
-    every value (see :func:`_offset_engines`).
+    whatever the method; under Empirical Bayes it is the tolerance of the
+    nested quadrature that polishes the maximum (see
+    :func:`_offset_engines`).
     """
-    tol = _check_engine(engine, tol)
+    tol = _check_positive("tol", tol)
     thetaE = _check_finite("thetaE", thetaE)
     return _profile(scen, _offset_engines(scen, thetaE, scen.seE**2, method,
-                                          engine, tol), offsets)
+                                          tol), offsets)
 
 
 # the conditional rejection curve of the Monte Carlo rows: Chebyshev

@@ -18,6 +18,9 @@ methods they share.
 - **Two-arm rejection probabilities by other routes**: quadrature with
   breakpoints graded into the threshold's cusp, a dense trapezoid rule
   written from scratch, and an outer integral over the external mean.
+  With the ``engine="quadrature"`` keyword of ``borrowoc`` retired, these
+  and the serial loops above are the quadrature cross-checks of the
+  u-line kernel and the closed forms.
 - **The u-line kernel over all K panels.**  ``all_panel_reject`` integrates
   each control mean over every panel of ``uline_panels``, the lattice
   rebuilt one edge at a time, with the kernel's node arithmetic; the kernel
@@ -410,18 +413,20 @@ def trapezoid_reject(scen, theta_c, theta_t, dE):
     return np.trapezoid(dens * cond, x)
 
 
-def outer_random_reject(scen, theta_c, theta_t, thetaE, method):
-    """P(reject) with the external mean N(thetaE, seE^2): an adaptive
-    integral at tol 1e-14 over the external mean of the engine's
-    fixed-external quadrature ``borrowoc.reject_prob_two_arm`` at tol
-    1e-13.  Its inner integral runs over the control mean, so it shares no
-    rule with the u-line kernel."""
+def outer_random_reject(scen, theta_c, theta_t, thetaE):
+    """Empirical Bayes P(reject) with the external mean N(thetaE, seE^2):
+    an adaptive integral at tol 1e-14 over the external mean of the
+    polish's fixed-external quadrature ``oc_twoarm._fixed_engine`` at tol
+    1e-13, one call per external mean, clipped to [0, 1].  Its inner
+    integral runs over the control mean, so it shares no rule with the
+    u-line kernel."""
     seE = scen.seE
 
     def g(e):
-        return (_norm_pdf(e, thetaE, seE)
-                * oc_twoarm.reject_prob_two_arm(scen, theta_c, theta_t, e,
-                                                method, tol=1e-13))
+        reject = oc_twoarm._fixed_engine(scen, 1e-13)
+        inner = [min(max(reject(theta_c, theta_t, x), 0.0), 1.0)
+                 for x in e.tolist()]
+        return _norm_pdf(e, thetaE, seE) * np.array(inner)
 
     return integrate(g, Interval(-math.inf, math.inf), 1e-14,
                      gaussian_hint=(thetaE, seE))

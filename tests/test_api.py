@@ -44,7 +44,9 @@ SIGNATURES = {
     "power_profile": ("scen", "dE_mean", "method", "offsets"),
     "oc_fixed_external_two_arm": ("scen", "dE_mean", "method"),
     "oc_random_external_two_arm": ("scen", "thetaE", "method", "offsets",
-                                   "tol", "*engine"),
+                                   "tol"),
+    "reject_prob_two_arm": ("scen", "theta_c", "theta_t", "dE_mean",
+                            "method"),
     "summarize": ("records", "seed", "nsim", "scenario"),
     "rejection_region": ("scen", "external_mean", "method"),
     "maximize_1d": ("f", "domain", "tol"),

@@ -84,11 +84,13 @@ class TestClosedFormFixedWeights:
             expect, abs=1e-14)
 
     def test_engine_validation(self):
-        for engine in ("closed", "series"):
-            for method in (EB, FIXED_HALF, NONE):
-                with pytest.raises(DomainError, match="unknown engine"):
+        # one engine per method: the retired engine and tol keywords are
+        # refused, not ignored
+        for method in (EB, FIXED_HALF, NONE):
+            for keyword in ({"engine": "quadrature"}, {"tol": 1e-9}):
+                with pytest.raises(TypeError, match="unexpected keyword"):
                     reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, method,
-                                        engine=engine)
+                                        **keyword)
 
 
 class TestT1eProfile:
@@ -143,7 +145,7 @@ def _scans(scen, method, e_var):
     the grid that :func:`oc_twoarm._profile_max` scans for the null
     profile of ``scen`` with the external mean N(0, ``e_var``)."""
     exact, values = oc_twoarm._offset_engines(scen, 0.0, e_var, method,
-                                              "auto", 1e-9)
+                                              1e-9)
     seen = []
 
     def recording(f, scan, domain):
@@ -233,23 +235,17 @@ class TestStackedRows:
     """``_profile`` takes the null and the power rows from one ``values``
     call; each must equal its own call bit for bit."""
 
-    @pytest.mark.parametrize("method, e_var, engine", [
-        (EB, 0.0, "auto"),
-        (EB, SCEN.seE**2, "auto"),
-        (FIXED_HALF, 0.0, "auto"),
-        (FIXED_HALF, SCEN.seE**2, "auto"),
-        (NONE, 0.0, "auto"),
-        (EB, 0.0, "quadrature"),
-        (EB, SCEN.seE**2, "quadrature"),
-        (FIXED_HALF, 0.0, "quadrature"),
-    ], ids=["eb-fixed", "eb-random", "fixed-pp", "fixed-pp-random",
-            "none", "eb-fixed-quadrature", "eb-random-quadrature",
-            "fixed-pp-quadrature"])
-    def test_rows_match_their_own_calls(self, monkeypatch, method, e_var,
-                                        engine):
+    @pytest.mark.parametrize("method, e_var", [
+        (EB, 0.0),
+        (EB, SCEN.seE**2),
+        (FIXED_HALF, 0.0),
+        (FIXED_HALF, SCEN.seE**2),
+        (NONE, 0.0),
+    ], ids=["eb-fixed", "eb-random", "fixed-pp", "fixed-pp-random", "none"])
+    def test_rows_match_their_own_calls(self, monkeypatch, method, e_var):
         offs = (-1.0, 0.0, 0.7, 2.5)
         exact, values = oc_twoarm._offset_engines(SCEN, 0.3, e_var, method,
-                                                  engine, 1e-9)
+                                                  1e-9)
         # the maximum is checked elsewhere; any value below the rows will do
         monkeypatch.setattr(oc_twoarm, "_profile_max", lambda *a: (0.0, 0.0))
         prof = oc_twoarm._profile(SCEN, (exact, values), offs)
@@ -348,9 +344,11 @@ class TestRandomExternal:
         assert prof.t1e[0] == pytest.approx(mix, abs=1e-6)
 
     def test_engine_validation(self):
-        with pytest.raises(DomainError):
+        # one engine per method: the retired engine keyword is refused,
+        # not ignored
+        with pytest.raises(TypeError, match="unexpected keyword"):
             oc_random_external_two_arm(SCEN, 0.0, EB, offsets=[0.0],
-                                       engine="closed")
+                                       engine="quadrature")
 
 
 class TestRandomExternalMonteCarlo:
@@ -437,8 +435,6 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_tolerance_is_checked_before_the_engine_is_chosen(self, method, tol):
         # the closed forms used to ignore tol, and EB named it 'abs_tol'
-        with pytest.raises(DomainError, match="'tol' must be a positive"):
-            reject_prob_two_arm(SCEN, 0.0, 0.0, 0.0, method, tol=tol)
         with pytest.raises(DomainError, match="'tol' must be a positive"):
             oc_random_external_two_arm(SCEN, 0.0, method, [0.0], tol=tol)
 

@@ -1,24 +1,22 @@
-"""The two-arm quadrature routes: the nested random-external engine, the
-golden-section polish, ``engine="quadrature"`` and the fixed-external
-adaptive integral of ``reject_prob_two_arm``, and every check that uses
-one of them as its reference.
+"""The two-arm quadrature: the polish engines of the level search, and
+every check that uses quadrature as its reference.
 
-``oracles.profile`` evaluates every offset on its own: one adaptive
-integral per offset through the one-panel-per-call ``oracles.integrate``,
-and a scalar scan of all 401 grid points plus golden-section polish for
-the maximum.  Under Empirical Bayes the engines in ``borrowoc.oc_twoarm``
-take the profile values and the scan from the u-line kernel and polish
-with the exact engine.  Their scan evaluates 65 of the 401 grid points in
-two calls (every 8th, then the best one's neighbours), which picks the
-dense scan's cell wherever the sampled profile is unimodal
-(``test_oc_twoarm.py::TestMaximumScan`` fuzzes that).  So the maximized
-level and its location must come out exactly the oracle's, and each value
-within the oracle's tolerance plus 1e-12.  The ``engine="quadrature"``
-route runs one adaptive integral of the exact engine per offset, its
-panels evaluated together, so its values must equal the oracle's
-exactly.  The nested engine (``_random_engine`` over
-the inner rule ``_inner_reject_gl``) must equal the oracle's loops bit for
-bit as well.
+Under Empirical Bayes every value, of ``reject_prob_two_arm`` and of every
+profile, comes from the u-line kernel; adaptive quadrature runs only in
+the golden-section polish of a profile's maximum: ``_fixed_engine`` over
+the control mean, ``_random_engine`` over the external mean with the
+inner rule ``_inner_reject_gl``.  ``oracles.profile`` evaluates every
+offset on its own: one adaptive integral per offset through the
+one-panel-per-call ``oracles.integrate``, and a scalar scan of all 401
+grid points plus golden-section polish for the maximum.  The profiles scan
+65 of the 401 grid points with the kernel in two calls (every 8th, then
+the best one's neighbours), which picks the dense scan's cell wherever the
+sampled profile is unimodal (``test_oc_twoarm.py::TestMaximumScan`` fuzzes
+that).  So the maximized level and its location must come out exactly the
+oracle's, and each value within the oracle's tolerance plus 1e-12.  The
+polish engines must equal the oracle's loops bit for bit; the kernel and
+the closed forms are checked against them and against the independent
+oracles (``graded_reject``, ``random_reject``, ``outer_random_reject``).
 """
 
 import json
@@ -45,13 +43,27 @@ from borrowoc.oc_twoarm import _inner_reject_gl
 
 import oracles
 from oracles import (CUSP, EB, FAR_PEAK, FIXED_HALF, LOPSIDED, METHODS,
-                     NT_GT_NC, WIDE, TWO_ARM as SCEN)
+                     NONE, NT_GT_NC, WIDE, TWO_ARM as SCEN)
 
 OFFSETS = (-1.0, 0.0, 0.7)
 RANDOM_ERR = 1e-10
 RANDOM_FUZZ = list(oracles.fuzz_two_arm(random.Random(20232), 8,
                                         oracles.choice_fields,
                                         oracles.CHOICE_FIRST))
+
+
+def _fixed_polish(scen, tol):
+    """The fixed-external polish engine at ``tol``: ``reject(c, t, d)`` as
+    one float in [0, 1] per call."""
+    reject = oc_twoarm._fixed_engine(scen, tol)
+    return lambda c, t, d: min(max(reject(c, t, d), 0.0), 1.0)
+
+
+def _random_polish(scen, tol, thetaE):
+    """The random-external polish engine at ``tol``: ``reject(c, t)`` as one
+    float in [0, 1] per call."""
+    reject = oc_twoarm._random_engine(scen, tol, thetaE)
+    return lambda c, t: min(max(reject(c, t), 0.0), 1.0)
 
 
 def _fixed(scen, dE, method):
@@ -106,39 +118,26 @@ class TestFixedExternal:
             1e-9 + 1e-12)
 
     def test_fixed_weight_quadrature(self):
-        for thc, tht, dE in ((0.0, 0.0, 0.0), (-0.8, 0.2, 0.5),
-                             (1.7, 1.7, -0.3)):
-            assert reject_prob_two_arm(
-                SCEN, thc, tht, dE, FIXED_HALF, engine="quadrature"
-            ) == oracles.reject_prob_two_arm(SCEN, thc, tht, dE, FIXED_HALF)
+        # the closed form against the oracle's quadrature over the control
+        # mean
+        for method in (NONE, FIXED_HALF):
+            for thc, tht, dE in ((0.0, 0.0, 0.0), (-0.8, 0.2, 0.5),
+                                 (1.7, 1.7, -0.3)):
+                closed = reject_prob_two_arm(SCEN, thc, tht, dE, method)
+                quad = oracles.reject_prob_two_arm(SCEN, thc, tht, dE, method,
+                                                   tol=1e-13)
+                assert abs(closed - quad) <= 1e-12
 
 
 class TestRandomExternal:
-    @pytest.mark.parametrize("scen, thetaE, method, tol, engine", [
-        (SCEN, 0.4, EB, 1e-9, "auto"),
-        (WIDE, -0.2, EB, 1e-6, "auto"),
-        (SCEN, -0.6, FIXED_HALF, 1e-6, "quadrature"),
-    ], ids=["eb", "eb-nt>nc", "fixed-quadrature"])
-    def test_profile(self, scen, thetaE, method, tol, engine):
-        prof = oc_random_external_two_arm(scen, thetaE, method, OFFSETS, tol,
-                                          engine=engine)
+    @pytest.mark.parametrize("scen, thetaE, tol", [
+        (SCEN, 0.4, 1e-9),
+        (WIDE, -0.2, 1e-6),
+    ], ids=["eb", "eb-nt>nc"])
+    def test_profile(self, scen, thetaE, tol):
+        prof = oc_random_external_two_arm(scen, thetaE, EB, OFFSETS, tol)
         _assert_same(prof, oracles.profile(
-            scen, _random(scen, thetaE, method, tol), OFFSETS),
-            0.0 if engine == "quadrature" else tol + 1e-12)
-
-    def test_first_failing_offset_names_the_failure(self):
-        # at tol 1e-19 the offset -3 converges while 0.5 and 0 exhaust the
-        # panel budget with different error estimates; the quadrature route
-        # raises what the serial loop raises for 0.5, the first failing
-        # offset
-        with pytest.raises(NonConvergenceError) as ref:
-            oracles.random_reject(SCEN, 0.5, 0.5, 0.0, EB, 1e-19)
-        assert oracles.random_reject(SCEN, -3.0, -3.0, 0.0, EB, 1e-19) > 0.0
-        with pytest.raises(NonConvergenceError) as got:
-            oc_random_external_two_arm(SCEN, 0.0, EB, (-3.0, 0.5, 0.0),
-                                       tol=1e-19, engine="quadrature")
-        assert str(got.value) == str(ref.value)
-        assert "after 4097 panels" in str(ref.value)
+            scen, _random(scen, thetaE, EB, tol), OFFSETS), tol + 1e-12)
 
     def test_polish_fails_at_an_unreachable_tolerance(self, tmp_path, capsys):
         # the kernel gives the values, but the polish still runs the nested
@@ -211,17 +210,16 @@ class TestNodeBudget:
     @pytest.mark.parametrize("scen, rows", [(SCEN, 256), (WIDE, 128)],
                              ids=["one-piece", "two-pieces"])
     def test_random_external_scan(self, largest, scen, rows):
-        # the quadrature route runs its scan's 65 points one integral at a
-        # time, each call within the cap: at most _inner_rows(scen) external
-        # means, and so at most _BATCH_NODES inner-rule nodes
-        oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6,
-                                   engine="quadrature")
+        # the kernel scans; the polish's nested integrals call the inner
+        # rule within the cap: at most _inner_rows(scen) external means,
+        # and so at most _BATCH_NODES inner-rule nodes
+        oc_random_external_two_arm(scen, 0.0, EB, OFFSETS, tol=1e-6)
         assert oc_twoarm._inner_rows(scen) == rows
         assert 0 < largest["x"] == largest["rows"] <= rows
         pieces = math.ceil(math.sqrt(scen.nt / scen.nc))     # se_c / se_t
         assert (largest["rows"] * 3 * pieces * oc_twoarm._INNER_GL_NODES
                 <= oc_twoarm._BATCH_NODES)
-        assert largest["uline"] == 0
+        assert 0 < largest["uline"] <= oc_twoarm._BATCH_NODES
 
     def test_random_external_integral(self, largest):
         # se_c/se_t = 10: each external mean costs the inner rule 3 x 10
@@ -229,16 +227,15 @@ class TestNodeBudget:
         # fewer than the 30 nodes of one split
         scen = ScenarioTwoArm(nc=1, nt=100, nE=10, sigma=1.0, theta1=1.0,
                               alpha=0.025)
-        got = oc_twoarm._per_entry(
-            oc_twoarm._random_engine(scen, EB, 1e-6, 0.0), 0.3, 0.3)
+        got = _random_polish(scen, 1e-6, 0.0)(0.3, 0.3)
         assert largest["x"] == largest["rows"] == 25
         assert 25 * 3 * 10 * oc_twoarm._INNER_GL_NODES <= oc_twoarm._BATCH_NODES
         assert got == oracles.random_reject(scen, 0.3, 0.3, 0.0, EB, 1e-6)
 
     def test_default_profiles_call_the_exact_engines_with_scalars(
             self, monkeypatch):
-        # under engine="auto" the kernel gives every array of values; the
-        # exact engines are evaluated once per polish point, on floats
+        # the kernel gives every array of values; the exact engines are
+        # evaluated once per polish point, on floats
         calls = []
 
         def recording(factory):
@@ -287,7 +284,7 @@ class TestPolishPlan:
     (``statmath._integrate``) and no engine outlives its profile: at the
     benchmark scenario every polish integral after the profile's first
     makes one integrand call within the node cap, and the polish's values
-    are the public engines' and the oracle's one-panel-per-call integrals,
+    are a fresh engine's and the oracle's one-panel-per-call integrals,
     bit for bit."""
 
     @pytest.fixture
@@ -322,7 +319,7 @@ class TestPolishPlan:
             points = _polish_points(lambda: power_profile(
                 SCEN, external, EB, OFFSETS))
             nodes = 1
-        # under engine="auto" the polish makes every exact integral
+        # the polish makes every exact integral
         assert len(calls) == len(points) > 40
         assert [len(sizes) for sizes in calls[1:]] == [1] * (len(calls) - 1)
         assert 0 < max(map(max, calls)) * nodes <= oc_twoarm._BATCH_NODES
@@ -343,8 +340,9 @@ class TestPolishPlan:
         dE = 0.2
         points = _polish_points(lambda: power_profile(SCEN, dE, EB, OFFSETS))
         xs, ys = map(list, zip(*points))
-        thc = dE + np.array(xs) * SCEN.sigma
-        assert reject_prob_two_arm(SCEN, thc, thc, dE, EB).tolist() == ys
+        fresh = _fixed_polish(SCEN, oc_twoarm._FIXED_TOL)
+        thc = (dE + np.array(xs) * SCEN.sigma).tolist()
+        assert [fresh(c, c, dE) for c in thc] == ys
         oracle = _fixed(SCEN, dE, EB)
         assert [oracle(x, 0.0) for x in xs[-3:]] == ys[-3:]
 
@@ -353,30 +351,27 @@ class TestPolishPlan:
         points = _polish_points(lambda: (
             oc_random_external_two_arm(SCEN, thetaE, EB, OFFSETS)))
         xs, ys = map(list, zip(*points))
-        prof = oc_random_external_two_arm(SCEN, thetaE, EB, xs,
-                                          engine="quadrature")
-        assert list(prof.t1e) == ys
+        fresh = _random_polish(SCEN, 1e-9, thetaE)
+        thc = (thetaE + np.array(xs) * SCEN.sigma).tolist()
+        assert [fresh(c, c) for c in thc] == ys
         oracle = _random(SCEN, thetaE, EB, 1e-9)
         assert [oracle(x, 0.0) for x in xs[-2:]] == ys[-2:]
 
     @pytest.mark.parametrize("e_var", [0.0, SCEN.seE**2],
                              ids=["fixed", "random"])
     def test_exact_takes_floats_to_floats(self, e_var):
-        # exact(x, effect) calls the engine on float means; the same
-        # engine through the array route's _per_entry, called in the same
-        # order, gives the same bits
+        # exact(x, effect) calls the engine on float means; a fresh engine
+        # of its own, called in the same order, gives the same bits
         e_mean, tol = 0.2, 1e-9
-        exact, _ = oc_twoarm._offset_engines(SCEN, e_mean, e_var, EB, "auto",
-                                             tol)
+        exact, _ = oc_twoarm._offset_engines(SCEN, e_mean, e_var, EB, tol)
         reject, external = (
-            (oc_twoarm._fixed_engine(SCEN, EB, tol), (e_mean,)) if e_var == 0
-            else (oc_twoarm._random_engine(SCEN, EB, tol, e_mean), ()))
+            (_fixed_polish(SCEN, tol), (e_mean,)) if e_var == 0
+            else (_random_polish(SCEN, tol, e_mean), ()))
         for x in np.random.default_rng(33).uniform(-6.0, 6.0, 20).tolist():
             for effect in (0.0, SCEN.theta1):
-                thc = e_mean + np.asarray(x) * SCEN.sigma
+                thc = e_mean + x * SCEN.sigma
                 got = exact(x, effect)
-                ref = oc_twoarm._per_entry(reject, thc, thc + effect,
-                                           *external)
+                ref = reject(thc, thc + effect, *external)
                 assert type(got) is float and got == ref
 
 
@@ -415,17 +410,14 @@ def _inner_rule_calls(scen, theta_c, rng):
 
 
 def _inner_rule_fuzz():
-    """(scen, method, kind, e, theta_c) of the seeded inner-rule fuzz: 60
+    """(scen, kind, e, theta_c) of the seeded inner-rule fuzz: 60
     ``uniform_fields`` scenarios (nt > nc in about half), each with the
-    calls of :func:`_inner_rule_calls` under EB and under no borrowing or
-    fixed-pp in turn."""
+    calls of :func:`_inner_rule_calls`."""
     rng = np.random.default_rng(20260)
-    for i, scen in enumerate(oracles.fuzz_two_arm(
-            rng, 60, oracles.uniform_fields)):
+    for scen in oracles.fuzz_two_arm(rng, 60, oracles.uniform_fields):
         thc = float(rng.normal(0.0, 2.0))
         for call in list(_inner_rule_calls(scen, thc, rng)):
-            for method in (EB, METHODS[i % 2]):
-                yield scen, method, *call
+            yield scen, *call
 
 
 def _segment_ends(scen, e, theta_c):
@@ -444,25 +436,24 @@ class TestMatchesSerialLoops:
 
     def test_inner_rule_scenario_fuzz(self):
         empty, seen = set(), set()
-        for scen, method, kind, e, thc in _inner_rule_fuzz():
+        for scen, kind, e, thc in _inner_rule_fuzz():
             live = np.diff(_segment_ends(scen, e, thc), axis=1) > 0.0
             empty.update(np.count_nonzero(~live, axis=1).tolist())
-            seen.update([(method.kind, kind), (method.kind, "nt > nc",
-                                               scen.nt > scen.nc),
-                         (method.kind, "all live", bool(live.all()))])
-            seen.update((method.kind, "none live", s)
+            seen.update([(kind,), ("nt > nc", scen.nt > scen.nc),
+                         ("all live", bool(live.all()))])
+            seen.update(("none live", s)
                         for s in np.flatnonzero(~live.any(axis=0)).tolist())
             zc = norm_quantile(scen.c)
             for theta_t in (thc, thc + scen.theta1):
-                ref = oracles.inner_reject_gl(scen, e, thc, theta_t, method)
-                got = _inner_reject_gl(scen, e, thc, theta_t, method, zc)
+                ref = oracles.inner_reject_gl(scen, e, thc, theta_t, EB)
+                got = _inner_reject_gl(scen, e, thc, theta_t, zc)
                 assert np.array_equal(got, ref)
         assert empty == {0, 1, 2}
-        assert seen == {(m.kind, *k) for m in METHODS for k in [
+        assert seen == {
             ("mixed",), ("unclipped",), ("one empty",), ("far e",),
             ("far means",), ("nt > nc", True), ("nt > nc", False),
             ("all live", True), ("all live", False), ("none live", 0),
-            ("none live", 1), ("none live", 2)]}
+            ("none live", 1), ("none live", 2)}
 
     def test_middle_segment_weight_is_one(self):
         # the premise of the rule's scalar middle-segment threshold: at
@@ -470,9 +461,7 @@ class TestMatchesSerialLoops:
         # posterior, mean and sd bit for bit
         saturated = BorrowingMethod.fixed_power_prior(1.0)
         nodes = 0
-        for scen, method, _, e, thc in _inner_rule_fuzz():
-            if method != EB:
-                continue
+        for scen, _, e, thc in _inner_rule_fuzz():
             se_c = scen.sigma / math.sqrt(scen.nc)
             se_t = scen.sigma / math.sqrt(scen.nt)
             gl_x, _ = oc_twoarm._gl_pieces(math.ceil(se_c / se_t))
@@ -489,22 +478,20 @@ class TestMatchesSerialLoops:
         assert nodes > 100_000
 
     def test_two_arm_integrals(self):
-        thc = np.repeat([-0.4, 0.7, 2.5], 2)
-        tht = thc + np.tile([0.0, SCEN.theta1], 3)
-        serial = [oracles.reject_prob_two_arm(SCEN, c, t, 0.0, EB)
-                  for c, t in zip(thc.tolist(), tht.tolist())]
-        assert reject_prob_two_arm(SCEN, thc, tht, 0.0, EB).tolist() == serial
-        assert [reject_prob_two_arm(SCEN, c, t, 0.0, EB)
-                for c, t in zip(thc, tht)] == serial
-        random = oc_twoarm._per_entry(
-            oc_twoarm._random_engine(SCEN, EB, 1e-9, 0.1), thc[:2], tht[:2])
-        assert random.tolist() == [
+        thc = np.repeat([-0.4, 0.7, 2.5], 2).tolist()
+        tht = (np.array(thc) + np.tile([0.0, SCEN.theta1], 3)).tolist()
+        fixed = _fixed_polish(SCEN, 1e-9)
+        assert [fixed(c, t, 0.0) for c, t in zip(thc, tht)] == [
+            oracles.reject_prob_two_arm(SCEN, c, t, 0.0, EB)
+            for c, t in zip(thc, tht)]
+        random = _random_polish(SCEN, 1e-9, 0.1)
+        assert [random(c, t) for c, t in zip(thc[:2], tht[:2])] == [
             oracles.random_reject(SCEN, c, t, 0.1, EB)
-            for c, t in zip(thc[:2].tolist(), tht[:2].tolist())]
+            for c, t in zip(thc[:2], tht[:2])]
 
 
 class TestKernelAgainstQuadrature:
-    """The u-line kernel against the exact engines: the fixed-external
+    """The u-line kernel against the polish engines: the fixed-external
     quadrature at tol 1e-13 where the cusp is as wide as se_c, and the
     nested engine at tol 1e-12."""
 
@@ -515,42 +502,40 @@ class TestKernelAgainstQuadrature:
         thc = dE + oracles.cusp_offsets(SCEN, 0.0) * SCEN.sigma
         for effect in (0.0, SCEN.theta1):
             got = oc_twoarm._uline_reject(SCEN, thc, thc + effect, dE, 0.0, EB)
-            ref = reject_prob_two_arm(SCEN, thc, thc + effect, dE, EB,
-                                      tol=1e-13)
-            assert np.abs(got - ref).max() <= oracles.FIXED_ERR
+            ref = _fixed_polish(SCEN, 1e-13)
+            assert np.abs(got - [ref(c, c + effect, dE)
+                                 for c in thc.tolist()]).max() <= (
+                oracles.FIXED_ERR)
 
     @pytest.mark.parametrize("scen", RANDOM_FUZZ,
                              ids=oracles.fuzz_ids(RANDOM_FUZZ))
     def test_random_external_mean(self, scen):
-        # the nested route of oc_random_external_two_arm(engine="quadrature")
-        # at the offsets alone, without its scan
+        # the polish's nested engine at the offsets alone
         thetaE, var = -0.2, scen.seE**2
         thc = thetaE + oracles.cusp_offsets(scen, var) * scen.sigma
         for effect in (0.0, scen.theta1):
             got = oc_twoarm._uline_reject(scen, thc, thc + effect, thetaE, var,
                                           EB)
-            ref = oc_twoarm._per_entry(
-                oc_twoarm._random_engine(scen, EB, 1e-12, thetaE), thc,
-                thc + effect)
-            assert np.abs(got - ref).max() <= RANDOM_ERR
+            ref = _random_polish(scen, 1e-12, thetaE)
+            assert np.abs(got - [ref(c, c + effect)
+                                 for c in thc.tolist()]).max() <= RANDOM_ERR
 
     def test_random_profile_values(self):
+        # the public profile's values against the nested engine
         offs = oracles.cusp_offsets(SCEN, SCEN.seE**2).tolist()
-        prof = oc_random_external_two_arm(SCEN, 0.0, EB, offs, tol=1e-12,
-                                          engine="quadrature")
-        thc = np.asarray(offs) * SCEN.sigma
-        var = SCEN.seE**2
-        null = oc_twoarm._uline_reject(SCEN, thc, thc, 0.0, var, EB)
-        power = oc_twoarm._uline_reject(SCEN, thc, thc + SCEN.theta1, 0.0,
-                                        var, EB)
-        assert np.abs(null - prof.t1e).max() <= RANDOM_ERR
-        assert np.abs(power - prof.power_borrow).max() <= RANDOM_ERR
+        prof = oc_random_external_two_arm(SCEN, 0.0, EB, offs)
+        ref = _random_polish(SCEN, 1e-12, 0.0)
+        thc = (np.asarray(offs) * SCEN.sigma).tolist()
+        null = [ref(c, c) for c in thc]
+        power = [ref(c, c + SCEN.theta1) for c in thc]
+        assert np.abs(np.subtract(prof.t1e, null)).max() <= RANDOM_ERR
+        assert np.abs(np.subtract(prof.power_borrow, power)).max() <= (
+            RANDOM_ERR)
 
 
 class TestPolishedProfiles:
-    """``engine="auto"`` scans with the kernel and reports its values;
-    ``"quadrature"`` scans the same way with the nested engine.  Both
-    polish with the nested engine."""
+    """The kernel scans and reports every value; the polish engine places
+    the maximum."""
 
     @pytest.mark.parametrize("scen, thetaE, tol", [
         (SCEN, 0.0, 1e-9),
@@ -559,19 +544,23 @@ class TestPolishedProfiles:
         (FAR_PEAK, 0.0, 1e-6),
     ], ids=["benchmark", "wide", "nt>nc", "hi-doubles"])
     def test_random_external_bit_for_bit(self, scen, thetaE, tol):
+        # the maximum is the nested engine's value at its location, bit for
+        # bit; every value lies within tol + 1e-12 of the nested engine
         offs = (-1.0, 0.0, 0.7)
-        auto = oc_random_external_two_arm(scen, thetaE, EB, offs, tol)
-        quad = oc_random_external_two_arm(scen, thetaE, EB, offs, tol,
-                                          engine="quadrature")
-        assert (auto.alphaB_max, auto.argmax_offset) == (
-            quad.alphaB_max, quad.argmax_offset)
-        for got, ref in ((auto.t1e, quad.t1e),
-                         (auto.power_borrow, quad.power_borrow)):
-            assert np.abs(np.subtract(got, ref)).max() <= tol + 1e-12
+        prof = oc_random_external_two_arm(scen, thetaE, EB, offs, tol)
+        ref = _random_polish(scen, tol, thetaE)
+        xstar = thetaE + prof.argmax_offset * scen.sigma
+        assert prof.alphaB_max == ref(xstar, xstar)
+        thc = [thetaE + x * scen.sigma for x in offs]
+        for got, effect in ((prof.t1e, 0.0),
+                            (prof.power_borrow, scen.theta1)):
+            assert np.abs(np.subtract(got, [ref(c, c + effect)
+                                             for c in thc])).max() <= (
+                tol + 1e-12)
 
     def test_upper_end_doubles(self):
         exact, values = oc_twoarm._offset_engines(
-            FAR_PEAK, 0.0, 0.0, EB, "auto", oc_twoarm._FIXED_TOL)
+            FAR_PEAK, 0.0, 0.0, EB, oc_twoarm._FIXED_TOL)
         assert values(6.0 - 1e-3, 0.0) < values(6.0, 0.0)
         assert exact(6.0 - 1e-3, 0.0) < exact(6.0, 0.0)
 
@@ -583,7 +572,7 @@ class TestPolishedProfiles:
         # once more on the points within 7 of the best of those.  Every
         # entry equals its single-offset call bit for bit
         exact, values = oc_twoarm._offset_engines(
-            FAR_PEAK, 0.0, e_var, EB, "auto", 1e-9)
+            FAR_PEAK, 0.0, e_var, EB, 1e-9)
         calls = []
 
         def spy(x, effect):
@@ -636,8 +625,7 @@ class TestPolishedProfiles:
     @pytest.mark.parametrize("e_var", [0.0, SCEN.seE**2],
                              ids=["fixed", "random"])
     def test_requested_offset_at_the_polished_argmax(self, e_var):
-        engines = oc_twoarm._offset_engines(SCEN, 0.0, e_var, EB, "auto",
-                                            1e-9)
+        engines = oc_twoarm._offset_engines(SCEN, 0.0, e_var, EB, 1e-9)
         polished = oc_twoarm._profile(SCEN, engines, (), power=False)
         xstar = polished.argmax_offset
         prof = oc_twoarm._profile(SCEN, engines, (xstar,), power=False)
@@ -646,8 +634,7 @@ class TestPolishedProfiles:
             (polished.alphaB_max, xstar), (prof.t1e[0], xstar))
 
     def test_requested_offset_beating_the_polish_wins(self):
-        exact, values = oc_twoarm._offset_engines(SCEN, 0.0, 0.0, EB, "auto",
-                                                  1e-9)
+        exact, values = oc_twoarm._offset_engines(SCEN, 0.0, 0.0, EB, 1e-9)
         polished = oc_twoarm._profile(SCEN, (exact, values), (), power=False)
         xstar = polished.argmax_offset
 
@@ -682,8 +669,28 @@ class TestPrintedValues:
     @pytest.mark.parametrize("thc, tht, ref", MPMATH,
                              ids=["null-0", "alternative--0.5", "null-0.25"])
     def test_fixed_external_quadrature_at_the_cusp(self, thc, tht, ref):
-        got = reject_prob_two_arm(CUSP, thc, tht, 0.3, EB, tol=1e-13)
-        assert abs(got - ref) <= 1e-13
+        # the kernel behind reject_prob_two_arm, and the polish's
+        # quadrature at tol 1e-13
+        assert abs(reject_prob_two_arm(CUSP, thc, tht, 0.3, EB) - ref) <= 1e-13
+        assert abs(_fixed_polish(CUSP, 1e-13)(thc, tht, 0.3) - ref) <= 1e-13
+
+    @pytest.mark.parametrize("scen", [
+        CUSP,
+        ScenarioTwoArm(nc=3, nt=106, nE=200, sigma=0.5, theta1=1.0,
+                       alpha=0.025, c=0.999, sigmaE=1.6),
+    ], ids=["cusp", "graded-cusp"])
+    def test_reject_prob_matches_graded_quadrature(self, scen):
+        # the adaptive quadrature that reject_prob_two_arm ran erred by
+        # 1.3e-10 and 2.6e-12 here at tol 1e-9: its error estimate misses
+        # part of the cusp even with graded cuts
+        dE = 0.3
+        r = math.sqrt(scen.sigma**2 / scen.nc + scen.seE**2)
+        thc = dE + np.linspace(-3.0 * r, 3.0 * r, 13)
+        for effect in (0.0, scen.theta1):
+            got = reject_prob_two_arm(scen, thc, thc + effect, dE, EB)
+            ref = [oracles.graded_reject(scen, c, c + effect, dE)
+                   for c in thc.tolist()]
+            assert np.abs(got - ref).max() <= 1e-13
 
     def test_random_external_far_offsets(self):
         # the nested engine's inner rule erred by up to 6.9e-11 here; the
@@ -692,9 +699,9 @@ class TestPrintedValues:
         prof = oc_random_external_two_arm(SCEN, 0.0, EB, (-3.0, 3.0))
         for x, t1e, power in zip(prof.grid, prof.t1e, prof.power_borrow):
             assert abs(t1e - oracles.outer_random_reject(
-                SCEN, x, x, 0.0, EB)) <= 1e-12
+                SCEN, x, x, 0.0)) <= 1e-12
             assert abs(power - oracles.outer_random_reject(
-                SCEN, x, x + SCEN.theta1, 0.0, EB)) <= 1e-12
+                SCEN, x, x + SCEN.theta1, 0.0)) <= 1e-12
 
 
 class TestInnerRuleLargeTreatmentArm:
@@ -708,19 +715,18 @@ class TestInnerRuleLargeTreatmentArm:
         zc = norm_quantile(scen.c)
         e = np.linspace(-2.0, 2.0, 9)
         for theta_t in (0.0, scen.theta1):
-            rule = _inner_reject_gl(scen, e, 0.0, theta_t, EB, zc)
-            adaptive = [reject_prob_two_arm(scen, 0.0, theta_t, float(de), EB,
-                                            tol=1e-12) for de in e]
+            rule = _inner_reject_gl(scen, e, 0.0, theta_t, zc)
+            adaptive = [_fixed_polish(scen, 1e-12)(0.0, theta_t, de)
+                        for de in e.tolist()]
             assert np.abs(rule - adaptive).max() <= 1e-10
 
     def test_monte_carlo_rows_match_adaptive_quadrature(self):
         scen = LOPSIDED
         e, T, P = oracles.mc_grids(scen, 0.0, EB, (-1.0, 1.5), 6, seed=4)
+        reject = _fixed_polish(scen, 1e-12)
         for o, x in enumerate((-1.0, 1.5)):
             for rows, effect in ((T, 0.0), (P, scen.theta1)):
-                adaptive = [reject_prob_two_arm(scen, x, x + effect,
-                                                float(de), EB, tol=1e-12)
-                            for de in e]
+                adaptive = [reject(x, x + effect, de) for de in e.tolist()]
                 assert np.abs(rows[o] - adaptive).max() <= 1e-10
 
     def test_quadrature_within_4se_of_monte_carlo(self):
@@ -739,15 +745,25 @@ class TestInnerRuleLargeTreatmentArm:
 
 class TestClosedFormFixedWeights:
     def test_quadrature_cross_checks_closed_form(self):
-        for thc, tht, de in ((0.0, 0.0, 0.0), (0.3, 1.1, -0.4), (-0.5, 0.2, 0.6)):
-            closed = reject_prob_two_arm(SCEN, thc, tht, de, FIXED_HALF,
-                                         engine="auto")
-            quad = reject_prob_two_arm(SCEN, thc, tht, de, FIXED_HALF,
-                                       engine="quadrature")
-            assert quad == pytest.approx(closed, abs=1e-6)
+        # the random-external closed form against the oracle's nested
+        # quadrature over the external and the control mean
+        for method in (NONE, FIXED_HALF):
+            for thetaE in (-0.6, 0.4):
+                prof = oc_random_external_two_arm(SCEN, thetaE, method,
+                                                  OFFSETS)
+                thc = [thetaE + x * SCEN.sigma for x in OFFSETS]
+                for got, effect in ((prof.t1e, 0.0),
+                                    (prof.power_borrow, SCEN.theta1)):
+                    quad = [oracles.random_reject(SCEN, c, c + effect, thetaE,
+                                                  method, 1e-12) for c in thc]
+                    assert np.abs(np.subtract(got, quad)).max() <= 1e-11
 
 
 class TestEmpiricalBayesQuadrature:
+    """The Empirical Bayes values of ``reject_prob_two_arm`` (the u-line
+    kernel) against a trapezoid rule written from scratch, and under a
+    common shift of all three means."""
+
     @pytest.mark.parametrize("offset", [-1.0, 0.7, 2.0])
     def test_matches_dense_trapezoid_oracle(self, offset):
         # brute-force integral over the control mean, built from scratch
@@ -766,16 +782,13 @@ class TestEmpiricalBayesQuadrature:
 
 class TestArrayArguments:
     @pytest.mark.parametrize("method", METHODS, ids=oracles.METHOD_IDS)
-    @pytest.mark.parametrize("engine", ["auto", "quadrature"])
-    def test_reject_prob_broadcasts_like_scalar_calls(self, method, engine):
+    def test_reject_prob_broadcasts_like_scalar_calls(self, method):
         thc = np.array([[-0.4], [0.7]])
         tht = thc + np.array([0.0, SCEN.theta1, 2.0])
-        got = reject_prob_two_arm(SCEN, thc, tht, 0.3, method, engine=engine)
+        got = reject_prob_two_arm(SCEN, thc, tht, 0.3, method)
         assert got.shape == (2, 3)
         for i, j in np.ndindex(got.shape):
             assert got[i, j] == reject_prob_two_arm(
-                SCEN, float(thc[i, 0]), float(tht[i, j]), 0.3, method,
-                engine=engine)
-        scalar = reject_prob_two_arm(SCEN, 0.1, 0.1, 0.3, method,
-                                     engine=engine)
+                SCEN, float(thc[i, 0]), float(tht[i, j]), 0.3, method)
+        scalar = reject_prob_two_arm(SCEN, 0.1, 0.1, 0.3, method)
         assert type(scalar) is float

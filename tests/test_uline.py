@@ -9,9 +9,10 @@ and graded into the square-root cusp of the threshold just past it.  Rows
 of several treatment means, and each of many control means, must equal
 their own calls bit for bit, whatever the chunking; the threshold is
 evaluated once per lattice node and call, and no node array may exceed
-``_BATCH_NODES``.  The checks against the exact engines (the nested
-random-external engine, the fixed-external quadrature) are in
-``test_twoarm_quadrature.py``.
+``_BATCH_NODES``.  The checks against the polish engines (the nested
+random-external quadrature, the fixed-external quadrature) and of
+``reject_prob_two_arm``, which calls the kernel under Empirical Bayes, are
+in ``test_twoarm_quadrature.py``.
 """
 
 import random
