@@ -115,13 +115,13 @@ def _int_fields(v):
 
 def csv_rows(cols) -> bytes:
     """CSV lines of equal-length columns; a column of bit-identical entries
-    is formatted once, and the other float columns in one kernel call."""
+    is one unpadded ``repr``, and the other float columns one kernel call."""
     fields = []
     for col in cols:
         bits = col.view(np.uint64)
         if np.all(bits == bits[0]):
-            fields.append(_repr_rows(col[:1], _INT_WIDTH if col.dtype.kind
-                                     == "i" else _FLOAT_WIDTH))
+            fields.append(np.frombuffer(repr(col[0].item()).encode(),
+                                        np.uint8)[None])
         else:
             fields.append(_int_fields(col) if col.dtype.kind == "i" else col)
     floats = [f for f in fields if f.ndim == 1]

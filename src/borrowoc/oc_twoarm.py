@@ -19,11 +19,13 @@ Exact engines:
   closed-form again for fixed weights, the kernel again for Empirical
   Bayes, and a seeded Monte Carlo variant for audit.  The Monte Carlo rows
   do not integrate per draw: a draw's conditional rejection probability
-  depends only on d = theta_c - e, so each run tabulates one curve R(d) as
-  Chebyshev panels from one u-line kernel call and evaluates it one offset
-  and one block of ``statmath._BLOCK_ROWS`` draws at a time.  Each
-  offset's rows are reduced to their means as they come, so such a run
-  holds the rows of two offsets and no temporary longer than a block.
+  depends only on d = theta_c - e, so a run tabulates its null and power
+  curves R(d) as Chebyshev panels from the u-line kernel and evaluates
+  them in place, one offset and one block of ``statmath._BLOCK_ROWS``
+  draws at a time; ``runner.run_algorithm2``, which reports power at its
+  chosen offset alone, builds that row last.  Each offset's rows are
+  reduced to their means as they come, so such a run holds the rows of
+  two offsets and no temporary longer than a block.
 
 ``_BATCH_NODES`` is the one node budget of the u-line kernel's node
 arrays and the polish quadrature's integrand calls.
@@ -613,96 +615,119 @@ _CHEB_FIT = (2.0 / _CURVE_NODES) * np.cos(
 _CHEB_FIT[0] *= 0.5
 
 
+def _chebval(t, c, idx, out):
+    """``np.clip(chebval(t, c[:, idx], tensor=False), 0, 1)`` written into
+    ``out``, bit for bit: NumPy's Clenshaw recurrence, the same operations
+    in the same order, run in place on the gathered coefficients."""
+    g = np.take(c, idx, axis=1)
+    x2 = 2 * t
+    c0, c1 = g[-2], g[-1]
+    for row in g[-3::-1]:
+        np.subtract(row, c1, out=row)
+        np.add(c0, np.multiply(c1, x2, out=c1), out=c1)
+        c0 = row
+    np.add(c0, np.multiply(c1, t, out=c1), out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def _mc_conditional_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
-                         method: BorrowingMethod):
+                         method: BorrowingMethod, sides=(0, 1)):
     """Exact conditional rejection probabilities given each drawn external
     mean (the current-arm sampling replaced by its expectation): yields,
-    for each control mean in ``theta_cs`` in turn, the pair of rows
-    ``(null, power)`` over the draws, the null with the treatment mean at
-    the control mean and the alternative theta1 above it.
+    for each control mean in ``theta_cs`` in turn, a tuple of one row over
+    the draws per side in ``sides``: 0 the null, the treatment mean at the
+    control mean, and 1 the power, the alternative theta1 above it.
 
     Under Empirical Bayes the probability depends on d = theta_c - e only,
-    so every entry lies on one curve R(d).  It is tabulated once, before
-    the first pair, on the panels [k w, (k+1) w), w = 2 min(se_c, se_t),
-    that some d falls in, as a degree-16 Chebyshev interpolant on 17
-    nodes; the node values are one u-line kernel call at control mean d
-    and external mean 0, which serves the null and the alternative from
-    one threshold pass.  An entry depends only on its own d: not on the
-    other draws, the other control means or the number of draws.  Every
-    method computes the rows one block of draws at a time.
+    so every entry of a side lies on one curve R(d).  The curves are
+    tabulated once, before the first rows, on the panels [k w, (k+1) w),
+    w = 2 min(se_c, se_t), that some d falls in, as degree-16 Chebyshev
+    interpolants on 17 nodes: one u-line kernel call at control mean d and
+    external mean 0, one row per side, one threshold pass.  An entry
+    depends only on its own d and side, not on the other draws, control
+    means or sides, nor on their number.  Every method computes the rows
+    one block of draws at a time, Empirical Bayes by :func:`_chebval`.
     """
+    def means(thc):                     # the treatment mean of each side
+        return [(thc, thc + scen.theta1)[s] for s in sides]
+
     if method.kind != EMPIRICAL_BAYES:
         delta = _method_delta(method)
 
-        def block(thc, de):
-            return (_closed_fixed(scen, thc, thc, de, delta),
-                    _closed_fixed(scen, thc, thc + scen.theta1, de, delta))
+        def block(thc, de, out):
+            for row, tht in zip(out, means(thc)):
+                row[:] = _closed_fixed(scen, thc, tht, de, delta)
     else:
         w = 2.0 * scen.sigma / math.sqrt(max(scen.nc, scen.nt))
         panels = np.unique(np.concatenate(
             [np.unique(np.floor((thc - e[rows]) / w))
              for rows in _blocks(e.size) for thc in theta_cs]))
         d = (w * (panels[:, None] + 0.5 + 0.5 * _CHEB_X)).ravel()
-        vals = _uline_reject(scen, d, np.stack([d, d + scen.theta1]), 0.0,
-                             0.0, method)
+        vals = _uline_reject(scen, d, np.stack(means(d)), 0.0, 0.0, method)
         # per-panel sums, not a matrix product: a panel's coefficients must
         # not depend on how many other panels there are
         coef = [(v.reshape(-1, 1, _CURVE_NODES) * _CHEB_FIT).sum(axis=-1).T
                 for v in vals]
 
-        def block(thc, de):
+        def block(thc, de, out):
             u = (thc - de) / w
             k = np.floor(u)
             t, idx = 2.0 * (u - k) - 1.0, np.searchsorted(panels, k)
-            return [np.clip(np.polynomial.chebyshev.chebval(
-                t, c[:, idx], tensor=False), 0.0, 1.0) for c in coef]
+            for row, c in zip(out, coef):
+                _chebval(t, c, idx, row)
     for thc in theta_cs:
-        pair = np.empty(e.size), np.empty(e.size)
+        out = tuple(np.empty(e.size) for _ in sides)
         for rows in _blocks(e.size):
-            pair[0][rows], pair[1][rows] = block(thc, e[rows])
-        yield pair
+            block(thc, e[rows], [row[rows] for row in out])
+        yield out
 
 
 def _literal_mc_rows(scen: ScenarioTwoArm, e: np.ndarray, theta_cs,
-                     method: BorrowingMethod, seed: int):
-    """Raw 0/1 decisions of the literal Monte Carlo: yields the
-    ``(null, power)`` rows of each control mean in ``theta_cs`` in turn,
-    the o-th drawn from stream (seed, o+1): control and treatment means
-    under the null, then under the alternative, the treatment means drawn
-    and decided one block at a time (the stream of one whole draw)."""
+                     method: BorrowingMethod, seed: int, sides=(0, 1),
+                     start: int = 0):
+    """Raw 0/1 decisions of the literal Monte Carlo: yields the rows of
+    ``sides`` (as in :func:`_mc_conditional_rows`) of each control mean in
+    ``theta_cs`` in turn, the o-th from stream (seed, start+o+1): control
+    and treatment means under the null, then the alternative, the latter
+    drawn one block at a time (the stream of one whole draw), decided for
+    a wanted side and not drawn past the last one."""
     nsim = e.shape[0]
     se_c = scen.sigma / math.sqrt(scen.nc)
     se_t = scen.sigma / math.sqrt(scen.nt)
     zc = norm_quantile(scen.c)
-    for o, thc in enumerate(theta_cs):
+    for o, thc in enumerate(theta_cs, start):
         gen = RngStream(seed, o + 1).generator()
-        pair = np.empty(nsim), np.empty(nsim)
-        for tht, out in zip((thc, thc + scen.theta1), pair):
+        out = {s: np.empty(nsim) for s in sides}
+        for s, tht in enumerate((thc, thc + scen.theta1)[:max(sides) + 1]):
             dc = gen.normal(thc, se_c, nsim)
             for rows in _blocks(nsim):
-                mc, sc = posterior_arrays(dc[rows], e[rows], scen.nc,
-                                          scen.sigma, scen.nE, scen.sigmaE,
-                                          method)
                 dt = gen.normal(tht, se_t, rows.stop - rows.start)
-                out[rows] = dt > _threshold(mc, sc, zc, se_t)
-        yield pair
+                if s in out:
+                    mc, sc = posterior_arrays(dc[rows], e[rows], scen.nc,
+                                              scen.sigma, scen.nE,
+                                              scen.sigmaE, method)
+                    out[s][rows] = dt > _threshold(mc, sc, zc, se_t)
+        yield tuple(out.values())
 
 
 def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
                              method: BorrowingMethod, offsets, nsim: int,
-                             seed: int, literal: bool = False):
+                             seed: int, literal: bool = False,
+                             all_power: bool = True):
     """The random-external two-arm Monte Carlo over the offsets, reduced
     one offset at a time.
 
     Returns ``(e, t1e, power, k, T, P)``: the external-mean draws, the
     per-offset means of the null and power rows (``math.fsum`` over the
     replicates, divided by nsim), the index k of the first offset with the
-    largest null mean, and that offset's null and power rows.  Only two
-    offsets' rows are held at once, whatever the number of offsets.
-    External means come from stream (seed, 0); the rows are exact
-    conditional probabilities (:func:`_mc_conditional_rows`) or, in
-    literal mode, raw decisions (:func:`_literal_mc_rows`).  Refuses an
-    invalid ``nsim`` or ``thetaE`` and empty or non-finite offsets.
+    largest null mean, and that offset's null and power rows; with
+    ``all_power`` false, ``power`` is empty and P is built at offset k
+    alone, last.  Only two offsets' rows are held at once, whatever the
+    number of offsets.  External means come from stream (seed, 0); the
+    rows are exact conditional probabilities (:func:`_mc_conditional_rows`)
+    or, in literal mode, raw decisions (:func:`_literal_mc_rows`).
+    Refuses an invalid ``nsim`` or ``thetaE`` and empty or non-finite
+    offsets.
     """
     nsim = _check_count("nsim", nsim)
     thetaE = _check_finite("thetaE", thetaE)
@@ -711,14 +736,20 @@ def _random_two_arm_mc_grids(scen: ScenarioTwoArm, thetaE: float,
         raise DomainError("offsets must be non-empty")
     e = RngStream(seed, 0).generator().normal(thetaE, scen.seE, nsim)
     thcs = [float(thetaE) + x * scen.sigma for x in offs]
-    rows = (_literal_mc_rows(scen, e, thcs, method, seed) if literal
-            else _mc_conditional_rows(scen, e, thcs, method))
+
+    def rows(thcs, sides, first=0):
+        return (_literal_mc_rows(scen, e, thcs, method, seed, sides, first)
+                if literal else _mc_conditional_rows(scen, e, thcs, method,
+                                                     sides))
+
     t1e, power, k, best = [], [], 0, ()
-    for o, (T, P) in enumerate(rows):
-        t1e.append(_fsum(T) / nsim)
-        power.append(_fsum(P) / nsim)
+    for o, pair in enumerate(rows(thcs, (0, 1) if all_power else (0,))):
+        t1e.append(_fsum(pair[0]) / nsim)
+        power += [_fsum(P) / nsim for P in pair[1:]]
         if not best or t1e[o] > t1e[k]:
-            k, best = o, (T, P)
+            k, best = o, pair
+    if not all_power:
+        best += next(rows(thcs[k:k + 1], (1,), k))
     return (e, t1e, power, k, *best)
 
 

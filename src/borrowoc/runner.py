@@ -300,7 +300,7 @@ def run_algorithm2(scen, thetaE: float, method: BorrowingMethod,
         offs = DEFAULT_TWO_ARM_OFFSETS if offsets is None \
             else tuple(float(x) for x in offsets)
         e, t1e, _, k, T, P = _random_two_arm_mc_grids(
-            scen, thetaE, method, offs, nsim, seed, literal)
+            scen, thetaE, method, offs, nsim, seed, literal, all_power=False)
         cols = _replicate_columns(e, T, P,
                                   power_calibrated_two_arm(t1e[k], scen))
         echo = scenario_echo(scen, method, thetaE,

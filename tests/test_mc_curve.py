@@ -6,17 +6,21 @@ alone.  ``_mc_conditional_rows`` interpolates it on Chebyshev panels
 tabulated from the u-line kernel; the direct kernel at each d is the
 reference.  Fixed-weight rows are the closed form, literal rows the raw
 decisions of ``oracles.literal_rows``, and the rows of all offsets at once
-equal single-offset calls exactly.
+equal single-offset calls exactly.  The curve is evaluated by an in-place
+recurrence that must equal NumPy's ``chebval`` bit for bit, and a two-arm
+``run_algorithm2``, which builds power rows at its chosen offset alone,
+must report exactly the rows of the all-offsets run.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from borrowoc import RngStream, ScenarioTwoArm
-from borrowoc import oc_twoarm
-from borrowoc.oc_twoarm import (_closed_fixed, _mc_conditional_rows,
+from borrowoc import RngStream, ScenarioTwoArm, run_algorithm2
+from borrowoc import oc_twoarm, runner
+from borrowoc.oc_twoarm import (_chebval, _closed_fixed, _mc_conditional_rows,
                                 _random_two_arm_mc_grids, _uline_reject)
 
 import oracles
@@ -197,3 +201,119 @@ class TestRowsMatchSingleOffsetCalls:
                                     0.0, 0.0, method)
                 assert np.abs(T[o] - ref[0]).max() <= 1e-11
                 assert np.abs(P[o] - ref[1]).max() <= 1e-11
+
+
+class TestInPlaceRecurrence:
+    @pytest.mark.parametrize("n", [1, 452, 2048])
+    def test_equals_chebval_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for scale in 10.0 ** np.arange(-13, 1):
+            # (panels, 17) coefficients read through their transpose, as
+            # the curve stores them; a constant term of 0.5 and the rest
+            # at most 0.5 in all keep the values inside [0, 1] unclipped
+            c = rng.uniform(-1.0, 1.0, (40, oc_twoarm._CURVE_NODES))
+            c *= scale * 0.5 / (oc_twoarm._CURVE_NODES - 1)
+            c[:, 0] = 0.5
+            t = rng.uniform(-1.0, 1.0, n)
+            t[:4] = [-1.0, 1.0, np.nextafter(-1.0, 0.0),
+                     np.nextafter(1.0, 0.0)][:n]
+            idx = rng.integers(0, 40, n)
+            ref = np.polynomial.chebyshev.chebval(t, c.T[:, idx],
+                                                  tensor=False)
+            assert np.all((ref >= 0.0) & (ref <= 1.0))
+            out = np.empty(n)
+            assert _chebval(t, c.T, idx, out) is out
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+            # values past [0, 1] are clipped, as the rows' np.clip did
+            c[:, 0] = rng.choice([-3.0, 4.0], 40)
+            ref = np.clip(np.polynomial.chebyshev.chebval(
+                t, c.T[:, idx], tensor=False), 0.0, 1.0)
+            assert np.array_equal(_chebval(t, c.T, idx, out), ref)
+
+
+def _chosen_offset_report(scen, thetaE, method, offsets, nsim, seed,
+                          literal):
+    """The report of a two-arm ``run_algorithm2`` rebuilt from the rows
+    that ``oracles.mc_grids`` records on the all-offsets path."""
+    e, T, P = oracles.mc_grids(scen, thetaE, method, offsets, nsim, seed,
+                               literal)
+    t1e = [math.fsum(row) / nsim for row in T]
+    k = t1e.index(max(t1e))
+    cols = runner._replicate_columns(
+        e, T[k], P[k], oc_twoarm.power_calibrated_two_arm(t1e[k], scen))
+    echo = runner.scenario_echo(scen, method, thetaE,
+                                {"argmax_offset": float(offsets[k])})
+    return t1e, k, runner.summarize(cols, seed, nsim, echo)
+
+
+class TestPowerAtTheChosenOffset:
+    """A two-arm ``run_algorithm2`` computes the null rows at every offset
+    and the power row at the first maximizing offset k alone; its report
+    equals the one built from the rows of every offset."""
+
+    @pytest.mark.parametrize("literal", [False, True],
+                             ids=["conditional", "literal"])
+    @pytest.mark.parametrize("method", METHODS, ids=oracles.METHOD_IDS)
+    @pytest.mark.parametrize("offsets", [
+        (-1.0, 0.25, 0.75, 2.0), (-0.5, 0.75, 0.75), (0.5,)],
+        ids=["grid", "tie", "one-offset"])
+    def test_report_equals_the_all_offsets_rows(self, offsets, method,
+                                                literal):
+        nsim = 700
+        t1e, k, ref = _chosen_offset_report(SCEN, 0.1, method, offsets,
+                                            nsim, 9, literal)
+        got = run_algorithm2(SCEN, 0.1, method, nsim, 9, literal=literal,
+                             offsets=offsets)
+        assert got == ref
+        if not literal and (method is NONE or len(offsets) == 3) \
+                and len(offsets) > 1:
+            # tied means, none's at every offset and the others' at the
+            # repeated 0.75: the first of them wins
+            tied = [o for o, v in enumerate(t1e) if v == max(t1e)]
+            assert len(tied) >= 2 and k == tied[0]
+
+    @pytest.mark.parametrize("literal", [False, True],
+                             ids=["conditional", "literal"])
+    @pytest.mark.parametrize("method", METHODS, ids=oracles.METHOD_IDS)
+    def test_power_rows_at_exactly_one_offset(self, monkeypatch, method,
+                                              literal):
+        name = "_literal_mc_rows" if literal else "_mc_conditional_rows"
+        source, calls = getattr(oc_twoarm, name), []
+
+        def recording(*args):
+            call = inspect.signature(source).bind(*args)
+            call.apply_defaults()
+            calls.append(call.arguments)
+            yield from source(*args)
+
+        kernel, kernel_rows = oc_twoarm._uline_reject, []
+
+        def counting(scen, theta_c, theta_t, *args):
+            kernel_rows.append(np.shape(theta_t))
+            return kernel(scen, theta_c, theta_t, *args)
+
+        monkeypatch.setattr(oc_twoarm, name, recording)
+        monkeypatch.setattr(oc_twoarm, "_uline_reject", counting)
+        offsets, nsim, seed = (-1.0, 0.0, 0.75, 1.5, 3.0), 2100, 3
+        rep = run_algorithm2(SCEN, -0.2, method, nsim, seed,
+                             literal=literal, offsets=offsets)
+        k = offsets.index(rep.scenario["argmax_offset"])
+        thcs = [-0.2 + x * SCEN.sigma for x in offsets]
+        assert [list(c["theta_cs"]) for c in calls] == [thcs, [thcs[k]]]
+        assert [tuple(c["sides"]) for c in calls] == [(0,), (1,)]
+        if literal:
+            # k's rows come from its own stream, (seed, k + 1)
+            assert calls[1]["start"] == k
+            e, T, P = oracles.literal_rows(SCEN, -0.2, method, offsets,
+                                           nsim, seed)
+            assert np.array_equal(rep.records.t1e_borrow, T[k])
+            assert np.array_equal(rep.records.power_borrow, P[k])
+        if method is EB and not literal:
+            # one kernel row for the null curve on every offset's panels,
+            # then one for the power curve on offset k's panels alone
+            e = RngStream(seed, 0).generator().normal(-0.2, SCEN.seE, nsim)
+            hit = np.unique(np.floor((thcs[k] - e) / _width(SCEN))).size
+            assert kernel_rows[1] == (1, 17 * hit)
+            assert kernel_rows[0][0] == 1 and kernel_rows[0][1] > 17 * hit
+        else:
+            assert not kernel_rows

@@ -137,6 +137,23 @@ def test_constant_columns_are_bit_identical_runs():
         == "7,0.0,nan\n8,-0.0,nan\n"
 
 
+def test_constant_columns_at_their_exact_width():
+    # each constant column is written as its repr text alone, beside
+    # varying int, fixed-notation and exponent-notation columns
+    n = _BLOCK_ROWS + 5
+    rng = np.random.default_rng(5)
+    constants = [np.full(n, 17), np.full(n, 0.3125), np.full(n, 2.5e-7),
+                 np.full(n, 0.0), np.full(n, -0.0), np.full(n, 1.0),
+                 np.full(n, math.nan),
+                 np.broadcast_to(np.float64(1e300), (n,))]
+    varying = [np.arange(n), rng.uniform(size=n),
+               10.0 ** -rng.integers(5, 300, n)]
+    cols = [c for pair in zip(constants, varying * 3) for c in pair]
+    text = cli._csv_rows(cols).decode()
+    assert text == "".join(",".join(map(repr, row)) + "\n"
+                           for row in zip(*(c.tolist() for c in cols)))
+
+
 def test_two_arm_grid_records_csv(tmp_path):
     report = run_grid(oracles.TWO_ARM, (-1.0, 0.0, 0.5, 1.0),
                       oracles.FIXED_HALF)

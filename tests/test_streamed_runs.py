@@ -101,6 +101,20 @@ def test_block_sum_is_the_whole_sum():
     # terms that cancel across the seams: any rounding would show
     col = np.tile([1e16, 1.0, -1e16, 1e-3], B)
     assert _fsum(col) == math.fsum(col.tolist())
+    # a strided view and a zero-stride broadcast (a report's constant
+    # column) are summed as their entries; nan, the infinities and -0.0
+    # come out as math.fsum gives them
+    strided = np.tile([1e16, 7.0, 1.0, 5.0, -1e16, 3.0], B)[::2]
+    shared = np.broadcast_to(np.float64(0.1), (B + 3,))
+    assert shared.strides == (0,) and _fsum(strided) == 1.0 * B
+    for col in (strided, shared, np.array([-0.0, -0.0]), np.array([-0.0]),
+                np.array([-0.0, 0.0]), np.array([1.0, math.inf, 2.0]),
+                np.array([-math.inf, -0.0]), np.array([1.0, math.nan, 2.0]),
+                np.array([math.nan, math.inf])):
+        assert repr(_fsum(col)) == repr(math.fsum(col.tolist()))
+    for fsum in (_fsum, math.fsum):
+        with pytest.raises(ValueError):
+            fsum(np.array([math.inf, -math.inf]))
 
 
 class TestColumns:

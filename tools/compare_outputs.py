@@ -4,7 +4,8 @@ this working tree.
     python3 tools/compare_outputs.py REV [--seeds 0 7 13]
 
 Exports REV with ``git archive`` into a temporary directory, then runs
-every command of ``bench/workloads.py`` (all workloads, each seed) on the
+every command of ``bench/workloads.py`` (all workloads, each seed), and
+the :data:`EXTRA` commands of the routes no benchmark command takes, on the
 exported tree and on this one, each tree in its own subprocess with only
 its own ``src`` on the import path.  For each output file it prints
 ``same`` when the bytes are identical, or else the largest absolute
@@ -28,18 +29,43 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs in the child: argv = src dir, bench dir, out dir, seeds...
+# two-arm Monte Carlo routes that no benchmark command takes: (name,
+# subcommand, config over workloads.TWO_ARM, flags).  Each seed runs them
+# at thetaE = seed / 20 - 0.3 with the seed as the run's seed; 2,100 draws
+# cross a row-block seam.
+EXTRA = (
+    ("alg2-fixedpp", "algorithm2", {"method": "fixed-pp", "delta": 0.5}, []),
+    ("alg2-none", "algorithm2", {"method": "none"}, []),
+    ("alg2-eb-audit", "algorithm2", {"method": "eb-pp"}, ["--mc-audit"]),
+    ("alg2-fixedpp-audit", "algorithm2",
+     {"method": "fixed-pp", "delta": 0.5}, ["--mc-audit"]),
+    ("alg2-none-audit", "algorithm2", {"method": "none"}, ["--mc-audit"]),
+    ("alg2-eb-one-offset", "algorithm2",
+     {"method": "eb-pp", "grid": {"start": 0.5, "stop": 0.5, "step": 1.0}},
+     []),
+    ("random-fixedpp-audit", "two-arm-random",
+     {"method": "fixed-pp", "delta": 0.5}, ["--mc-audit"]),
+)
+EXTRA_NSIM = 2100
+
+# runs in the child: argv = src dir, bench dir, out dir, EXTRA as JSON,
+# EXTRA_NSIM, seeds...
 RUNNER = """
+import json
 import sys
 from pathlib import Path
-src, bench, out, *seeds = sys.argv[1:]
+src, bench, out, extra, extra_nsim, *seeds = sys.argv[1:]
 sys.path[:0] = [src, bench]
 from borrowoc.cli import main
 import workloads
-for name in workloads.WORKLOADS:
-    for seed in map(int, seeds):
+for seed in map(int, seeds):
+    runs = {name: workloads.generate(name, seed) for name in workloads.WORKLOADS}
+    runs["extra"] = [workloads.Command(name, sub, {
+        **workloads.TWO_ARM, "thetaE": seed / 20 - 0.3, "seed": seed,
+        "nsim": int(extra_nsim), **cfg}, tuple(flags))
+        for name, sub, cfg, flags in json.loads(extra)]
+    for name, cmds in runs.items():
         where = Path(out) / name / str(seed)
-        cmds = workloads.generate(name, seed)
         configs = workloads.write_configs(cmds, Path(out + "-configs")
                                           / name / str(seed))
         for cmd in cmds:
@@ -59,7 +85,8 @@ def export(rev: str, dest: Path) -> None:
 
 def run_tree(tree: Path, out: Path, seeds) -> None:
     subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"),
-                    str(ROOT / "bench"), str(out), *map(str, seeds)],
+                    str(ROOT / "bench"), str(out), json.dumps(EXTRA),
+                    str(EXTRA_NSIM), *map(str, seeds)],
                    check=True, cwd=out.parent)
 
 
